@@ -11,8 +11,6 @@ from .groups import (
     GroupClosureError,
     GroupElement,
     act_on_poly,
-    centralizer,
-    conjugacy_classes,
     fixed_projection,
     generate_group,
     is_symplectic,
@@ -69,8 +67,6 @@ __all__ = [
     "GroupClosureError",
     "GroupElement",
     "act_on_poly",
-    "centralizer",
-    "conjugacy_classes",
     "fixed_projection",
     "generate_group",
     "is_symplectic",

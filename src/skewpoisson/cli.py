@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from typing import Optional
 
 from ._version import __version__
@@ -41,6 +42,10 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+
+# ``invariants --degree D`` row-reduces every monomial of degree 0..D, that
+# is C(D + n, n) of them in n variables; 5000 admits degree 16 in 4 variables
+MAX_INVARIANT_MONOMIALS = 5000
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -338,6 +343,14 @@ def main(argv: Optional[list] = None) -> int:
             elif command == "invariants":
                 if args.degree < 0:
                     raise ConfigError("--degree", "must be non-negative")
+                monomials = comb(args.degree + config.nvars, config.nvars)
+                if monomials > MAX_INVARIANT_MONOMIALS:
+                    raise ConfigError(
+                        "--degree",
+                        f"degree {args.degree} in {config.nvars} variables means "
+                        f"{monomials} monomials, over the limit of "
+                        f"{MAX_INVARIANT_MONOMIALS}",
+                    )
                 report = cmd_invariants(config, up_to_degree=args.degree)
             elif command == "bracket":
                 report = cmd_bracket(config, args.first, args.second)

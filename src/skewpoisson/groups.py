@@ -5,11 +5,17 @@ immutable afterwards: elements (with stable indices and generator words),
 the full multiplication table, inverses, conjugacy classes with
 lowest-index representatives, and centralizers.  All structure is computed
 with exact arithmetic, so two runs always agree element for element.
+
+The search multiplies each element by each generator, |G| * #generators
+matrix products, and keeps the result as the right-multiplication edges of
+the Cayley graph.  Every element but the identity is its parent times one
+generator, so a row of the multiplication table follows from those edges
+by integer lookups alone; inverses, classes and centralizers are then read
+off the table.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -23,8 +29,6 @@ __all__ = [
     "ConjugacyClass",
     "FiniteMatrixGroup",
     "generate_group",
-    "conjugacy_classes",
-    "centralizer",
     "fixed_projection",
     "is_symplectic",
     "act_on_poly",
@@ -97,7 +101,11 @@ class FiniteMatrixGroup:
     """An enumerated finite matrix group; construct via :func:`generate_group`."""
 
     def __init__(self, elements: Sequence[GroupElement], generator_indices: Sequence[int],
-                 generator_names: Sequence[str]):
+                 generator_names: Sequence[str], right: Sequence[Sequence[int]],
+                 parents: Sequence[Optional[tuple]]):
+        """``right[i][k]`` is the index of ``elements[i] * generator k``, and
+        ``parents[j] == (i, k)`` says element ``j`` was found as that product
+        (``parents[0]`` is ``None``: the identity has no parent)."""
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
@@ -105,27 +113,15 @@ class FiniteMatrixGroup:
         self.order = len(self.elements)
         self._index_by_matrix = {e.matrix: e.index for e in self.elements}
 
+        # a * elements[j] == (a * elements[i]) * generator k, for parents[j] == (i, k)
         table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                prod = linalg.mat_mul(a.matrix, b.matrix)
-                try:
-                    row.append(self._index_by_matrix[prod])
-                except KeyError:  # pragma: no cover - closure guarantees this
-                    raise RuntimeError("multiplication left the enumerated set")
+        for a in range(self.order):
+            row = [a]
+            for i, k in parents[1:]:
+                row.append(right[row[i]][k])
             table.append(tuple(row))
         self.mul_table = tuple(table)
-
-        inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.mul_table[i][j] == 0:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):  # pragma: no cover
-            raise RuntimeError("element without inverse; not a group")
-        self.inverse_table = tuple(inv)
+        self.inverse_table = tuple(row.index(0) for row in self.mul_table)
 
         self.classes = self._compute_classes()
         self._class_of = [None] * self.order
@@ -273,35 +269,31 @@ def generate_group(
     ident = linalg.identity_matrix(n)
     elements = [GroupElement(0, ident, "1")]
     index = {ident: 0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for name, g in zip(names, gens):
+    right = []  # right[i][k]: index of elements[i] * gens[k]
+    parents = [None]  # parents[j] == (i, k): elements[j] was found as elements[i] * gens[k]
+    # elements are appended in the order they are found, so visiting them by
+    # index is the breadth-first order
+    while len(right) < len(elements):
+        i = len(right)
+        row = []
+        for k, (name, g) in enumerate(zip(names, gens)):
             prod = linalg.mat_mul(elements[i].matrix, g)
-            if prod in index:
-                continue
-            if len(elements) >= cap:
-                raise GroupClosureError(
-                    f"group closure exceeded the cap of {cap} elements"
-                )
-            word = name if i == 0 else f"{elements[i].word}*{name}"
-            elem = GroupElement(len(elements), prod, word)
-            index[prod] = elem.index
-            elements.append(elem)
-            queue.append(elem.index)
+            j = index.get(prod)
+            if j is None:
+                if len(elements) >= cap:
+                    raise GroupClosureError(
+                        f"group closure exceeded the cap of {cap} elements"
+                    )
+                j = len(elements)
+                word = name if i == 0 else f"{elements[i].word}*{name}"
+                elements.append(GroupElement(j, prod, word))
+                index[prod] = j
+                parents.append((i, k))
+            row.append(j)
+        right.append(row)
 
     generator_indices = [index[g] for g in gens]
-    return FiniteMatrixGroup(elements, generator_indices, names)
-
-
-def conjugacy_classes(group: FiniteMatrixGroup) -> tuple:
-    """The group's conjugacy classes, representatives chosen by lowest index."""
-    return group.classes
-
-
-def centralizer(group: FiniteMatrixGroup, g: ElementLike) -> tuple:
-    """All elements commuting with ``g``; raises for foreign elements."""
-    return group.centralizer_of(g)
+    return FiniteMatrixGroup(elements, generator_indices, names, right, parents)
 
 
 def fixed_projection(g: GroupElement):

@@ -2,7 +2,8 @@
 
 Two independent routes to the dimensions of the invariant degree slices are
 kept side by side on purpose: the Molien series (exact power-series
-expansion of averaged characteristic determinants) and brute force
+expansion of characteristic determinants, averaged over conjugacy classes
+weighted by class size) and brute force
 (Reynolds images of all monomials of a degree, row-reduced over the
 rationals).  Generator verification compares the span of generator
 products against those slices degree by degree, and relation verification
@@ -65,33 +66,21 @@ def is_invariant(group: FiniteMatrixGroup, p: Polynomial, exhaustive: bool = Fal
     return all(act_on_poly(g, p) == p for g in candidates)
 
 
-def _char_det(group: FiniteMatrixGroup, element_index: int) -> list:
-    """Coefficients of det(I - t*g) as a list indexed by power of t."""
-    n = group.dim
-    matrix = group.elements[element_index].matrix
-    entries = [
-        [
-            Polynomial(1, {(0,): Fraction(1) if i == j else Fraction(0),
-                           (1,): -matrix[i][j]})
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = linalg.det_generic(entries)
-    return [det.coefficient((k,)) for k in range(n + 1)]
-
-
 def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
     """Dimensions of the invariant degree slices, from the Molien series.
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` exactly to the requested order.
-    Coefficient 0 is always 1.
+    The determinant is a class function, so the sum runs over conjugacy
+    classes, each representative weighted by its class size; det(I - t g)
+    is the reversed characteristic polynomial of g.  Coefficient 0 is
+    always 1.
     """
     if up_to_degree < 0:
         raise ValueError("up_to_degree must be non-negative")
     total = [Fraction(0)] * (up_to_degree + 1)
-    for idx in range(group.order):
-        dets = _char_det(group, idx)
+    for cls in group.classes:
+        # det(I - t*g) = t^n * det(t^-1 * I - g): coefficient j is that of t^(n-j)
+        dets = linalg.char_poly(group.elements[cls.representative].matrix)[::-1]
         # power-series inverse of the determinant; constant term is det(I) = 1
         inv = [Fraction(1)]
         for k in range(1, up_to_degree + 1):
@@ -100,7 +89,7 @@ def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
                 acc += dets[j] * inv[k - j]
             inv.append(-acc)
         for k in range(up_to_degree + 1):
-            total[k] += inv[k]
+            total[k] += cls.size * inv[k]
     coeffs = []
     for k, value in enumerate(total):
         value = value / group.order

@@ -40,17 +40,14 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def zero_matrix(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b or len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch in multiplication")
     bt = tuple(zip(*b))
+    # zero products are skipped: group elements are mostly zeros
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
+        for row in a
     )
 
 
@@ -98,28 +95,27 @@ def is_invertible(a: Matrix) -> bool:
     return True
 
 
-def det_generic(rows: Sequence[Sequence]):
-    """Determinant by cofactor expansion along the first row.
+def char_poly(a: Matrix) -> list:
+    """Coefficients of det(t*I - a), indexed by the power of t.
 
-    Entries may be any commutative ring elements supporting ``+ - *``
-    (used with univariate polynomials for characteristic-style determinants).
-    Intended for small matrices; cost grows factorially.
+    Faddeev-LeVerrier recursion: with M_0 = 0 and c_n = 1, each step sets
+    M_k = a*M_(k-1) + c_(n-k+1)*I and c_(n-k) = -trace(a*M_k)/k.  Exact over
+    the rationals in O(n^4) operations.
     """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("determinant of empty matrix")
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
-        term = rows[0][j] * det_generic(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("characteristic polynomial requires a square matrix")
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    am = [[Fraction(0)] * n for _ in range(n)]  # a * M_(k-1)
+    for k in range(1, n + 1):
+        c = coeffs[n - k + 1]
+        m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = [
+            [sum((x * m[l][j] for l, x in enumerate(row) if x), Fraction(0)) for j in range(n)]
+            for row in a
+        ]
+        coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
+    return coeffs
 
 
 class RowSpace:

@@ -135,15 +135,6 @@ class Polynomial:
         degrees = {sum(e) for e in self._terms}
         return len(degrees) <= 1
 
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.nvars,
-            {e: c for e, c in self._terms.items() if sum(e) == degree},
-        )
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
-
     def to_vector(self) -> dict:
         """Sparse coefficient vector keyed by grlex key, for linear algebra."""
         return {grlex_key(e): c for e, c in self._terms.items()}

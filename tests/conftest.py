@@ -1,8 +1,43 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from skewpoisson import ScenarioConfig
+from skewpoisson import ScenarioConfig, generate_group
+from skewpoisson.linalg import inverse, mat_mul, matrix_from_rows, transpose
+
+
+def on_h_plus_dual(m):
+    """The block matrix diag(m, m^-T): the action of ``m`` on h + h*."""
+    m = matrix_from_rows(m)
+    zeros = (0,) * len(m)
+    return (tuple(row + zeros for row in m)
+            + tuple(zeros + row for row in transpose(inverse(m))))
+
+
+def signed_permutation(perm, signs):
+    """The matrix sending e_i to signs[i] * e_perm[i]."""
+    n = len(perm)
+    return [[signs[i] if perm[i] == r else 0 for i in range(n)] for r in range(n)]
+
+
+def coxeter_bn(n, seed):
+    """Generators of B_n on h + h*: the transpositions (i, i+1) and the sign
+    change of the last coordinate, conjugated by a seeded random signed
+    permutation and shuffled.  The seed changes the enumeration order, not
+    the group."""
+    rng = random.Random(seed)
+    ident = list(range(n))
+    gens = [signed_permutation(ident[:i] + [i + 1, i] + ident[i + 2:], [1] * n)
+            for i in range(n - 1)]
+    gens.append(signed_permutation(ident, [1] * (n - 1) + [-1]))
+    perm = ident[:]
+    rng.shuffle(perm)
+    g = matrix_from_rows(signed_permutation(perm, [rng.choice((1, -1)) for _ in ident]))
+    gens = [mat_mul(mat_mul(g, matrix_from_rows(s)), inverse(g)) for s in gens]
+    rng.shuffle(gens)
+    return [on_h_plus_dual(s) for s in gens]
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +64,29 @@ def generators(config):
 def named(config):
     names = ("f1", "f2", "f3", "f4", "h1", "h2", "h3", "h4")
     return {n: config.polynomial(n) for n in names}
+
+
+@pytest.fixture(scope="session")
+def b3_group():
+    """B3 on h + h* (order 48, dimension 6), from seeded Coxeter generators."""
+    return generate_group(coxeter_bn(3, seed=3))
+
+
+@pytest.fixture(scope="session")
+def b4_group():
+    """B4 on h + h* (order 384, dimension 8), from seeded Coxeter generators."""
+    return generate_group(coxeter_bn(4, seed=4))
+
+
+@pytest.fixture(scope="session")
+def s3_group():
+    """S3 in its reflection representation on h + h* (order 6, dimension 4);
+    not monomial, so products take the general path."""
+    return generate_group([on_h_plus_dual([["-1", "1"], ["0", "1"]]),
+                           on_h_plus_dual([["1", "0"], ["1", "-1"]])])
+
+
+@pytest.fixture(params=["group", "b3_group", "s3_group"])
+def reference_group(request):
+    """The bundled group, B3 and S3, one per test run."""
+    return request.getfixturevalue(request.param)

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
+from pathlib import Path
 
-from skewpoisson.cli import main
+import pytest
+
+from skewpoisson.cli import MAX_INVARIANT_MONOMIALS, main
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -129,6 +135,13 @@ class TestInvariantsCommand:
         assert rel["payload"]["relations"] == []
         assert rel["payload"]["nonzero_residuals"] == 0
 
+    def test_degree_over_the_work_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "invariants", "--degree", "100000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "--degree" in out and f"limit of {MAX_INVARIANT_MONOMIALS}" in out
+
 
 class TestBracketCommand:
     def test_named_polynomials(self, capsys):
@@ -251,3 +264,16 @@ class TestSelftestCommand:
                         "--seed", "12345")
         assert code == 0
         assert "seed 12345" in out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["group"], "group.machine.json"),
+    (["invariants", "--degree", "8"], "invariants_degree8.machine.json"),
+    (["obstruction"], "obstruction.machine.json"),
+])
+def test_machine_reports_match_golden_files(capsys, argv, golden):
+    """Machine reports on the bundled scenario stay byte for byte what the
+    files under tests/data record."""
+    code, out = run(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

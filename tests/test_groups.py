@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,14 @@ import pytest
 from skewpoisson import (
     GroupClosureError,
     act_on_poly,
-    centralizer,
-    conjugacy_classes,
     fixed_projection,
     generate_group,
     is_symplectic,
+    molien_coefficients,
     parse_poly,
 )
 from skewpoisson.linalg import identity_matrix, inverse, mat_mul, matrix_from_rows
+from skewpoisson.poly import monomials_of_degree
 
 B = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 C = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
@@ -78,10 +79,117 @@ class TestClosure:
             group.element_from_word("z")
 
 
+def product_by_definition(a, b):
+    """Matrix product summing every term, zero or not: the reference for
+    ``mat_mul``, which skips zero products."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+class TestReferenceGroups:
+    """The bundled group, B3 and S3 on h + h*, against the matrices."""
+
+    def test_table_matches_matrix_products(self, reference_group):
+        mats = [g.matrix for g in reference_group.elements]
+        index = {m: i for i, m in enumerate(mats)}
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                assert reference_group.mul_table[i][j] == index[mat_mul(a, b)]
+
+    def test_mat_mul_matches_definition(self, s3_group):
+        # S3 is not monomial: its products have entries summing several terms
+        mats = [g.matrix for g in s3_group.elements]
+        for a in mats:
+            for b in mats:
+                assert mat_mul(a, b) == product_by_definition(a, b)
+
+    def test_classes_match_brute_force(self, reference_group):
+        got = [cls.members for cls in reference_group.classes]
+        assert got == brute_force_classes(reference_group)
+
+    def test_orders(self, group, b3_group, s3_group):
+        assert [(g.order, len(g.classes)) for g in (group, b3_group, s3_group)] == [
+            (8, 5), (48, 10), (6, 3)
+        ]
+
+
+def bipartitions(n):
+    """Number of pairs of partitions (a, b) with |a| + |b| = n."""
+    partitions = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            partitions[k] += partitions[k - part]
+    return sum(partitions[k] * partitions[n - k] for k in range(n + 1))
+
+
+def signed_monomial_invariants(generators, degree):
+    """Dimension of the degree-``degree`` invariants of a group of monomial
+    matrices, counted on monomials: an orbit contributes its signed sum
+    unless some element maps its monomials to their negatives.  The orbits
+    are walked along the generators, carrying the sign of each monomial."""
+    nvars = len(generators[0])
+    moves = []
+    for g in generators:
+        # column i of g has one nonzero entry: x_i -> g[r][i] * x_r
+        moves.append([next((r, g[r][i]) for r in range(nvars) if g[r][i]) for i in range(nvars)])
+
+    def act(move, exps):
+        out = [0] * nvars
+        sign = 1
+        for i, e in enumerate(exps):
+            r, s = move[i]
+            out[r] = e
+            sign *= s ** e
+        return tuple(out), sign
+
+    seen = set()
+    count = 0
+    for start in monomials_of_degree(nvars, degree):
+        if start in seen:
+            continue
+        signs = {start: 1}
+        stack = [start]
+        consistent = True
+        while stack:
+            exps = stack.pop()
+            for move in moves:
+                image, sign = act(move, exps)
+                if image not in signs:
+                    signs[image] = sign * signs[exps]
+                    stack.append(image)
+                elif signs[image] != sign * signs[exps]:
+                    consistent = False
+        seen.update(signs)
+        count += consistent
+    return count
+
+
+class TestB4Scale:
+    """B4 on h + h*: order 384 in dimension 8."""
+
+    def test_order_and_classes(self, b4_group):
+        assert b4_group.order == 384
+        assert len(b4_group.classes) == bipartitions(4) == 20
+        for cls in b4_group.classes:
+            assert cls.size * len(cls.centralizer) == 384
+
+    def test_sampled_table_entries(self, b4_group):
+        rng = random.Random(2024)
+        mats = [g.matrix for g in b4_group.elements]
+        index = {m: i for i, m in enumerate(mats)}
+        for _ in range(2000):
+            i, j = rng.randrange(384), rng.randrange(384)
+            assert b4_group.mul_table[i][j] == index[mat_mul(mats[i], mats[j])]
+
+    def test_molien_counts_signed_monomial_orbits(self, b4_group):
+        generators = [b4_group.elements[i].matrix for i in b4_group.generator_indices]
+        expected = [signed_monomial_invariants(generators, d) for d in range(5)]
+        assert molien_coefficients(b4_group, 4) == expected == [1, 0, 3, 0, 11]
+
+
 class TestConjugacyClasses:
     def test_five_classes_match_brute_force(self, group):
         expected = brute_force_classes(group)
-        got = [cls.members for cls in conjugacy_classes(group)]
+        got = [cls.members for cls in group.classes]
         assert got == expected
         assert len(got) == 5
 
@@ -105,7 +213,7 @@ class TestConjugacyClasses:
 class TestCentralizer:
     def test_centralizer_of_b(self, group):
         b = group.element_from_word("b")
-        members = centralizer(group, b)
+        members = group.centralizer_of(b)
         # brute force: everything whose matrix commutes with b
         expected = [
             g for g in group.elements
@@ -115,14 +223,14 @@ class TestCentralizer:
         assert len(members) == 4
 
     def test_centralizer_of_identity_is_everything(self, group):
-        assert len(centralizer(group, group.identity)) == group.order
+        assert len(group.centralizer_of(group.identity)) == group.order
 
     def test_central_element(self, group):
         minus_one = group.element_from_word("b*c")
         assert minus_one.matrix == tuple(
             tuple(-x for x in row) for row in identity_matrix(4)
         )
-        assert len(centralizer(group, minus_one)) == group.order
+        assert len(group.centralizer_of(minus_one)) == group.order
 
     def test_foreign_element_rejected(self, group):
         stray = generate_group([], dim=4)
@@ -136,7 +244,7 @@ class TestCentralizer:
                                                   ["0", "0", "0", "1"]]), "alien")
         assert group.element_index(foreign) == 0
         with pytest.raises(ValueError, match="not a member"):
-            centralizer(group, alien)
+            group.centralizer_of(alien)
 
 
 class TestFixedProjection:

@@ -80,6 +80,11 @@ class TestMolien:
         for d in range(9):
             assert molien[d] == len(invariant_basis(group, d))
 
+    def test_agrees_with_brute_force_on_reference_groups(self, reference_group):
+        molien = molien_coefficients(reference_group, 6)
+        for d in range(7):
+            assert molien[d] == len(invariant_basis(reference_group, d))
+
 
 class TestInvariantBasis:
     def test_degree_two_slice(self, group, named):
