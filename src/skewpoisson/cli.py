@@ -32,7 +32,6 @@ from .config import ConfigError, ScenarioConfig
 from .groups import is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
 from .obstruction import run_counterexample
-from .parse import PolyParseError
 from .poly import format_poly, poisson_bracket
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest, suite_names
@@ -43,15 +42,30 @@ EXIT_INCONCLUSIVE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-# ``invariants --degree D`` row-reduces every monomial of degree 0..D, that
-# is C(D + n, n) of them in n variables; 5000 admits degree 16 in 4 variables
-MAX_INVARIANT_MONOMIALS = 5000
+# ``invariants --degree D`` row-reduces every monomial of degree 0..D, and
+# ``obstruction --degree D`` projects every multiplier monomial of degree
+# 0..D: C(D + n, n) of them in n variables; 5000 admits degree 16 in 4
+# variables
+MAX_DEGREE_MONOMIALS = 5000
 
 
 def _load_config(args) -> ScenarioConfig:
     if args.config:
         return ScenarioConfig.from_file(args.config)
     return ScenarioConfig.bundled()
+
+
+def _check_degree_budget(degree: int, nvars: int) -> None:
+    """Reject a ``--degree`` whose monomials exceed the work budget."""
+    if degree < 0:
+        raise ConfigError("--degree", "must be non-negative")
+    monomials = comb(degree + nvars, nvars)
+    if monomials > MAX_DEGREE_MONOMIALS:
+        raise ConfigError(
+            "--degree",
+            f"degree {degree} in {nvars} variables means {monomials} monomials, "
+            f"over the limit of {MAX_DEGREE_MONOMIALS}",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +331,10 @@ def _error_report(command: str, message: str, kind: str) -> Report:
     return report
 
 
+def _write(report: Report, fmt: str) -> None:
+    sys.stdout.write(report.to_machine() if fmt == "machine" else report.to_text())
+
+
 def _obstruction_exit(report: Report) -> int:
     if report.has_errors():
         return EXIT_INTERNAL if report.error_kind() == "internal" else EXIT_CONFIG
@@ -341,44 +359,26 @@ def main(argv: Optional[list] = None) -> int:
             if command == "group":
                 report = cmd_group(config)
             elif command == "invariants":
-                if args.degree < 0:
-                    raise ConfigError("--degree", "must be non-negative")
-                monomials = comb(args.degree + config.nvars, config.nvars)
-                if monomials > MAX_INVARIANT_MONOMIALS:
-                    raise ConfigError(
-                        "--degree",
-                        f"degree {args.degree} in {config.nvars} variables means "
-                        f"{monomials} monomials, over the limit of "
-                        f"{MAX_INVARIANT_MONOMIALS}",
-                    )
+                _check_degree_budget(args.degree, config.nvars)
                 report = cmd_invariants(config, up_to_degree=args.degree)
             elif command == "bracket":
                 report = cmd_bracket(config, args.first, args.second)
             elif command == "project":
                 report = cmd_project(config, args.part, args.class_index)
             elif command == "obstruction":
-                if args.degree is not None and args.degree < 0:
-                    raise ConfigError("--degree", "must be non-negative")
+                if args.degree is not None:
+                    _check_degree_budget(args.degree, config.nvars)
                 report = cmd_obstruction(config, degree=args.degree, psi=args.psi)
             else:  # pragma: no cover - argparse enforces the choices
                 raise RuntimeError(f"unhandled command {command!r}")
-    except (ConfigError, PolyParseError) as exc:
-        report = _error_report(command, str(exc), "config")
-        sys.stdout.write(report.to_machine() if getattr(args, "format", "text") == "machine"
-                         else report.to_text())
-        return EXIT_CONFIG
-    except ValueError as exc:
-        report = _error_report(command, str(exc), "config")
-        sys.stdout.write(report.to_machine() if getattr(args, "format", "text") == "machine"
-                         else report.to_text())
+    except ValueError as exc:  # ConfigError and PolyParseError included
+        _write(_error_report(command, str(exc), "config"), args.format)
         return EXIT_CONFIG
     except RuntimeError as exc:
-        report = _error_report(command, str(exc), "internal")
-        sys.stdout.write(report.to_machine() if getattr(args, "format", "text") == "machine"
-                         else report.to_text())
+        _write(_error_report(command, str(exc), "internal"), args.format)
         return EXIT_INTERNAL
 
-    sys.stdout.write(report.to_machine() if args.format == "machine" else report.to_text())
+    _write(report, args.format)
 
     if command == "obstruction":
         return _obstruction_exit(report)

@@ -12,6 +12,13 @@ the Cayley graph.  Every element but the identity is its parent times one
 generator, so a row of the multiplication table follows from those edges
 by integer lookups alone; inverses, classes and centralizers are then read
 off the table.
+
+Actions on polynomials are compiled lazily and kept: each element's
+``action`` is the :class:`~skewpoisson.poly.LinearSubstitution` of its
+inverse matrix, and :meth:`FiniteMatrixGroup.class_projection_maps` pairs
+every element ``k`` with one substitution that acts by ``k`` and then
+restricts to the fixed space of a class representative.  Both live as long
+as the group, with the monomial memos of their non-monomial maps.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import linalg
-from .poly import Polynomial, SymplecticForm, substitute_linear
+from .poly import LinearSubstitution, Polynomial, SymplecticForm
 
 __all__ = [
     "GroupClosureError",
@@ -42,13 +49,14 @@ class GroupClosureError(ValueError):
 class GroupElement:
     """One matrix of a finite group, with its discovery index and word."""
 
-    __slots__ = ("index", "matrix", "word", "_inverse_matrix")
+    __slots__ = ("index", "matrix", "word", "_inverse_matrix", "_action")
 
     def __init__(self, index: int, matrix, word: str):
         self.index = index
         self.matrix = matrix
         self.word = word
         self._inverse_matrix = None
+        self._action = None
 
     @property
     def dim(self) -> int:
@@ -59,6 +67,14 @@ class GroupElement:
         if self._inverse_matrix is None:
             self._inverse_matrix = linalg.inverse(self.matrix)
         return self._inverse_matrix
+
+    @property
+    def action(self) -> LinearSubstitution:
+        """The left action on polynomials, compiled on first use: composition
+        with the inverse matrix."""
+        if self._action is None:
+            self._action = LinearSubstitution(self.inverse_matrix)
+        return self._action
 
     def matrix_order(self, cap: int = 10_000) -> int:
         """Multiplicative order of the matrix; raises if it exceeds ``cap``."""
@@ -129,6 +145,7 @@ class FiniteMatrixGroup:
             for m in cls.members:
                 self._class_of[m] = cls.index
         self._fixed_proj = {}
+        self._class_maps = {}
 
     # ------------------------------------------------------------------
 
@@ -226,6 +243,28 @@ class FiniteMatrixGroup:
         if cached is None:
             cached = fixed_projection(self.elements[idx])
             self._fixed_proj[idx] = cached
+        return cached
+
+    def class_projection_maps(self, class_index: int) -> tuple:
+        """Cached ``(source, map)`` per element ``k``, indexed by ``k``.
+
+        ``source`` is the index of ``k^-1 * rep * k`` for the class
+        representative ``rep``, and ``map`` acts by ``k`` and then restricts
+        to the fixed space of ``rep``: by the composition law it is one
+        substitution by ``inverse(k) * P_rep``.  Entry 0 (``k`` the
+        identity) is the restriction alone.  Compiled on first request.
+        """
+        cached = self._class_maps.get(class_index)
+        if cached is None:
+            rep = self.classes[class_index].representative
+            proj = self.fixed_projection_matrix(rep)
+            table, inv = self.mul_table, self.inverse_table
+            cached = tuple(
+                (table[table[inv[k]][rep]][k],
+                 LinearSubstitution(linalg.mat_mul(g.inverse_matrix, proj)))
+                for k, g in enumerate(self.elements)
+            )
+            self._class_maps[class_index] = cached
         return cached
 
 
@@ -333,4 +372,4 @@ def act_on_poly(g: GroupElement, p: Polynomial) -> Polynomial:
         raise ValueError(
             f"dimension mismatch: polynomial has {p.nvars} variables, element is {g.dim}x{g.dim}"
         )
-    return substitute_linear(p, g.inverse_matrix)
+    return g.action(p)

@@ -237,3 +237,27 @@ def solve_combination(vectors: Sequence[SparseVec], target: SparseVec):
     for tag, val in combo.items():
         coeffs[tag] = val
     return coeffs, space.rank, rem
+
+
+def separating_functional(vectors: Sequence[SparseVec], target: SparseVec) -> Optional[SparseVec]:
+    """A functional ``y`` with ``y . v == 0`` for every vector and ``y . target != 0``.
+
+    The Fredholm alternative made explicit: ``c`` is the lead column of the
+    target's remainder against the row space, never a pivot, and
+    ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
+    pivots ``p_i``.  Every vector of the space is ``sum_i v[p_i] R_i``, so
+    ``y`` vanishes on it, while ``y . target`` is the remainder's entry at
+    ``c``.  Returns ``None`` when the target lies in the span.
+    """
+    space = RowSpace()
+    for vec in vectors:
+        space.add(vec)
+    rem, _ = space.reduce(target)
+    if not rem:
+        return None
+    c = min(rem)
+    witness = {c: Fraction(1)}
+    for row in space.reduced_rows():
+        if c in row:
+            witness[min(row)] = -row[c]
+    return witness

@@ -9,11 +9,12 @@ invariant ring to the skew group algebra is the existence of a multiplier
 
 where ``project`` is the class projection of :mod:`skewpoisson.skew`.  This
 module decides that condition exactly: a degree-bounded rational linear
-solve produces either a feasible ``sigma`` or a rank-based infeasibility
-record, and a divisor argument (some variable divides every monomial every
-candidate image can ever contain, but not the target) upgrades
-infeasibility to all degrees.  Every verdict ships as a replayable
-certificate.
+solve produces either a feasible ``sigma`` or an infeasibility record with
+its rank data and a dual witness (a functional on monomials that kills
+every candidate image but not the target), and a divisor argument (some
+variable divides every monomial every candidate image can ever contain,
+but not the target) upgrades infeasibility to all degrees.  Every verdict
+ships as a replayable certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .poly import (
     format_poly,
     monomials_up_to,
     poisson_bracket,
-    substitute_linear,
 )
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .skew import SkewElement, hh0_project
@@ -81,6 +81,9 @@ class Certificate:
     rank_data: Optional[RankData] = None
     divisor_witness: Optional[int] = None  # 0-based variable index
     divisor_images: tuple = ()  # degree-independent image generators
+    # degree-bounded infeasibility: the functional on monomials whose value
+    # at a monomial is this polynomial's coefficient there
+    dual_witness: Optional[Polynomial] = None
 
 
 @dataclass(frozen=True)
@@ -159,11 +162,10 @@ def multiplier_image_generators(
     These translates therefore certify divisor properties for multipliers of
     arbitrary degree, not just up to some bound.
     """
-    cls = group.classes[class_index]
-    proj = group.fixed_projection_matrix(cls.representative)
+    maps = group.class_projection_maps(class_index)
     seen = []
-    for k in cls.centralizer:
-        translated = substitute_linear(act_on_poly(group.elements[k], psi), proj)
+    for k in group.classes[class_index].centralizer:
+        translated = maps[k][1](psi)
         if not translated.is_zero and translated not in seen:
             seen.append(translated)
     return tuple(seen)
@@ -198,7 +200,8 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
     Feasible outcomes return a multiplier (deterministic support, from
     graded-lex pivoting) that replays to exact zero.  Infeasible outcomes
     record the rank data of the linear system; when the divisor argument
-    applies, the verdict is upgraded to all degrees.
+    applies, the verdict is upgraded to all degrees, and otherwise it stays
+    at the degree bound with a dual witness checked against the images.
     """
     group = problem.group
     target = target_poly(group, problem.phi, problem.psi, problem.class_index,
@@ -235,8 +238,22 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
             divisor_witness=witness,
             divisor_images=generators,
         )
+    separating = linalg.separating_functional(vectors, goal)
+    dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
+    if not _separates(dual, [img for _, img in images], target):
+        raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
     return Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target,
-                       rank_data=rank_data)
+                       rank_data=rank_data, dual_witness=dual)
+
+
+def _separates(witness: Polynomial, images: Sequence[Polynomial],
+               target: Polynomial) -> bool:
+    """Whether the witness, read as a functional on monomials, vanishes on
+    every image but not on the target."""
+    def pair(p: Polynomial):
+        return sum(c * p.coefficient(exps) for exps, c in witness.items())
+
+    return all(pair(img) == 0 for img in images) and pair(target) != 0
 
 
 def collapse_to_sigma(d_of_g: SkewElement, g: ElementLike) -> Polynomial:
@@ -269,8 +286,9 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
 
     Feasible: substitute the multiplier back and demand exact zero.
     All-degrees: rescan the stored image generators and the target for the
-    divisor property.  Degree-bounded infeasibility carries its rank data
-    but has nothing cheaper than the original solve to replay, so it passes.
+    divisor property.  Degree-bounded: recompute the candidate images and
+    demand that the dual witness vanishes on each of them but not on the
+    target, which takes dot products only, no row reduction.
     """
     group = problem.group
     if cert.verdict is Verdict.FEASIBLE:
@@ -293,7 +311,11 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
             for p in cert.divisor_images
             if not p.is_zero
         )
-    return cert.rank_data is not None
+    if cert.rank_data is None or cert.dual_witness is None:
+        return False
+    images = sigma_image_basis(group, problem.psi, problem.class_index,
+                               problem.degree_bound)
+    return _separates(cert.dual_witness, [img for _, img in images], cert.target)
 
 
 # ----------------------------------------------------------------------

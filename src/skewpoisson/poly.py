@@ -10,6 +10,13 @@ rounds.
 Terms are ordered graded-lexicographically (total degree first, then the
 exponent tuple, ``x1`` most significant) wherever a deterministic ordering
 is needed, e.g. for printing and for pivoting in linear solves.
+
+Linear changes of variables are compiled once into a
+:class:`LinearSubstitution`: a monomial matrix becomes one target variable
+and coefficient per variable, and any other matrix keeps its linear forms
+and memoizes the image of each monomial it expands, so a map applied again
+and again (a group element's action, a class projection) never expands a
+monomial twice.
 """
 
 from __future__ import annotations
@@ -297,77 +304,108 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
     return Polynomial(p.nvars, terms)
 
 
+class LinearSubstitution:
+    """The linear change of variables x_j -> sum_k M[j][k] x_k, compiled once.
+
+    A monomial matrix (at most one nonzero per row, as for signed
+    permutations and diagonal actions) keeps one ``(target, coefficient)``
+    pair per variable.  Any other matrix keeps its linear forms and
+    memoizes the image of every monomial it has met: the image of ``m`` is
+    the image of ``m / x_j`` times form ``j``, with ``x_j`` the last
+    variable in ``m``.  The memo lives as long as the object, so a map kept
+    for repeated use trades memory for never expanding a monomial twice.
+    Calling the object composes a polynomial with the change of variables.
+    """
+
+    __slots__ = ("nvars", "_simple", "_forms", "_images")
+
+    def __init__(self, matrix):
+        n = len(matrix)
+        if n == 0 or any(len(row) != n for row in matrix):
+            raise ValueError(f"substitution matrix must be {n}x{n}")
+        rows = [[(k, Fraction(c)) for k, c in enumerate(row) if c] for row in matrix]
+        self.nvars = n
+        if all(len(row) <= 1 for row in rows):
+            self._simple = [row[0] if row else None for row in rows]
+            self._forms = self._images = None
+        else:
+            self._simple = None
+            self._forms = rows
+            self._images = {(0,) * n: {(0,) * n: Fraction(1)}}
+
+    def __call__(self, p: Polynomial) -> Polynomial:
+        n = self.nvars
+        if p.nvars != n:
+            raise ValueError(f"substitution matrix must be {p.nvars}x{p.nvars}")
+        terms: dict = {}
+        if self._simple is not None:
+            simple = self._simple
+            for exps, coeff in p._terms.items():
+                out = [0] * n
+                scale = coeff
+                for j, e in enumerate(exps):
+                    if e == 0:
+                        continue
+                    target = simple[j]
+                    if target is None:
+                        break
+                    k, c = target
+                    out[k] += e
+                    if c != 1:
+                        scale = scale * c**e
+                else:
+                    key = tuple(out)
+                    acc = terms.get(key, 0) + scale
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        terms.pop(key, None)
+            return p._wrap(terms)
+        for exps, coeff in p._terms.items():
+            for key, c in self._image(exps).items():
+                acc = terms.get(key, 0) + coeff * c
+                if acc:
+                    terms[key] = acc
+                else:
+                    terms.pop(key, None)
+        return p._wrap(terms)
+
+    def _image(self, exps: Exponents) -> dict:
+        """Terms of the image of the monomial ``exps``, memoized."""
+        images = self._images
+        image = images.get(exps)
+        if image is not None:
+            return image
+        # divide by the last variable until a memoized monomial is reached,
+        # then multiply the forms back in, memoizing every step
+        chain = []
+        while image is None:
+            j = max(i for i, e in enumerate(exps) if e)
+            chain.append((exps, j))
+            exps = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            image = images.get(exps)
+        for exps, j in reversed(chain):
+            product: dict = {}
+            for key, c in image.items():
+                for k, f in self._forms[j]:
+                    up = key[:k] + (key[k] + 1,) + key[k + 1:]
+                    acc = product.get(up, 0) + c * f
+                    if acc:
+                        product[up] = acc
+                    else:
+                        product.pop(up, None)
+            images[exps] = image = product
+        return image
+
+
 def substitute_linear(p: Polynomial, matrix) -> Polynomial:
     """Compose with a linear change of variables: x_j -> sum_k M[j][k] x_k.
 
     Satisfies the composition law ``substitute_linear(substitute_linear(p, M), N)
-    == substitute_linear(p, mat_mul(M, N))``.
+    == substitute_linear(p, mat_mul(M, N))``.  Compiles the matrix for this
+    one call; keep a :class:`LinearSubstitution` to apply it repeatedly.
     """
-    n = p.nvars
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError(f"substitution matrix must be {n}x{n}")
-    if p.is_zero:
-        return p
-
-    # Fast path: monomial substitutions (at most one nonzero per row), which
-    # covers signed permutations and diagonal actions.
-    simple = []
-    for row in matrix:
-        nz = [(k, c) for k, c in enumerate(row) if c]
-        if len(nz) > 1:
-            simple = None
-            break
-        simple.append(nz[0] if nz else None)
-    if simple is not None:
-        terms: dict = {}
-        for exps, coeff in p._terms.items():
-            out = [0] * n
-            scale = coeff
-            dead = False
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                target = simple[j]
-                if target is None:
-                    dead = True
-                    break
-                k, c = target
-                out[k] += e
-                if c != 1:
-                    scale = scale * c**e
-            if dead:
-                continue
-            key = tuple(out)
-            acc = terms.get(key, Fraction(0)) + scale
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return Polynomial(n, terms)
-
-    linear_forms = [
-        Polynomial(n, {tuple(1 if k == i else 0 for k in range(n)): Fraction(c)
-                       for i, c in enumerate(row) if c})
-        for row in matrix
-    ]
-    # cache powers of each substituted variable
-    pow_cache: list[dict] = [dict() for _ in range(n)]
-
-    def var_power(j: int, e: int) -> Polynomial:
-        cached = pow_cache[j].get(e)
-        if cached is None:
-            cached = linear_forms[j] ** e
-            pow_cache[j][e] = cached
-        return cached
-
-    total = Polynomial.zero(n)
-    for exps, coeff in p._terms.items():
-        term = Polynomial.constant(n, coeff)
-        for j, e in enumerate(exps):
-            if e:
-                term = term * var_power(j, e)
-        total = total + term
-    return total
+    return LinearSubstitution(matrix)(p)
 
 
 class SymplecticForm:

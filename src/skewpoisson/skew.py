@@ -233,27 +233,21 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     average over the group of the representative-conjugated parts of ``a``,
     restricted to the representative's fixed space, normalized by the
     centralizer order so the projection is idempotent.  Vanishes on every
-    commutator.
+    commutator.  Each part is moved and restricted by one compiled
+    substitution from :meth:`FiniteMatrixGroup.class_projection_maps`, the
+    same for every call on the class.
     """
     group = a.group
     if not 0 <= class_index < len(group.classes):
         raise ValueError(
             f"class index {class_index} out of range (group has {len(group.classes)} classes)"
         )
-    cls = group.classes[class_index]
-    rep = cls.representative
-    table = group.mul_table
-    inv = group.inverse_table
-    proj = group.fixed_projection_matrix(rep)
     total = Polynomial.zero(group.dim)
-    for k in range(group.order):
-        source = table[table[inv[k]][rep]][k]  # k^-1 * rep * k
+    for source, move_and_restrict in group.class_projection_maps(class_index):
         part = a._parts.get(source)
-        if part is None:
-            continue
-        moved = act_on_poly(group.elements[k], part)
-        total = total + substitute_linear(moved, proj)
-    return total * Fraction(1, len(cls.centralizer))
+        if part is not None:
+            total = total + move_and_restrict(part)
+    return total * Fraction(1, len(group.classes[class_index].centralizer))
 
 
 @dataclass(frozen=True)
@@ -270,8 +264,8 @@ class TraceVector:
         """Each component must live on the representative's fixed space and
         be invariant under the representative's centralizer."""
         for cls, comp in zip(self.group.classes, self.components):
-            proj = self.group.fixed_projection_matrix(cls.representative)
-            if substitute_linear(comp, proj) != comp:
+            _, restrict = self.group.class_projection_maps(cls.index)[0]
+            if restrict(comp) != comp:
                 return False
             for h in cls.centralizer:
                 if act_on_poly(self.group.elements[h], comp) != comp:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from skewpoisson.cli import MAX_INVARIANT_MONOMIALS, main
+from skewpoisson import ConfigError
+from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, main
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -140,7 +141,7 @@ class TestInvariantsCommand:
         code, out = run(capsys, "invariants", "--degree", "100000")
         assert time.perf_counter() - start < 1
         assert code == 2
-        assert "--degree" in out and f"limit of {MAX_INVARIANT_MONOMIALS}" in out
+        assert "--degree" in out and f"limit of {MAX_DEGREE_MONOMIALS}" in out
 
 
 class TestBracketCommand:
@@ -223,6 +224,19 @@ class TestObstructionCommand:
                         "--degree", "3")
         assert code == 1
         assert "INFEASIBLE_AT_DEGREE" in out
+
+    def test_degree_over_the_work_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "obstruction", "--degree", "200")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "--degree" in out and f"limit of {MAX_DEGREE_MONOMIALS}" in out
+
+    def test_degree_sixteen_is_within_the_budget(self):
+        # C(16 + 4, 4) = 4845 monomials in the bundled 4-variable scenario
+        _check_degree_budget(16, 4)
+        with pytest.raises(ConfigError, match="limit of"):
+            _check_degree_budget(17, 4)
 
     def test_trivial_group_is_config_error(self, capsys, tmp_path):
         config = {

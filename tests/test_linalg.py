@@ -17,6 +17,7 @@ from skewpoisson.linalg import (
     mat_scale,
     matrix_from_rows,
     parse_scalar,
+    separating_functional,
     solve_combination,
     transpose,
 )
@@ -128,6 +129,28 @@ class TestRowSpace:
         assert coeffs is None
         assert rank == 1
         assert residual == {1: Fraction(1)}
+
+    def test_separating_functional(self):
+        vectors = [
+            {0: Fraction(1), 2: Fraction(1), 3: Fraction(2)},
+            {1: Fraction(2), 2: Fraction(-1)},
+            {0: Fraction(1), 1: Fraction(2), 3: Fraction(2)},  # the sum of the first two
+        ]
+        target = {2: Fraction(3), 3: Fraction(1)}
+        y = separating_functional(vectors, target)
+        # column 2 is the target's first non-pivot column; the reduced rows
+        # reach it from pivots 0 and 1
+        assert y == {2: Fraction(1), 0: Fraction(-1), 1: Fraction(1, 2)}
+
+        def dot(v):
+            return sum(c * v.get(col, 0) for col, c in y.items())
+
+        assert all(dot(v) == 0 for v in vectors)
+        assert dot(target) == 3
+
+    def test_no_separating_functional_inside_the_span(self):
+        vectors = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
+        assert separating_functional(vectors, {0: Fraction(2)}) is None
 
     def test_zero_vector_never_increases_rank(self):
         space = RowSpace()

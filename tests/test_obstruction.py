@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from skewpoisson import (
+    Certificate,
     ObstructionProblem,
     Polynomial,
+    RankData,
     ScenarioConfig,
     SkewElement,
     Verdict,
@@ -189,6 +192,56 @@ class TestSolve:
             ObstructionProblem(group, P("x1"), named["h1"], 1, 2, form)
         with pytest.raises(ValueError, match="degree"):
             ObstructionProblem(group, named["f1"], named["h1"], 1, -1, form)
+
+
+class TestDegreeBoundedReplay:
+    @pytest.fixture(scope="class")
+    def swap_class(self, group, form, named):
+        # the class of e stays INFEASIBLE_AT_DEGREE: no variable divides
+        # every image, although each is a multiple of (x1+x3)*(x2+x4)
+        i = group.class_of(group.element_from_word("e"))
+        problem = ObstructionProblem(group, named["f1"], named["h1"], i, 4, form)
+        return problem, solve_sigma(problem)
+
+    def test_genuine_certificate_replays(self, swap_class):
+        problem, cert = swap_class
+        assert cert.verdict is Verdict.INFEASIBLE_AT_DEGREE
+        assert cert.dual_witness is not None
+        assert replay_certificate(problem, cert)
+
+    def test_witness_separates_images_from_target(self, swap_class):
+        problem, cert = swap_class
+
+        def pair(p):
+            return sum(c * p.coefficient(e) for e, c in cert.dual_witness.items())
+
+        images = sigma_image_basis(problem.group, problem.psi, problem.class_index, 4)
+        assert all(pair(img) == 0 for _, img in images)
+        assert pair(cert.target) != 0
+
+    def test_fabricated_certificate_fails(self, group, form, named, class_of_b):
+        problem = ObstructionProblem(group, named["f1"], named["h3"], class_of_b, 4, form)
+        genuine = solve_sigma(problem)
+        assert genuine.verdict is Verdict.FEASIBLE
+        rank_data = RankData(rows=1, cols=70, rank=0, residual=genuine.target)
+        fabricated = Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=genuine.target,
+                                 rank_data=rank_data)
+        assert not replay_certificate(problem, fabricated)
+        # no functional separates a target that lies in the span of the images
+        for exps, _ in genuine.target.items():
+            witness = Polynomial.monomial(4, exps)
+            assert not replay_certificate(problem, replace(fabricated, dual_witness=witness))
+
+    def test_changed_witness_entry_fails(self, swap_class):
+        problem, cert = swap_class
+        images = sigma_image_basis(problem.group, problem.psi, problem.class_index, 4)
+        hit = next(exps for _, img in images for exps, _ in img.items())
+        witness = cert.dual_witness
+        onto_an_image = witness + Polynomial.monomial(4, hit, 1 - witness.coefficient(hit))
+        assert not replay_certificate(problem, replace(cert, dual_witness=onto_an_image))
+        exps, c = next(witness.items())
+        dropped = witness - Polynomial.monomial(4, exps, c)
+        assert not replay_certificate(problem, replace(cert, dual_witness=dropped))
 
 
 class TestCollapse:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from skewpoisson import (
+    LinearSubstitution,
     Polynomial,
     SymplecticForm,
     parse_poly,
@@ -135,6 +137,96 @@ class TestSubstitution:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="4x4"):
             substitute_linear(P("x1"), identity_matrix(3))
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="2x2"):
+            LinearSubstitution([[1, 0], [0, 1, 0]])
+
+
+def reference_substitution(p: Polynomial, matrix) -> Polynomial:
+    """x_j -> sum_k M[j][k] x_k, term by term, as products of powers of the
+    substituted linear forms."""
+    n = p.nvars
+    forms = [Polynomial(n, {tuple(int(i == k) for i in range(n)): c
+                            for k, c in enumerate(row) if c})
+             for row in matrix]
+    total = Polynomial.zero(n)
+    for exps, coeff in p.items():
+        term = Polynomial.constant(n, coeff)
+        for form, e in zip(forms, exps):
+            term = term * form ** e
+        total = total + term
+    return total
+
+
+def random_poly(rng: random.Random, n: int, terms: int, degree: int) -> Polynomial:
+    out = {}
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    return Polynomial(n, out)
+
+
+def random_matrix(rng: random.Random, kind: str, n: int):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if kind == "monomial":
+        return [[Fraction(rng.choice((1, 2, -3)), rng.choice((1, 2))) if perm[j] == k else 0
+                 for k in range(n)] for j in range(n)]
+    if kind == "signed":
+        return [[rng.choice((1, -1)) if perm[j] == k else 0 for k in range(n)]
+                for j in range(n)]
+    if kind == "halves":
+        return [[rng.choice((0, Fraction(1, 2), Fraction(-1, 2))) for _ in range(n)]
+                for _ in range(n)]
+    rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n)]
+            for _ in range(n)]
+    if kind == "zero-row":
+        rows[rng.randrange(n)] = [0] * n
+    return rows
+
+
+MATRIX_CASES = [("monomial", 4), ("signed", 4), ("halves", 4), ("zero-row", 4),
+                ("general", 4), ("general", 6)]
+
+
+class TestLinearSubstitution:
+    @pytest.mark.parametrize("kind,n", MATRIX_CASES)
+    def test_matches_reference(self, kind, n):
+        rng = random.Random(f"{kind}:{n}")
+        for _ in range(4):
+            matrix = random_matrix(rng, kind, n)
+            sub = LinearSubstitution(matrix)
+            # monomial matrices take the per-variable path, the rest the memo
+            assert (sub._images is None) == (kind in ("monomial", "signed"))
+            for _ in range(3):
+                p = random_poly(rng, n, terms=5, degree=4)
+                assert sub(p) == reference_substitution(p, matrix)
+                assert substitute_linear(p, matrix) == sub(p)
+
+    @pytest.mark.parametrize("kind,n", MATRIX_CASES)
+    def test_memo_hit_equals_fresh_compile(self, kind, n):
+        rng = random.Random(f"twice:{kind}:{n}")
+        matrix = random_matrix(rng, kind, n)
+        sub = LinearSubstitution(matrix)
+        polys = [random_poly(rng, n, terms=6, degree=5) for _ in range(3)]
+        first = [sub(p) for p in polys]
+        assert [sub(p) for p in polys] == first
+        assert [LinearSubstitution(matrix)(p) for p in polys] == first
+
+    def test_results_do_not_share_the_memo(self):
+        matrix = random_matrix(random.Random(7), "general", 4)
+        sub = LinearSubstitution(matrix)
+        monomial = Polynomial.monomial(4, (1, 2, 0, 1))
+        image = sub(monomial)
+        assert image == reference_substitution(monomial, matrix)
+        assert all(image._terms is not memo for memo in sub._images.values())
+
+    def test_zero_polynomial(self):
+        sub = LinearSubstitution(random_matrix(random.Random(3), "general", 4))
+        assert sub(Polynomial.zero(4)).is_zero
 
 
 class TestSymplecticForm:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from skewpoisson import (
     inner_derivation_g_part,
     parse_poly,
     restrict_to_fixed,
+    substitute_linear,
     trace_vector,
 )
-from skewpoisson.linalg import RowSpace
+from skewpoisson.linalg import RowSpace, inverse
 
 
 def P(text):
@@ -172,6 +174,51 @@ class TestProjection:
         vector = trace_vector(a)
         assert len(vector.components) == len(group.classes)
         assert vector.validate()
+
+
+def two_step_projection(a, class_index):
+    """hh0_project by its definition: move each part by k (substitution by
+    the inverse matrix of k), then restrict by the projection matrix of the
+    representative, both compiled afresh for every part."""
+    group = a.group
+    cls = group.classes[class_index]
+    rep = cls.representative
+    proj = group.fixed_projection_matrix(rep)
+    table, inv = group.mul_table, group.inverse_table
+    total = Polynomial.zero(group.dim)
+    for k, g in enumerate(group.elements):
+        part = a.g_part(table[table[inv[k]][rep]][k])  # k^-1 * rep * k
+        moved = substitute_linear(part, inverse(g.matrix))
+        total = total + substitute_linear(moved, proj)
+    return total * Fraction(1, len(cls.centralizer))
+
+
+def random_skew_element(rng, group):
+    parts = {}
+    for idx in rng.sample(range(group.order), min(4, group.order)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * group.dim
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(group.dim)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        parts[idx] = Polynomial(group.dim, terms)
+    return SkewElement(group, parts)
+
+
+class TestCompiledProjection:
+    @pytest.mark.parametrize("name", ["group", "s3_group"])
+    def test_matches_two_step_definition(self, request, name):
+        group = request.getfixturevalue(name)
+        rng = random.Random(f"hh0:{name}")
+        for _ in range(4):
+            a = random_skew_element(rng, group)
+            for i in range(len(group.classes)):
+                assert hh0_project(a, i) == two_step_projection(a, i)
+
+    def test_maps_are_compiled_once_per_class(self, group):
+        i = group.class_of(group.element_from_word("e"))
+        assert group.class_projection_maps(i) is group.class_projection_maps(i)
 
 
 class TestInnerDerivation:
