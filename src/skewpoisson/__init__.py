@@ -4,6 +4,7 @@ enumeration, trace-space projections, invariant theory, and a certified
 decision procedure for the bracket-extension obstruction."""
 
 from ._version import __version__
+from .cli import run_counterexample
 from .config import ConfigError, ScenarioConfig
 from .groups import (
     ConjugacyClass,
@@ -34,7 +35,6 @@ from .obstruction import (
     divisor_certificate,
     multiplier_image_generators,
     replay_certificate,
-    run_counterexample,
     sigma_image_basis,
     solve_sigma,
     target_poly,

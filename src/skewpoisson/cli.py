@@ -1,4 +1,4 @@
-"""Command-line driver.
+"""Command-line driver and report builder.
 
 Subcommands::
 
@@ -9,10 +9,12 @@ Subcommands::
     obstruction  the full counterexample pipeline on a scenario
     selftest     the deterministic property suites
 
-Every command reads a scenario config (``--config PATH``; default is the
-bundled counterexample) and renders a report as plain text or as canonical
-JSON (``--format machine``), which is byte-identical across runs for a
-fixed config and version.
+Every report is built here, from the core modules, which know nothing of
+configs or reports; :func:`run_counterexample` builds the ``obstruction``
+report stage by stage.  Every command reads a scenario config
+(``--config PATH``; default is the bundled counterexample) and renders a
+report as plain text or as canonical JSON (``--format machine``), which is
+byte-identical across runs for a fixed config and version.
 
 Exit codes: 0 when the command decided what it set out to decide (an
 obstruction verdict of feasible or infeasible-at-all-degrees counts as
@@ -25,14 +27,15 @@ from __future__ import annotations
 import argparse
 import sys
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._version import __version__
 from .config import ConfigError, ScenarioConfig
-from .groups import is_symplectic
+from .groups import FiniteMatrixGroup, is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
-from .obstruction import run_counterexample
-from .poly import format_poly, poisson_bracket
+from .obstruction import (Certificate, ObstructionProblem, Verdict, solve_sigma,
+                          target_poly)
+from .poly import SymplecticForm, format_poly, poisson_bracket
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest, suite_names
 from .skew import SkewElement, trace_vector
@@ -72,6 +75,22 @@ def _check_degree_budget(degree: int, nvars: int) -> None:
 # subcommand implementations
 
 
+def _add_symplectic_stage(report: Report, group: FiniteMatrixGroup,
+                          form: SymplecticForm) -> bool:
+    """Add the per-element symplecticity stage; True when every element
+    preserves the form."""
+    flags = [
+        {"element": g.word, "symplectic": is_symplectic(g, form)}
+        for g in group.elements
+    ]
+    all_symp = all(f["symplectic"] for f in flags)
+    report.add("symplectic", STATUS_OK if all_symp else STATUS_FINDING, {
+        "all_symplectic": all_symp,
+        "elements": flags,
+    })
+    return all_symp
+
+
 def cmd_group(config: ScenarioConfig) -> Report:
     report = Report(command="group", version=__version__)
     form = config.build_form()
@@ -94,15 +113,7 @@ def cmd_group(config: ScenarioConfig) -> Report:
     ]
     report.add("classes", STATUS_OK, {"count": len(group.classes),
                                       "classes": class_rows})
-    flags = [
-        {"element": g.word, "symplectic": is_symplectic(g, form)}
-        for g in group.elements
-    ]
-    all_symp = all(f["symplectic"] for f in flags)
-    report.add("symplectic", STATUS_OK if all_symp else STATUS_FINDING, {
-        "all_symplectic": all_symp,
-        "elements": flags,
-    })
+    all_symp = _add_symplectic_stage(report, group, form)
     report.verdict = (
         f"order {group.order}; {len(group.classes)} conjugacy classes; "
         + ("all elements symplectic" if all_symp else "NON-SYMPLECTIC elements present")
@@ -235,10 +246,151 @@ def cmd_project(config: ScenarioConfig, parts: list,
     return report
 
 
-def cmd_obstruction(config: ScenarioConfig, degree: Optional[int] = None,
-                    psi: Optional[list] = None) -> Report:
-    ladder = list(range(degree + 1)) if degree is not None else None
-    return run_counterexample(config, degree_ladder=ladder, psi_names=psi)
+def _variable_name(index: int) -> str:
+    return f"x{index + 1}"
+
+
+def _certificate_payload(cert: Certificate) -> dict:
+    payload = {
+        "verdict": cert.verdict.value,
+        "target": format_poly(cert.target),
+    }
+    if cert.sigma is not None:
+        payload["sigma"] = format_poly(cert.sigma)
+    if cert.rank_data is not None:
+        payload["rank_data"] = {
+            "rows": cert.rank_data.rows,
+            "cols": cert.rank_data.cols,
+            "rank": cert.rank_data.rank,
+            "residual": format_poly(cert.rank_data.residual),
+        }
+    if cert.divisor_witness is not None:
+        payload["divisor_witness"] = _variable_name(cert.divisor_witness)
+        payload["image_generators"] = [format_poly(p) for p in cert.divisor_images]
+    return payload
+
+
+def run_counterexample(
+    config: ScenarioConfig,
+    degree_ladder: Optional[Sequence[int]] = None,
+    psi_names: Optional[Sequence[str]] = None,
+) -> Report:
+    """Execute the whole pipeline on a scenario and report stage by stage.
+
+    Stages: group construction, symplecticity, generator invariance,
+    relation residuals, then per ``psi`` the target, the degree ladder of
+    linear solves, and the divisor certificate.  Any failure is attributed
+    to its stage; nothing after a failed stage runs.
+    """
+    report = Report(command="obstruction", version=__version__)
+
+    def fail(stage: str, exc: Exception) -> Report:
+        kind = "internal" if isinstance(exc, RuntimeError) else "config"
+        report.add(stage, STATUS_ERROR, {"message": str(exc), "kind": kind})
+        report.verdict = f"error in stage {stage!r}"
+        return report
+
+    try:
+        form = config.build_form()
+        group = config.build_group()
+    except ValueError as exc:
+        return fail("group", exc)
+    report.add("group", STATUS_OK, {
+        "order": group.order,
+        "classes": len(group.classes),
+    })
+    _add_symplectic_stage(report, group, form)
+
+    try:
+        gens = config.build_generator_set()
+        invariance = [
+            {"name": n, "invariant": is_invariant(group, p, exhaustive=True)}
+            for n, p in zip(gens.names, gens.polys)
+        ]
+    except ValueError as exc:
+        return fail("generators", exc)
+    all_inv = all(row["invariant"] for row in invariance)
+    report.add("generators", STATUS_OK if all_inv else STATUS_FINDING, {
+        "all_invariant": all_inv,
+        "generators": invariance,
+    })
+
+    rel_rows = []
+    status = STATUS_OK
+    try:
+        if config.relation_set:
+            rel_report = verify_relations(gens, config.build_relation_set())
+            rel_rows = [
+                {"name": n, "residual": format_poly(r), "zero": r.is_zero}
+                for n, r in zip(rel_report.names, rel_report.residuals)
+            ]
+            status = STATUS_OK if rel_report.all_zero else STATUS_FINDING
+    except ValueError as exc:
+        return fail("relations", exc)
+    report.add("relations", status, {"relations": rel_rows})
+
+    if config.obstruction is None:
+        report.verdict = "no obstruction instance configured"
+        return report
+    spec = config.obstruction
+    ladder = tuple(degree_ladder) if degree_ladder is not None else spec.degree_ladder
+    sweep = tuple(psi_names) if psi_names else (spec.psi,)
+
+    try:
+        if not ladder:
+            raise ConfigError("obstruction.degree_ladder", "must not be empty")
+        if group.order == 1:
+            raise ConfigError("obstruction.class_rep",
+                              "no non-identity class exists in the trivial group")
+        phi = config.polynomial_or_inline(spec.phi)
+        rep_element = group.element_from_word(spec.class_rep)
+        class_index = group.class_of(rep_element)
+        if class_index == 0:
+            raise ConfigError("obstruction.class_rep",
+                              "the word resolves to the identity class")
+    except ValueError as exc:
+        return fail("target", exc)
+
+    final_verdicts = []
+    for psi_name in sweep:
+        stage_prefix = f"psi={psi_name}"
+        try:
+            psi = config.polynomial_or_inline(psi_name)
+            target = target_poly(group, phi, psi, class_index, form)
+        except ValueError as exc:
+            return fail(f"{stage_prefix}:target", exc)
+        report.add(f"{stage_prefix}:target", STATUS_OK, {
+            "phi": spec.phi,
+            "psi": psi_name,
+            "class_rep": spec.class_rep,
+            "class_index": class_index,
+            "bracket": format_poly(poisson_bracket(phi, psi, form)),
+            "target": format_poly(target),
+        })
+
+        steps = []
+        try:
+            for bound in ladder:
+                problem = ObstructionProblem(group, phi, psi, class_index, bound, form)
+                cert = solve_sigma(problem)
+                steps.append({"degree": bound, **_certificate_payload(cert)})
+                if cert.verdict is Verdict.FEASIBLE:
+                    break
+        except (ValueError, RuntimeError) as exc:
+            return fail(f"{stage_prefix}:ladder", exc)
+        report.add(f"{stage_prefix}:ladder", STATUS_OK, {"steps": steps})
+
+        final_verdicts.append((psi_name, cert))
+        report.add(f"{stage_prefix}:certificate", STATUS_OK,
+                   _certificate_payload(cert))
+
+    report.verdict = "; ".join(
+        f"{name}: {cert.verdict.value}"
+        + (f" (witness {_variable_name(cert.divisor_witness)})"
+           if cert.divisor_witness is not None else "")
+        for name, cert in final_verdicts
+    )
+    return report
 
 
 def cmd_selftest(seed: int, corrupt: Optional[str] = None,
@@ -335,19 +487,6 @@ def _write(report: Report, fmt: str) -> None:
     sys.stdout.write(report.to_machine() if fmt == "machine" else report.to_text())
 
 
-def _obstruction_exit(report: Report) -> int:
-    if report.has_errors():
-        return EXIT_INTERNAL if report.error_kind() == "internal" else EXIT_CONFIG
-    verdicts = [
-        stage.payload.get("verdict")
-        for stage in report.stages
-        if stage.name.endswith(":certificate")
-    ]
-    if any(v == "INFEASIBLE_AT_DEGREE" for v in verdicts):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
@@ -366,26 +505,29 @@ def main(argv: Optional[list] = None) -> int:
             elif command == "project":
                 report = cmd_project(config, args.part, args.class_index)
             elif command == "obstruction":
+                ladder = None
                 if args.degree is not None:
                     _check_degree_budget(args.degree, config.nvars)
-                report = cmd_obstruction(config, degree=args.degree, psi=args.psi)
+                    ladder = range(args.degree + 1)
+                report = run_counterexample(config, degree_ladder=ladder,
+                                            psi_names=args.psi)
             else:  # pragma: no cover - argparse enforces the choices
                 raise RuntimeError(f"unhandled command {command!r}")
     except ValueError as exc:  # ConfigError and PolyParseError included
-        _write(_error_report(command, str(exc), "config"), args.format)
-        return EXIT_CONFIG
+        report = _error_report(command, str(exc), "config")
     except RuntimeError as exc:
-        _write(_error_report(command, str(exc), "internal"), args.format)
-        return EXIT_INTERNAL
+        report = _error_report(command, str(exc), "internal")
 
     _write(report, args.format)
 
-    if command == "obstruction":
-        return _obstruction_exit(report)
-    if command == "selftest":
-        return EXIT_OK if all(s.status == STATUS_OK for s in report.stages) else EXIT_INTERNAL
     if report.has_errors():
         return EXIT_INTERNAL if report.error_kind() == "internal" else EXIT_CONFIG
+    if command == "selftest" and any(s.status != STATUS_OK for s in report.stages):
+        return EXIT_INTERNAL
+    if any(s.name.endswith(":certificate")
+           and s.payload["verdict"] == Verdict.INFEASIBLE_AT_DEGREE.value
+           for s in report.stages):
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

@@ -208,11 +208,10 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("symplectic_form", str(exc)) from exc
 
-    def build_group(self, cap: int = 10_000) -> FiniteMatrixGroup:
+    def build_group(self) -> FiniteMatrixGroup:
         try:
             return generate_group(
-                self.generator_matrices, names=self.generator_names, cap=cap,
-                dim=self.nvars,
+                self.generator_matrices, names=self.generator_names, dim=self.nvars,
             )
         except ValueError as exc:
             raise ConfigError("group_generators", str(exc)) from exc

@@ -226,6 +226,23 @@ def _weighted_exponents(weights: Sequence[int], degree: int):
         e += 1
 
 
+def _power_products(gens: GeneratorSet):
+    """``times_powers(start, exps)``: ``start`` times the product of the
+    generator powers ``gens.polys[i] ** exps[i]``, each power computed once."""
+    cache = [dict() for _ in gens.polys]
+
+    def times_powers(start: Polynomial, exps) -> Polynomial:
+        for i, e in enumerate(exps):
+            if e:
+                power = cache[i].get(e)
+                if power is None:
+                    power = cache[i][e] = gens.polys[i] ** e
+                start = start * power
+        return start
+
+    return times_powers
+
+
 def verify_generators(
     group: FiniteMatrixGroup,
     gens: GeneratorSet,
@@ -251,25 +268,14 @@ def verify_generators(
     if molien is None:
         molien = molien_coefficients(group, up_to_degree)
 
-    power_cache = [dict() for _ in gens.polys]
-
-    def gen_power(i: int, e: int) -> Polynomial:
-        cached = power_cache[i].get(e)
-        if cached is None:
-            cached = gens.polys[i] ** e
-            power_cache[i][e] = cached
-        return cached
-
+    times_powers = _power_products(gens)
     rows = []
     for d in range(up_to_degree + 1):
         slice_dim = len(invariant_basis(group, d))
         axis = _slice_axis(group.dim, d)
         space = linalg.RowSpace()
         for exps in _weighted_exponents(weights, d):
-            prod = Polynomial.one(group.dim)
-            for i, e in enumerate(exps):
-                if e:
-                    prod = prod * gen_power(i, e)
+            prod = times_powers(Polynomial.one(group.dim), exps)
             if not prod.is_zero:
                 space.add(_slice_vector(prod, axis))
         rows.append(DegreeRow(d, molien[d], slice_dim, space.rank))
@@ -280,15 +286,7 @@ def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
     """Substitute the generators into each relation and report residuals."""
     k = len(gens)
     residuals = []
-    power_cache = [dict() for _ in gens.polys]
-
-    def gen_power(i: int, e: int) -> Polynomial:
-        cached = power_cache[i].get(e)
-        if cached is None:
-            cached = gens.polys[i] ** e
-            power_cache[i][e] = cached
-        return cached
-
+    times_powers = _power_products(gens)
     nvars = gens.polys[0].nvars if gens.polys else 1
     for name, rel in zip(rels.names, rels.polys):
         if rel.nvars != k:
@@ -297,10 +295,6 @@ def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
             )
         total = Polynomial.zero(nvars)
         for exps, coeff in rel._terms.items():
-            term = Polynomial.constant(nvars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * gen_power(i, e)
-            total = total + term
+            total = total + times_powers(Polynomial.constant(nvars, coeff), exps)
         residuals.append(total)
     return RelationReport(tuple(rels.names), tuple(residuals))

@@ -220,44 +220,34 @@ class RowSpace:
 
 
 def solve_combination(vectors: Sequence[SparseVec], target: SparseVec):
-    """Solve ``sum(c_i * vectors[i]) = target`` exactly.
+    """Solve ``sum(c_i * vectors[i]) = target`` exactly, or separate the
+    target from the span, from one tracked reduction.
 
-    Returns ``(coeffs, rank, residual)``.  ``coeffs`` is a list of Fractions
-    when the system is consistent and ``None`` otherwise; ``residual`` is the
-    part of ``target`` outside the span (empty dict iff consistent).
+    Returns ``(coeffs, rank, residual, witness)``.  When the system is
+    consistent, ``coeffs`` is a list of Fractions, ``residual`` is an empty
+    dict and ``witness`` is ``None``.  Otherwise ``coeffs`` is ``None``,
+    ``residual`` is the part of ``target`` outside the span, and ``witness``
+    is a functional ``y`` with ``y . v == 0`` for every vector and
+    ``y . target != 0``.  That is the Fredholm alternative made explicit:
+    ``c`` is the lead column of the residual, never a pivot, and
+    ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
+    pivots ``p_i``.  Every vector of the span is ``sum_i v[p_i] R_i``, so
+    ``y`` vanishes on it, while ``y . target`` is the residual's entry at
+    ``c``.
     """
     space = RowSpace(track=True)
     for vec in vectors:
         space.add(vec)
     rem, combo = space.reduce(target)
     if rem:
-        return None, space.rank, rem
+        c = min(rem)
+        witness = {c: Fraction(1)}
+        for row in space.reduced_rows():
+            if c in row:
+                witness[min(row)] = -row[c]
+        return None, space.rank, rem, witness
     coeffs = [Fraction(0)] * len(vectors)
     assert combo is not None
     for tag, val in combo.items():
         coeffs[tag] = val
-    return coeffs, space.rank, rem
-
-
-def separating_functional(vectors: Sequence[SparseVec], target: SparseVec) -> Optional[SparseVec]:
-    """A functional ``y`` with ``y . v == 0`` for every vector and ``y . target != 0``.
-
-    The Fredholm alternative made explicit: ``c`` is the lead column of the
-    target's remainder against the row space, never a pivot, and
-    ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
-    pivots ``p_i``.  Every vector of the space is ``sum_i v[p_i] R_i``, so
-    ``y`` vanishes on it, while ``y . target`` is the remainder's entry at
-    ``c``.  Returns ``None`` when the target lies in the span.
-    """
-    space = RowSpace()
-    for vec in vectors:
-        space.add(vec)
-    rem, _ = space.reduce(target)
-    if not rem:
-        return None
-    c = min(rem)
-    witness = {c: Fraction(1)}
-    for row in space.reduced_rows():
-        if c in row:
-            witness[min(row)] = -row[c]
-    return witness
+    return coeffs, space.rank, rem, None

@@ -24,18 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from ._version import __version__
-from .config import ConfigError, ScenarioConfig
-from .groups import ElementLike, FiniteMatrixGroup, act_on_poly, is_symplectic
-from .invariants import is_invariant, verify_relations
-from .poly import (
-    Polynomial,
-    SymplecticForm,
-    format_poly,
-    monomials_up_to,
-    poisson_bracket,
-)
-from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
+from .groups import ElementLike, FiniteMatrixGroup, act_on_poly
+from .invariants import is_invariant
+from .poly import Polynomial, SymplecticForm, monomials_up_to, poisson_bracket
 from .skew import SkewElement, hh0_project
 
 __all__ = [
@@ -50,7 +41,6 @@ __all__ = [
     "solve_sigma",
     "collapse_to_sigma",
     "replay_certificate",
-    "run_counterexample",
 ]
 
 
@@ -183,15 +173,14 @@ def divisor_certificate(images: Sequence[Polynomial], target: Polynomial) -> Opt
     divisibility property survives linear combinations because addition
     never creates new monomials.
     """
-    if target.is_zero:
-        return None
-    nonzero = [p for p in images if not p.is_zero]
-    for v in range(target.nvars):
-        if not any(exps[v] == 0 for exps, _ in target.items()):
-            continue
-        if all(all(exps[v] > 0 for exps, _ in p.items()) for p in nonzero):
-            return v
-    return None
+    return next((v for v in range(target.nvars) if _divides(v, images, target)), None)
+
+
+def _divides(v: int, images: Sequence[Polynomial], target: Polynomial) -> bool:
+    """Whether variable ``v`` divides every image monomial but not every
+    target monomial (so never when the target is zero)."""
+    return (any(exps[v] == 0 for exps, _ in target.items())
+            and all(exps[v] > 0 for p in images for exps, _ in p.items()))
 
 
 def solve_sigma(problem: ObstructionProblem) -> Certificate:
@@ -210,7 +199,7 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
                                problem.degree_bound)
     vectors = [img.to_vector() for _, img in images]
     goal = (-target).to_vector()
-    coeffs, rank, residual = linalg.solve_combination(vectors, goal)
+    coeffs, rank, residual, separating = linalg.solve_combination(vectors, goal)
 
     if coeffs is not None:
         sigma = Polynomial(
@@ -218,7 +207,7 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
             {exps: c for (exps, _), c in zip(images, coeffs) if c},
         )
         cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
-        if not replay_certificate(problem, cert):
+        if not _replays(problem, cert, target):
             raise RuntimeError("feasible certificate failed to replay")
         return cert
 
@@ -238,7 +227,6 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
             divisor_witness=witness,
             divisor_images=generators,
         )
-    separating = linalg.separating_functional(vectors, goal)
     dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
     if not _separates(dual, [img for _, img in images], target):
         raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
@@ -282,14 +270,27 @@ def collapse_to_sigma(d_of_g: SkewElement, g: ElementLike) -> Polynomial:
 
 
 def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
-    """Re-verify a certificate from first principles.
+    """Re-verify a certificate against its problem from first principles.
 
-    Feasible: substitute the multiplier back and demand exact zero.
-    All-degrees: rescan the stored image generators and the target for the
-    divisor property.  Degree-bounded: recompute the candidate images and
-    demand that the dual witness vanishes on each of them but not on the
-    target, which takes dot products only, no row reduction.
+    The target is recomputed from the problem and must equal the one the
+    certificate records.  Feasible: substitute the multiplier back and
+    demand exact zero.  All-degrees: recompute the degree-independent image
+    generators and rescan them and the target for the divisor property.
+    Degree-bounded: recompute the candidate images and demand that the dual
+    witness vanishes on each of them but not on the target, which takes dot
+    products only, no row reduction.
     """
+    target = target_poly(problem.group, problem.phi, problem.psi,
+                         problem.class_index, problem.form)
+    return _replays(problem, cert, target)
+
+
+def _replays(problem: ObstructionProblem, cert: Certificate,
+             target: Polynomial) -> bool:
+    """:func:`replay_certificate` against a target already computed from
+    the problem."""
+    if cert.target != target:
+        return False
     group = problem.group
     if cert.verdict is Verdict.FEASIBLE:
         if cert.sigma is None:
@@ -299,192 +300,16 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
             SkewElement.term(group, problem.psi * cert.sigma, rep),
             problem.class_index,
         )
-        return (cert.target + image).is_zero
+        return (target + image).is_zero
     if cert.verdict is Verdict.INFEASIBLE_ALL_DEGREES:
-        if cert.divisor_witness is None:
-            return False
         v = cert.divisor_witness
-        if not any(exps[v] == 0 for exps, _ in cert.target.items()):
+        if v is None or not 0 <= v < group.dim:
             return False
-        return all(
-            all(exps[v] > 0 for exps, _ in p.items())
-            for p in cert.divisor_images
-            if not p.is_zero
-        )
+        generators = multiplier_image_generators(group, problem.psi,
+                                                 problem.class_index)
+        return _divides(v, generators, target)
     if cert.rank_data is None or cert.dual_witness is None:
         return False
     images = sigma_image_basis(group, problem.psi, problem.class_index,
                                problem.degree_bound)
-    return _separates(cert.dual_witness, [img for _, img in images], cert.target)
-
-
-# ----------------------------------------------------------------------
-# full pipeline
-
-
-def _variable_name(index: int) -> str:
-    return f"x{index + 1}"
-
-
-def _certificate_payload(cert: Certificate) -> dict:
-    payload = {
-        "verdict": cert.verdict.value,
-        "target": format_poly(cert.target),
-    }
-    if cert.sigma is not None:
-        payload["sigma"] = format_poly(cert.sigma)
-    if cert.rank_data is not None:
-        payload["rank_data"] = {
-            "rows": cert.rank_data.rows,
-            "cols": cert.rank_data.cols,
-            "rank": cert.rank_data.rank,
-            "residual": format_poly(cert.rank_data.residual),
-        }
-    if cert.divisor_witness is not None:
-        payload["divisor_witness"] = _variable_name(cert.divisor_witness)
-        payload["image_generators"] = [format_poly(p) for p in cert.divisor_images]
-    return payload
-
-
-def run_counterexample(
-    config: ScenarioConfig,
-    degree_ladder: Optional[Sequence[int]] = None,
-    psi_names: Optional[Sequence[str]] = None,
-    group_cap: int = 10_000,
-) -> Report:
-    """Execute the whole pipeline on a scenario and report stage by stage.
-
-    Stages: group construction, symplecticity, generator invariance,
-    relation residuals, then per ``psi`` the target, the degree ladder of
-    linear solves, and the divisor certificate.  Any failure is attributed
-    to its stage; nothing after a failed stage runs.
-    """
-    report = Report(command="obstruction", version=__version__)
-
-    def fail(stage: str, exc: Exception) -> Report:
-        kind = "internal" if isinstance(exc, RuntimeError) else "config"
-        report.add(stage, STATUS_ERROR, {"message": str(exc), "kind": kind})
-        report.verdict = f"error in stage {stage!r}"
-        return report
-
-    try:
-        form = config.build_form()
-        group = config.build_group(cap=group_cap)
-    except (ConfigError, ValueError) as exc:
-        return fail("group", exc)
-    report.add("group", STATUS_OK, {
-        "order": group.order,
-        "classes": len(group.classes),
-    })
-
-    try:
-        flags = [
-            {"element": g.word, "symplectic": is_symplectic(g, form)}
-            for g in group.elements
-        ]
-    except ValueError as exc:
-        return fail("symplectic", exc)
-    all_symp = all(f["symplectic"] for f in flags)
-    report.add("symplectic", STATUS_OK if all_symp else STATUS_FINDING, {
-        "all_symplectic": all_symp,
-        "elements": flags,
-    })
-
-    try:
-        gens = config.build_generator_set()
-        invariance = [
-            {"name": n, "invariant": is_invariant(group, p, exhaustive=True)}
-            for n, p in zip(gens.names, gens.polys)
-        ]
-    except (ConfigError, ValueError) as exc:
-        return fail("generators", exc)
-    all_inv = all(row["invariant"] for row in invariance)
-    report.add("generators", STATUS_OK if all_inv else STATUS_FINDING, {
-        "all_invariant": all_inv,
-        "generators": invariance,
-    })
-
-    try:
-        rels = config.build_relation_set() if config.relation_set else None
-        if rels is not None:
-            rel_report = verify_relations(gens, rels)
-            rel_rows = [
-                {"name": n, "residual": format_poly(r), "zero": r.is_zero}
-                for n, r in zip(rel_report.names, rel_report.residuals)
-            ]
-            status = STATUS_OK if rel_report.all_zero else STATUS_FINDING
-        else:
-            rel_rows = []
-            status = STATUS_OK
-    except (ConfigError, ValueError) as exc:
-        return fail("relations", exc)
-    report.add("relations", status, {"relations": rel_rows})
-
-    if config.obstruction is None:
-        report.verdict = "no obstruction instance configured"
-        return report
-    spec = config.obstruction
-    ladder = tuple(degree_ladder) if degree_ladder is not None else spec.degree_ladder
-    sweep = tuple(psi_names) if psi_names else (spec.psi,)
-
-    try:
-        if not ladder:
-            raise ConfigError("obstruction.degree_ladder", "must not be empty")
-        if group.order == 1:
-            raise ConfigError("obstruction.class_rep",
-                              "no non-identity class exists in the trivial group")
-        phi = config.polynomial_or_inline(spec.phi)
-        rep_element = group.element_from_word(spec.class_rep)
-        class_index = group.class_of(rep_element)
-        if class_index == 0:
-            raise ConfigError("obstruction.class_rep",
-                              "the word resolves to the identity class")
-    except (ConfigError, ValueError) as exc:
-        return fail("target", exc)
-
-    final_verdicts = []
-    for psi_name in sweep:
-        stage_prefix = f"psi={psi_name}"
-        try:
-            psi = config.polynomial_or_inline(psi_name)
-            target = target_poly(group, phi, psi, class_index, form)
-        except (ConfigError, ValueError) as exc:
-            return fail(f"{stage_prefix}:target", exc)
-        report.add(f"{stage_prefix}:target", STATUS_OK, {
-            "phi": spec.phi,
-            "psi": psi_name,
-            "class_rep": spec.class_rep,
-            "class_index": class_index,
-            "bracket": format_poly(poisson_bracket(phi, psi, form)),
-            "target": format_poly(target),
-        })
-
-        steps = []
-        last_cert = None
-        try:
-            for bound in ladder:
-                problem = ObstructionProblem(group, phi, psi, class_index, bound, form)
-                cert = solve_sigma(problem)
-                steps.append({"degree": bound, **_certificate_payload(cert)})
-                last_cert = cert
-                if cert.verdict is Verdict.FEASIBLE:
-                    break
-        except (ValueError, ConfigError) as exc:
-            return fail(f"{stage_prefix}:ladder", exc)
-        except RuntimeError as exc:
-            return fail(f"{stage_prefix}:ladder", exc)
-        report.add(f"{stage_prefix}:ladder", STATUS_OK, {"steps": steps})
-
-        assert last_cert is not None
-        final_verdicts.append((psi_name, last_cert))
-        report.add(f"{stage_prefix}:certificate", STATUS_OK,
-                   _certificate_payload(last_cert))
-
-    summary = "; ".join(
-        f"{name}: {cert.verdict.value}"
-        + (f" (witness {_variable_name(cert.divisor_witness)})"
-           if cert.divisor_witness is not None else "")
-        for name, cert in final_verdicts
-    )
-    report.verdict = summary
-    return report
+    return _separates(cert.dual_witness, [img for _, img in images], target)

@@ -280,14 +280,41 @@ class TestSelftestCommand:
         assert "seed 12345" in out
 
 
+def _golden_config(name):
+    return ["--config", str(GOLDEN / name)]
+
+
+# the exit code each golden report was recorded with
+GOLDEN_EXIT_CODES = {
+    "group.machine.json": 0,
+    "invariants_degree8.machine.json": 0,
+    "obstruction.machine.json": 0,
+    "obstruction.text": 0,
+    "obstruction_class_e_degree3.machine.json": 1,
+    "obstruction_trivial_group.machine.json": 2,
+    "obstruction_non_invariant_f1.machine.json": 2,
+    "group_missing_config.machine.json": 2,
+}
+
+
 @pytest.mark.parametrize("argv, golden", [
-    (["group"], "group.machine.json"),
-    (["invariants", "--degree", "8"], "invariants_degree8.machine.json"),
-    (["obstruction"], "obstruction.machine.json"),
+    (["group", "--format", "machine"], "group.machine.json"),
+    (["invariants", "--degree", "8", "--format", "machine"],
+     "invariants_degree8.machine.json"),
+    (["obstruction", "--format", "machine"], "obstruction.machine.json"),
+    (["obstruction", "--format", "text"], "obstruction.text"),
+    (["obstruction", *_golden_config("class_e.config.json"), "--degree", "3",
+      "--format", "machine"], "obstruction_class_e_degree3.machine.json"),
+    (["obstruction", *_golden_config("trivial_group.config.json"),
+      "--format", "machine"], "obstruction_trivial_group.machine.json"),
+    (["obstruction", *_golden_config("non_invariant_f1.config.json"),
+      "--format", "machine"], "obstruction_non_invariant_f1.machine.json"),
+    (["group", "--config", "/no/such/file.json", "--format", "machine"],
+     "group_missing_config.machine.json"),
 ])
 def test_machine_reports_match_golden_files(capsys, argv, golden):
-    """Machine reports on the bundled scenario stay byte for byte what the
-    files under tests/data record."""
-    code, out = run(capsys, *argv, "--format", "machine")
-    assert code == 0
+    """Reports stay byte for byte what the files under tests/data record,
+    and exit with the code they were recorded with."""
+    code, out = run(capsys, *argv)
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert code == GOLDEN_EXIT_CODES[golden]

@@ -1,0 +1,39 @@
+"""The core math modules stay free of the config, report and CLI layers."""
+
+from __future__ import annotations
+
+import ast
+from importlib import resources
+
+import pytest
+
+CORE = ("poly", "linalg", "parse", "groups", "skew", "invariants", "obstruction")
+OUTER = {"config", "report", "cli", "_version"}
+
+
+def package_imports(module: str) -> set:
+    """Names of the ``skewpoisson`` modules that a module imports."""
+    source = resources.files("skewpoisson").joinpath(f"{module}.py").read_text(encoding="utf-8")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:  # from .config import ...
+                found.add(node.module.split(".")[0])
+            elif node.level:  # from . import config
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("skewpoisson."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("skewpoisson."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_module_does_not_import_outer_layers(module):
+    assert package_imports(module) & OUTER == set()
+
+
+def test_import_scan_sees_the_outer_layers():
+    assert {"config", "report", "_version"} <= package_imports("cli")

@@ -17,7 +17,6 @@ from skewpoisson.linalg import (
     mat_scale,
     matrix_from_rows,
     parse_scalar,
-    separating_functional,
     solve_combination,
     transpose,
 )
@@ -112,9 +111,10 @@ class TestRowSpace:
             {0: Fraction(1)},  # dependent on the first two
         ]
         target = {0: Fraction(3), 1: Fraction(5)}
-        coeffs, rank, residual = solve_combination(vectors, target)
+        coeffs, rank, residual, witness = solve_combination(vectors, target)
         assert rank == 2
         assert residual == {}
+        assert witness is None
         # replay the combination exactly
         acc: dict = {}
         for c, vec in zip(coeffs, vectors):
@@ -125,10 +125,11 @@ class TestRowSpace:
     def test_solve_combination_inconsistent(self):
         vectors = [{0: Fraction(1)}]
         target = {1: Fraction(1)}
-        coeffs, rank, residual = solve_combination(vectors, target)
+        coeffs, rank, residual, witness = solve_combination(vectors, target)
         assert coeffs is None
         assert rank == 1
         assert residual == {1: Fraction(1)}
+        assert witness == {1: Fraction(1)}
 
     def test_separating_functional(self):
         vectors = [
@@ -137,7 +138,8 @@ class TestRowSpace:
             {0: Fraction(1), 1: Fraction(2), 3: Fraction(2)},  # the sum of the first two
         ]
         target = {2: Fraction(3), 3: Fraction(1)}
-        y = separating_functional(vectors, target)
+        coeffs, _, _, y = solve_combination(vectors, target)
+        assert coeffs is None
         # column 2 is the target's first non-pivot column; the reduced rows
         # reach it from pivots 0 and 1
         assert y == {2: Fraction(1), 0: Fraction(-1), 1: Fraction(1, 2)}
@@ -150,7 +152,8 @@ class TestRowSpace:
 
     def test_no_separating_functional_inside_the_span(self):
         vectors = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-        assert separating_functional(vectors, {0: Fraction(2)}) is None
+        _, _, _, y = solve_combination(vectors, {0: Fraction(2)})
+        assert y is None
 
     def test_zero_vector_never_increases_rank(self):
         space = RowSpace()

@@ -244,6 +244,47 @@ class TestDegreeBoundedReplay:
         assert not replay_certificate(problem, replace(cert, dual_witness=dropped))
 
 
+class TestReplayRecomputes:
+    """Replay derives the target and the image generators from the problem,
+    never from the certificate under test."""
+
+    SWAP_PSI = "2*x1^2 + (x1 - x3)*x3 + (x2 - x4)*x2"
+
+    def test_feasible_certificate_with_a_wrong_target_fails(self, group, form, named,
+                                                            class_of_b):
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 4, form)
+        fabricated = Certificate(Verdict.FEASIBLE, target=P("0"), sigma=P("x1"))
+        assert not replay_certificate(problem, fabricated)
+
+    def test_divisor_certificate_without_images_fails(self, group, form, named):
+        i = group.class_of(group.element_from_word("e"))
+        problem = ObstructionProblem(group, named["h1"], P(self.SWAP_PSI), i, 3, form)
+        genuine = solve_sigma(problem)
+        assert genuine.verdict is Verdict.FEASIBLE
+        fabricated = Certificate(Verdict.INFEASIBLE_ALL_DEGREES, target=genuine.target,
+                                 divisor_witness=3)
+        assert not replay_certificate(problem, fabricated)
+
+    def test_out_of_range_divisor_witness_fails(self, group, form, named, class_of_b):
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 2, form)
+        genuine = solve_sigma(problem)
+        assert genuine.verdict is Verdict.INFEASIBLE_ALL_DEGREES
+        for v in (-1, 4):
+            assert not replay_certificate(problem, replace(genuine, divisor_witness=v))
+
+    def test_every_solved_certificate_replays(self, group, form, named):
+        verdicts = set()
+        for phi in ("f1", "h1"):
+            for psi in (named["h1"], named["h3"], named["f1"], P(self.SWAP_PSI)):
+                for i in range(1, len(group.classes)):
+                    for degree in (1, 3):
+                        problem = ObstructionProblem(group, named[phi], psi, i, degree, form)
+                        cert = solve_sigma(problem)
+                        assert replay_certificate(problem, cert)
+                        verdicts.add(cert.verdict)
+        assert verdicts == set(Verdict)
+
+
 class TestCollapse:
     def test_collapse_of_centralizer_invariant(self, group):
         b = group.element_from_word("b")
