@@ -13,12 +13,16 @@ generator, so a row of the multiplication table follows from those edges
 by integer lookups alone; inverses, classes and centralizers are then read
 off the table.
 
-Actions on polynomials are compiled lazily and kept: each element's
-``action`` is the :class:`~skewpoisson.poly.LinearSubstitution` of its
-inverse matrix, and :meth:`FiniteMatrixGroup.class_projection_maps` pairs
-every element ``k`` with one substitution that acts by ``k`` and then
-restricts to the fixed space of a class representative.  Both live as long
-as the group, with the monomial memos of their non-monomial maps.
+Actions on polynomials are compiled lazily and kept as long as the group,
+with the monomial memos of their non-monomial maps: each element's
+``action``, the :class:`~skewpoisson.poly.LinearSubstitution` of its inverse
+matrix, and per conjugacy class one restriction to the fixed space of the
+representative ``rep`` (:meth:`FiniteMatrixGroup.class_restriction`).  A
+class projection needs nothing else.  The ``k`` with ``k^-1 rep k == h``
+form one coset ``C k_h`` of the centralizer ``C``, and the restriction, a
+substitution by the average ``P`` of the powers of ``rep``, commutes with
+each ``c`` in ``C`` because ``P`` does; so acting by every ``k`` of the
+coset and restricting is averaging ``c . restrict(k_h . part)`` over ``C``.
 """
 
 from __future__ import annotations
@@ -49,13 +53,12 @@ class GroupClosureError(ValueError):
 class GroupElement:
     """One matrix of a finite group, with its discovery index and word."""
 
-    __slots__ = ("index", "matrix", "word", "_inverse_matrix", "_action")
+    __slots__ = ("index", "matrix", "word", "_action")
 
     def __init__(self, index: int, matrix, word: str):
         self.index = index
         self.matrix = matrix
         self.word = word
-        self._inverse_matrix = None
         self._action = None
 
     @property
@@ -63,17 +66,11 @@ class GroupElement:
         return len(self.matrix)
 
     @property
-    def inverse_matrix(self):
-        if self._inverse_matrix is None:
-            self._inverse_matrix = linalg.inverse(self.matrix)
-        return self._inverse_matrix
-
-    @property
     def action(self) -> LinearSubstitution:
         """The left action on polynomials, compiled on first use: composition
         with the inverse matrix."""
         if self._action is None:
-            self._action = LinearSubstitution(self.inverse_matrix)
+            self._action = LinearSubstitution(linalg.inverse(self.matrix))
         return self._action
 
     def matrix_order(self, cap: int = 10_000) -> int:
@@ -145,7 +142,7 @@ class FiniteMatrixGroup:
             for m in cls.members:
                 self._class_of[m] = cls.index
         self._fixed_proj = {}
-        self._class_maps = {}
+        self._restrictions = {}
 
     # ------------------------------------------------------------------
 
@@ -245,26 +242,27 @@ class FiniteMatrixGroup:
             self._fixed_proj[idx] = cached
         return cached
 
-    def class_projection_maps(self, class_index: int) -> tuple:
-        """Cached ``(source, map)`` per element ``k``, indexed by ``k``.
+    def class_restriction(self, class_index: int) -> tuple:
+        """Cached ``(restrict, conjugators)`` of a conjugacy class.
 
-        ``source`` is the index of ``k^-1 * rep * k`` for the class
-        representative ``rep``, and ``map`` acts by ``k`` and then restricts
-        to the fixed space of ``rep``: by the composition law it is one
-        substitution by ``inverse(k) * P_rep``.  Entry 0 (``k`` the
-        identity) is the restriction alone.  Compiled on first request.
+        ``restrict`` is the substitution by the fixed-space projection of
+        the representative ``rep``, compiled on first request, and
+        ``conjugators`` pairs each member ``h`` (ascending) with the
+        lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k``
+        moves a part at ``h`` onto ``rep``; the representative is paired
+        with the identity.
         """
-        cached = self._class_maps.get(class_index)
+        cached = self._restrictions.get(class_index)
         if cached is None:
-            rep = self.classes[class_index].representative
-            proj = self.fixed_projection_matrix(rep)
+            cls = self.classes[class_index]
+            rep = cls.representative
             table, inv = self.mul_table, self.inverse_table
-            cached = tuple(
-                (table[table[inv[k]][rep]][k],
-                 LinearSubstitution(linalg.mat_mul(g.inverse_matrix, proj)))
-                for k, g in enumerate(self.elements)
-            )
-            self._class_maps[class_index] = cached
+            first = {}
+            for k in range(self.order):
+                first.setdefault(table[table[inv[k]][rep]][k], k)
+            cached = (LinearSubstitution(self.fixed_projection_matrix(rep)),
+                      tuple((h, first[h]) for h in cls.members))
+            self._restrictions[class_index] = cached
         return cached
 
 

@@ -113,6 +113,13 @@ def target_poly(
         raise ValueError("phi must be invariant under the whole group")
     if class_index == 0:
         raise ValueError("the obstruction concerns non-identity classes only")
+    return _project_bracket(group, phi, psi, class_index, form)
+
+
+def _project_bracket(group: FiniteMatrixGroup, phi: Polynomial, psi: Polynomial,
+                     class_index: int, form: SymplecticForm) -> Polynomial:
+    """:func:`target_poly` without its checks, for a problem whose
+    ``__post_init__`` already made them."""
     rep = group.classes[class_index].representative
     bracket = poisson_bracket(phi, psi, form)
     return hh0_project(SkewElement.term(group, bracket, rep), class_index)
@@ -146,17 +153,20 @@ def multiplier_image_generators(
     """Degree-independent generators of everything the images can contain.
 
     The image of any multiplier is a centralizer average of products
-    ``restrict(k . psi) * restrict(k . multiplier)``, so every image monomial
-    is divisible by a monomial of one of the restricted translates
-    ``restrict(k . psi)`` for ``k`` in the representative's centralizer.
+    ``c . restrict(psi) * c . restrict(multiplier)``, so every image
+    monomial is divisible by a monomial of one of the translates
+    ``c . restrict(psi)`` for ``c`` in the representative's centralizer.
     These translates therefore certify divisor properties for multipliers of
     arbitrary degree, not just up to some bound.
     """
-    maps = group.class_projection_maps(class_index)
+    restrict, _ = group.class_restriction(class_index)
+    restricted = restrict(psi)
+    if restricted.is_zero:
+        return ()
     seen = []
-    for k in group.classes[class_index].centralizer:
-        translated = maps[k][1](psi)
-        if not translated.is_zero and translated not in seen:
+    for c in group.classes[class_index].centralizer:
+        translated = group.elements[c].action(restricted) if c else restricted
+        if translated not in seen:
             seen.append(translated)
     return tuple(seen)
 
@@ -193,8 +203,8 @@ def solve_sigma(problem: ObstructionProblem) -> Certificate:
     at the degree bound with a dual witness checked against the images.
     """
     group = problem.group
-    target = target_poly(group, problem.phi, problem.psi, problem.class_index,
-                         problem.form)
+    target = _project_bracket(group, problem.phi, problem.psi, problem.class_index,
+                              problem.form)
     images = sigma_image_basis(group, problem.psi, problem.class_index,
                                problem.degree_bound)
     vectors = [img.to_vector() for _, img in images]
@@ -280,8 +290,8 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
     witness vanishes on each of them but not on the target, which takes dot
     products only, no row reduction.
     """
-    target = target_poly(problem.group, problem.phi, problem.psi,
-                         problem.class_index, problem.form)
+    target = _project_bracket(problem.group, problem.phi, problem.psi,
+                              problem.class_index, problem.form)
     return _replays(problem, cert, target)
 
 

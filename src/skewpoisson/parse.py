@@ -116,18 +116,24 @@ class _Parser:
                 break
         return total
 
+    def check_degree(self, degree: int, pos: int):
+        if degree > self.degree_cap:
+            raise PolyParseError(
+                f"degree {degree} exceeds the degree cap {self.degree_cap}", pos
+            )
+
     def parse_term(self) -> Polynomial:
         product = self.parse_factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == _OP and value == "*":
                 self.advance()
-                product = product * self.parse_factor()
-            elif kind == _NAME:
-                # compact juxtaposition: a factor followed by a name multiplies
-                product = product * self.parse_factor()
-            else:
+            elif kind != _NAME:
+                # a factor followed by a name multiplies it (compact juxtaposition)
                 break
+            factor = self.parse_factor()
+            self.check_degree(product.total_degree() + factor.total_degree(), pos)
+            product = product * factor
         return product
 
     def parse_factor(self) -> Polynomial:
@@ -142,6 +148,7 @@ class _Parser:
                 raise PolyParseError(
                     f"exponent {value} exceeds the degree cap {self.degree_cap}", pos
                 )
+            self.check_degree(base.total_degree() * value, pos)
             base = base**value
         return base
 
@@ -178,7 +185,11 @@ def parse_poly(
 
     Exactly one of ``nvars`` (variables ``x1 .. x<nvars>``) or ``names``
     (explicit variable names, defining ``nvars`` by their count) selects the
-    variable alphabet.  Exponents larger than ``degree_cap`` are rejected.
+    variable alphabet.  ``degree_cap`` bounds the total degree of every
+    power and product, checked from the degrees of the operands before the
+    power or product is expanded, so a nested power such as ``(x1^64)^64``
+    or a product such as ``x1^40*x1^40`` is rejected without being built.
+    The degree of a sum is that of its highest term, so sums need no check.
     """
     if names is None:
         if nvars is None:

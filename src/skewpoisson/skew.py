@@ -229,25 +229,45 @@ def restrict_to_fixed(p: Polynomial, g: GroupElement) -> Polynomial:
 def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     """Trace-space projection of ``a`` onto a conjugacy class.
 
-    Returns the coefficient polynomial of the class representative: the
-    average over the group of the representative-conjugated parts of ``a``,
-    restricted to the representative's fixed space, normalized by the
-    centralizer order so the projection is idempotent.  Vanishes on every
-    commutator.  Each part is moved and restricted by one compiled
-    substitution from :meth:`FiniteMatrixGroup.class_projection_maps`, the
-    same for every call on the class.
+    Returns the coefficient polynomial of the class representative ``rep``:
+    the sum over all ``k`` in the group of ``restrict(k . a_(k^-1 rep k))``,
+    normalized by the centralizer order so the projection is idempotent.
+    Vanishes on every commutator.  The ``k`` with ``k^-1 rep k == h`` form
+    one coset ``C k_h`` of the centralizer ``C``, and the restriction
+    commutes with each ``c`` in ``C`` (the fixed-space projection of ``rep``
+    commutes with ``c``), so the sum is
+
+        (1/|C|) sum_(c in C) c . restrict(sum_h k_h . a_h)
+
+    for the conjugators ``k_h`` of :meth:`FiniteMatrixGroup.class_restriction`:
+    each part is moved once, the sum is restricted once, and the result is
+    averaged over the centralizer, every move by an element's own action.
     """
     group = a.group
     if not 0 <= class_index < len(group.classes):
         raise ValueError(
             f"class index {class_index} out of range (group has {len(group.classes)} classes)"
         )
-    total = Polynomial.zero(group.dim)
-    for source, move_and_restrict in group.class_projection_maps(class_index):
-        part = a._parts.get(source)
-        if part is not None:
-            total = total + move_and_restrict(part)
-    return total * Fraction(1, len(group.classes[class_index].centralizer))
+    restrict, conjugators = group.class_restriction(class_index)
+    elements = group.elements
+    moved = None
+    for h, k in conjugators:
+        part = a._parts.get(h)
+        if part is None:
+            continue
+        if k:
+            part = elements[k].action(part)
+        moved = part if moved is None else moved + part
+    if moved is None:
+        return Polynomial.zero(group.dim)
+    fixed = restrict(moved)
+    centralizer = group.classes[class_index].centralizer
+    total = fixed
+    if not fixed.is_zero:
+        for c in centralizer:
+            if c:
+                total = total + elements[c].action(fixed)
+    return total * Fraction(1, len(centralizer))
 
 
 @dataclass(frozen=True)
@@ -264,7 +284,7 @@ class TraceVector:
         """Each component must live on the representative's fixed space and
         be invariant under the representative's centralizer."""
         for cls, comp in zip(self.group.classes, self.components):
-            _, restrict = self.group.class_projection_maps(cls.index)[0]
+            restrict, _ = self.group.class_restriction(cls.index)
             if restrict(comp) != comp:
                 return False
             for h in cls.centralizer:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from skewpoisson import ScenarioConfig, generate_group
 from skewpoisson.linalg import inverse, mat_mul, matrix_from_rows, transpose
+from skewpoisson.selftest import DEFAULT_SEED, run_selftest
 
 
 def on_h_plus_dual(m):
@@ -90,3 +92,13 @@ def s3_group():
 def reference_group(request):
     """The bundled group, B3 and S3, one per test run."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(scope="session")
+def full_selftest():
+    """One run of every property suite at the default seed, shared by the
+    acceptance criterion and the per-suite tests: ``(results, seconds)``,
+    with the wall time of the run."""
+    start = time.perf_counter()
+    results = run_selftest(seed=DEFAULT_SEED)
+    return results, time.perf_counter() - start

@@ -159,6 +159,13 @@ class TestBracketCommand:
         code, out = run(capsys, "bracket", "x1 +", "x2")
         assert code == 2
 
+    def test_nested_power_over_the_degree_cap_exits_2(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "bracket", "(x1^64)^64", "x2")
+        assert code == 2
+        assert "degree cap 64" in out
+        assert time.perf_counter() - start < 1.0
+
 
 class TestProjectCommand:
     def test_bundled_projection(self, capsys):
@@ -294,7 +301,16 @@ GOLDEN_EXIT_CODES = {
     "obstruction_trivial_group.machine.json": 2,
     "obstruction_non_invariant_f1.machine.json": 2,
     "group_missing_config.machine.json": 2,
+    "project_multi_part.machine.json": 0,
+    "project_multi_part.text": 0,
 }
+
+# parts on b and c (one class, so c is moved onto b by a non-identity
+# conjugator), on e and on b*c*e (the class whose restriction has 1/2 entries)
+PROJECT_PARTS = ["--part", "b:x1^2*x2 + x3*x4 - 2*x1",
+                 "--part", "c:x1*x3 - 2*x2^2 + x4^3",
+                 "--part", "e:x1*x2 + x3^2 + 1/2*x4",
+                 "--part", "b*c*e:3*x1^2 - x2*x4"]
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -311,6 +327,9 @@ GOLDEN_EXIT_CODES = {
       "--format", "machine"], "obstruction_non_invariant_f1.machine.json"),
     (["group", "--config", "/no/such/file.json", "--format", "machine"],
      "group_missing_config.machine.json"),
+    (["project", *PROJECT_PARTS, "--format", "machine"],
+     "project_multi_part.machine.json"),
+    (["project", *PROJECT_PARTS, "--format", "text"], "project_multi_part.text"),
 ])
 def test_machine_reports_match_golden_files(capsys, argv, golden):
     """Reports stay byte for byte what the files under tests/data record,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from skewpoisson import obstruction
 from skewpoisson import (
     Certificate,
     ObstructionProblem,
@@ -24,8 +26,11 @@ from skewpoisson import (
     run_counterexample,
     sigma_image_basis,
     solve_sigma,
+    substitute_linear,
     target_poly,
 )
+from skewpoisson.groups import fixed_projection
+from skewpoisson.linalg import inverse
 
 
 def P(text):
@@ -103,6 +108,28 @@ class TestDivisorCertificate:
     def test_generator_images_for_the_bundled_multiplier(self, group, named, class_of_b):
         gens = multiplier_image_generators(group, named["h1"], class_of_b)
         assert gens == (P("x3*x4"),)
+
+    @pytest.mark.parametrize("name", ["group", "s3_group"])
+    def test_generators_are_restricted_translates(self, request, name):
+        """Each generator is restrict(k . psi) for k in the centralizer, in
+        centralizer order, zeros and repeats dropped, with both maps
+        compiled afresh."""
+        group = request.getfixturevalue(name)
+        rng = random.Random(f"generators:{name}")
+        psis = [Polynomial(group.dim, {tuple(rng.randint(0, 2) for _ in range(group.dim)):
+                                       Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                       for _ in range(3)})
+                for _ in range(4)]
+        for cls in group.classes:
+            proj = fixed_projection(group.elements[cls.representative])
+            for psi in psis:
+                expected = []
+                for k in cls.centralizer:
+                    moved = substitute_linear(psi, inverse(group.elements[k].matrix))
+                    translate = substitute_linear(moved, proj)
+                    if not translate.is_zero and translate not in expected:
+                        expected.append(translate)
+                assert multiplier_image_generators(group, psi, cls.index) == tuple(expected)
 
 
 class TestSolve:
@@ -283,6 +310,36 @@ class TestReplayRecomputes:
                         assert replay_certificate(problem, cert)
                         verdicts.add(cert.verdict)
         assert verdicts == set(Verdict)
+
+
+class TestInvarianceCheckedOnce:
+    """The problem checks phi on construction; solving and replaying it
+    trust that check."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = obstruction.is_invariant
+
+        def counting(group, p):
+            calls.append(p)
+            return original(group, p)
+
+        monkeypatch.setattr(obstruction, "is_invariant", counting)
+        return calls
+
+    @pytest.mark.parametrize("word, degree", [("b", 0), ("b", 2), ("e", 2), ("e", 3)])
+    def test_one_check_per_solve(self, counted, group, form, named, word, degree):
+        i = group.class_of(group.element_from_word(word))
+        problem = ObstructionProblem(group, named["f1"], named["h1"], i, degree, form)
+        cert = solve_sigma(problem)
+        assert counted == [named["f1"]]
+        assert replay_certificate(problem, cert)
+        assert len(counted) == 1
+
+    def test_public_target_still_checks(self, counted, group, form, named, class_of_b):
+        target_poly(group, named["f1"], named["h1"], class_of_b, form)
+        assert len(counted) == 1
 
 
 class TestCollapse:

@@ -95,6 +95,17 @@ class TestErrors:
             parse_poly("x1^65", nvars=4)
         assert parse_poly("x1^65", nvars=4, degree_cap=70) is not None
 
+    @pytest.mark.parametrize("text", ["(x1^64)^64", "x1^40*x1^40", "x1^40 x1^40",
+                                      "(x1^2 + x2)^33", "(x1*x2)^40"])
+    def test_nested_degree_overflow(self, text):
+        with pytest.raises(PolyParseError, match="degree cap 64"):
+            parse_poly(text, nvars=4)
+
+    def test_degree_at_the_cap_accepted(self):
+        assert parse_poly("(x1^8)^8", nvars=4) == parse_poly("x1^64", nvars=4)
+        assert parse_poly("x1^32*x2^32 + x3", nvars=4).total_degree() == 64
+        assert parse_poly("(x1^40)^2", nvars=4, degree_cap=80).total_degree() == 80
+
     def test_number_after_name_rejected(self):
         with pytest.raises(PolyParseError):
             parse_poly("x1 2", nvars=4)

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from skewpoisson.selftest import DEFAULT_SEED, run_selftest, suite_names
+from skewpoisson.selftest import run_selftest, suite_names
 
 
 @pytest.mark.parametrize("name", suite_names())
-def test_suite_passes(name):
-    (result,) = run_selftest(seed=DEFAULT_SEED, only=[name])
+def test_suite_passes(full_selftest, name):
+    """Reads the suite's result from the shared full run at the default seed;
+    each suite draws from its own ``f"{seed}:{name}"`` stream, so this is
+    the result a run of that suite alone gives."""
+    results, _ = full_selftest
+    (result,) = [r for r in results if r.name == name]
     assert result.failures == 0, f"{name}: {result.detail}"
     assert result.cases > 0
 

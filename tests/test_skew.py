@@ -19,6 +19,7 @@ from skewpoisson import (
     substitute_linear,
     trace_vector,
 )
+from skewpoisson import groups, poly
 from skewpoisson.linalg import RowSpace, inverse
 
 
@@ -193,21 +194,24 @@ def two_step_projection(a, class_index):
     return total * Fraction(1, len(cls.centralizer))
 
 
+def random_poly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Polynomial(nvars, terms)
+
+
 def random_skew_element(rng, group):
-    parts = {}
-    for idx in rng.sample(range(group.order), min(4, group.order)):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            exps = [0] * group.dim
-            for _ in range(rng.randint(0, 3)):
-                exps[rng.randrange(group.dim)] += 1
-            terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-        parts[idx] = Polynomial(group.dim, terms)
+    parts = {idx: random_poly(rng, group.dim)
+             for idx in rng.sample(range(group.order), min(4, group.order))}
     return SkewElement(group, parts)
 
 
 class TestCompiledProjection:
-    @pytest.mark.parametrize("name", ["group", "s3_group"])
+    @pytest.mark.parametrize("name", ["group", "s3_group", "b3_group"])
     def test_matches_two_step_definition(self, request, name):
         group = request.getfixturevalue(name)
         rng = random.Random(f"hh0:{name}")
@@ -218,7 +222,49 @@ class TestCompiledProjection:
 
     def test_maps_are_compiled_once_per_class(self, group):
         i = group.class_of(group.element_from_word("e"))
-        assert group.class_projection_maps(i) is group.class_projection_maps(i)
+        assert group.class_restriction(i) is group.class_restriction(i)
+
+    @pytest.mark.parametrize("name", ["group", "s3_group"])
+    def test_conjugators_move_each_member_onto_the_representative(self, request, name):
+        group = request.getfixturevalue(name)
+        for cls in group.classes:
+            restrict, conjugators = group.class_restriction(cls.index)
+            assert [h for h, _ in conjugators] == list(cls.members)
+            assert dict(conjugators)[cls.representative] == 0
+            for h, k in conjugators:
+                conj = group.mul(group.mul(group.inverse(k), cls.representative), k)
+                assert conj.index == h
+                assert k == min(j for j in range(group.order)
+                                if group.mul(group.mul(group.inverse(j),
+                                                       cls.representative), j).index == h)
+            p = random_poly(random.Random(f"restrict:{cls.index}"), group.dim)
+            proj = group.fixed_projection_matrix(cls.representative)
+            assert restrict(p) == substitute_linear(p, proj)
+
+    def test_one_compiled_restriction_per_class(self, monkeypatch, config):
+        """Projecting compiles one substitution per class, and every other
+        substitution it compiles is an element's own action."""
+        compiled = []
+
+        class Counting(poly.LinearSubstitution):
+            __slots__ = ()
+
+            def __init__(self, matrix):
+                compiled.append(matrix)
+                super().__init__(matrix)
+
+        monkeypatch.setattr(poly, "LinearSubstitution", Counting)
+        monkeypatch.setattr(groups, "LinearSubstitution", Counting)
+        group = config.build_group()
+        rng = random.Random("compile-count")
+        for _ in range(3):
+            a = random_skew_element(rng, group)
+            for i in range(len(group.classes)):
+                hh0_project(a, i)
+            assert trace_vector(a).validate()
+        acted = [g for g in group.elements if g._action is not None]
+        assert acted
+        assert len(compiled) == len(group.classes) + len(acted)
 
 
 class TestInnerDerivation:
