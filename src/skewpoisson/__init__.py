@@ -36,6 +36,7 @@ from .obstruction import (
     multiplier_image_generators,
     replay_certificate,
     sigma_image_basis,
+    solve_ladder,
     solve_sigma,
     target_poly,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "replay_certificate",
     "run_counterexample",
     "sigma_image_basis",
+    "solve_ladder",
     "solve_sigma",
     "target_poly",
     "PolyParseError",

@@ -33,7 +33,7 @@ from ._version import __version__
 from .config import ConfigError, ScenarioConfig
 from .groups import FiniteMatrixGroup, is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
-from .obstruction import (Certificate, ObstructionProblem, Verdict, solve_sigma,
+from .obstruction import (Certificate, ObstructionProblem, Verdict, solve_ladder,
                           target_poly)
 from .poly import SymplecticForm, format_poly, poisson_bracket
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
@@ -58,14 +58,15 @@ def _load_config(args) -> ScenarioConfig:
     return ScenarioConfig.bundled()
 
 
-def _check_degree_budget(degree: int, nvars: int) -> None:
-    """Reject a ``--degree`` whose monomials exceed the work budget."""
+def _check_degree_budget(degree: int, nvars: int, source: str = "--degree") -> None:
+    """Reject a degree whose monomials exceed the work budget; ``source``
+    names the option or config path the degree came from."""
     if degree < 0:
-        raise ConfigError("--degree", "must be non-negative")
+        raise ConfigError(source, "must be non-negative")
     monomials = comb(degree + nvars, nvars)
     if monomials > MAX_DEGREE_MONOMIALS:
         raise ConfigError(
-            "--degree",
+            source,
             f"degree {degree} in {nvars} variables means {monomials} monomials, "
             f"over the limit of {MAX_DEGREE_MONOMIALS}",
         )
@@ -187,8 +188,8 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int = 8) -> Report:
 def cmd_bracket(config: ScenarioConfig, first: str, second: str) -> Report:
     report = Report(command="bracket", version=__version__)
     form = config.build_form()
-    p = config.polynomial_or_inline(first)
-    q = config.polynomial_or_inline(second)
+    p = config.polynomial_or_inline(first, "first")
+    q = config.polynomial_or_inline(second, "second")
     result = poisson_bracket(p, q, form)
     report.add("bracket", STATUS_OK, {
         "first": format_poly(p),
@@ -213,7 +214,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
             idx = group.element_index(int(word))
         else:
             idx = group.element_from_word(word).index
-        poly = config.polynomial_or_inline(text.strip())
+        poly = config.polynomial_or_inline(text.strip(), "--part")
         assembled[idx] = assembled.get(idx, poly * 0) + poly
     element = SkewElement(group, assembled)
     vector = trace_vector(element)
@@ -370,12 +371,9 @@ def run_counterexample(
 
         steps = []
         try:
-            for bound in ladder:
-                problem = ObstructionProblem(group, phi, psi, class_index, bound, form)
-                cert = solve_sigma(problem)
+            problem = ObstructionProblem(group, phi, psi, class_index, ladder[-1], form)
+            for bound, cert in zip(ladder, solve_ladder(problem, ladder)):
                 steps.append({"degree": bound, **_certificate_payload(cert)})
-                if cert.verdict is Verdict.FEASIBLE:
-                    break
         except (ValueError, RuntimeError) as exc:
             return fail(f"{stage_prefix}:ladder", exc)
         report.add(f"{stage_prefix}:ladder", STATUS_OK, {"steps": steps})
@@ -509,6 +507,9 @@ def main(argv: Optional[list] = None) -> int:
                 if args.degree is not None:
                     _check_degree_budget(args.degree, config.nvars)
                     ladder = range(args.degree + 1)
+                elif config.obstruction is not None:
+                    _check_degree_budget(config.obstruction.degree_ladder[-1],
+                                         config.nvars, "obstruction.degree_ladder")
                 report = run_counterexample(config, degree_ladder=ladder,
                                             psi_names=args.psi)
             else:  # pragma: no cover - argparse enforces the choices

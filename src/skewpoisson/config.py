@@ -225,14 +225,16 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"named_polynomials.{name}", str(exc)) from exc
 
-    def polynomial_or_inline(self, text: str) -> Polynomial:
-        """Resolve a name from ``named_polynomials``, else parse inline."""
+    def polynomial_or_inline(self, text: str, source: str = "obstruction") -> Polynomial:
+        """Resolve a name from ``named_polynomials``, else parse inline; a
+        parse error is attributed to ``source``, the config path or command
+        argument the text came from."""
         if text in self.named_polynomials:
             return self.polynomial(text)
         try:
             return parse_poly(text, nvars=self.nvars)
         except ValueError as exc:
-            raise ConfigError("obstruction", f"cannot resolve polynomial {text!r}: {exc}") from exc
+            raise ConfigError(source, f"cannot resolve polynomial {text!r}: {exc}") from exc
 
     def build_generator_set(self) -> GeneratorSet:
         return GeneratorSet(

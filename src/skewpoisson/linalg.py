@@ -198,6 +198,45 @@ class RowSpace:
         rem, _ = self.reduce(vec)
         return not rem
 
+    def solve(self, target: SparseVec):
+        """Express ``target`` through the inputs of a tracked space.
+
+        Returns ``(coeffs, residual)``.  When ``target`` lies in the span,
+        ``coeffs`` holds one Fraction per input added so far, in insertion
+        order, with ``sum(coeffs[t] * input_t) == target``, and ``residual``
+        is empty.  Otherwise ``coeffs`` is ``None`` and ``residual`` is the
+        part of ``target`` outside the span.  The space is not changed, so
+        it can take more inputs and be solved again.
+        """
+        if not self._track:
+            raise ValueError("solve needs a RowSpace built with track=True")
+        rem, combo = self.reduce(target)
+        if rem:
+            return None, rem
+        coeffs = [Fraction(0)] * self._added
+        for tag, val in combo.items():
+            coeffs[tag] = val
+        return coeffs, rem
+
+    def separating(self, residual: SparseVec) -> SparseVec:
+        """A functional ``y`` with ``y . v == 0`` for every vector ``v`` of
+        the span and ``y . residual != 0``, for a nonzero ``residual`` left
+        by :meth:`reduce`.
+
+        That is the Fredholm alternative made explicit: ``c`` is the lead
+        column of the residual, never a pivot, and
+        ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
+        pivots ``p_i``.  Every vector of the span is ``sum_i v[p_i] R_i``, so
+        ``y`` vanishes on it, while ``y`` applied to the reduced target is
+        the residual's entry at ``c``.
+        """
+        c = min(residual)
+        witness = {c: Fraction(1)}
+        for row in self.reduced_rows():
+            if c in row:
+                witness[min(row)] = -row[c]
+        return witness
+
     def reduced_rows(self) -> list[SparseVec]:
         """Fully back-substituted (reduced row echelon) basis, by pivot column."""
         pivots = sorted(self._rows)
@@ -227,27 +266,11 @@ def solve_combination(vectors: Sequence[SparseVec], target: SparseVec):
     consistent, ``coeffs`` is a list of Fractions, ``residual`` is an empty
     dict and ``witness`` is ``None``.  Otherwise ``coeffs`` is ``None``,
     ``residual`` is the part of ``target`` outside the span, and ``witness``
-    is a functional ``y`` with ``y . v == 0`` for every vector and
-    ``y . target != 0``.  That is the Fredholm alternative made explicit:
-    ``c`` is the lead column of the residual, never a pivot, and
-    ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
-    pivots ``p_i``.  Every vector of the span is ``sum_i v[p_i] R_i``, so
-    ``y`` vanishes on it, while ``y . target`` is the residual's entry at
-    ``c``.
+    is the functional of :meth:`RowSpace.separating`.
     """
     space = RowSpace(track=True)
     for vec in vectors:
         space.add(vec)
-    rem, combo = space.reduce(target)
-    if rem:
-        c = min(rem)
-        witness = {c: Fraction(1)}
-        for row in space.reduced_rows():
-            if c in row:
-                witness[min(row)] = -row[c]
-        return None, space.rank, rem, witness
-    coeffs = [Fraction(0)] * len(vectors)
-    assert combo is not None
-    for tag, val in combo.items():
-        coeffs[tag] = val
-    return coeffs, space.rank, rem, None
+    coeffs, residual = space.solve(target)
+    witness = None if coeffs is not None else space.separating(residual)
+    return coeffs, space.rank, residual, witness

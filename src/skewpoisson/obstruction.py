@@ -15,18 +15,25 @@ every candidate image but not the target), and a divisor argument (some
 variable divides every monomial every candidate image can ever contain,
 but not the target) upgrades infeasibility to all degrees.  Every verdict
 ships as a replayable certificate.
+
+:func:`solve_ladder` decides a ladder of degree bounds in one pass: it
+projects each candidate multiplier image once and grows one row reduction
+across the rungs, so the ladder 0..D costs about its top rung alone, and
+every rung's certificate (hence every report and exit code) equals that of
+a fresh solve at the rung's bound.  :func:`solve_sigma` is its one-rung
+case.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .groups import ElementLike, FiniteMatrixGroup, act_on_poly
 from .invariants import is_invariant
-from .poly import Polynomial, SymplecticForm, monomials_up_to, poisson_bracket
+from .poly import Polynomial, SymplecticForm, monomials_of_degree, poisson_bracket
 from .skew import SkewElement, hh0_project
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "multiplier_image_generators",
     "divisor_certificate",
     "solve_sigma",
+    "solve_ladder",
     "collapse_to_sigma",
     "replay_certificate",
 ]
@@ -130,8 +138,10 @@ def sigma_image_basis(
     psi: Polynomial,
     class_index: int,
     degree_bound: int,
+    min_degree: int = 0,
 ) -> list:
-    """Images of every candidate multiplier monomial up to the bound.
+    """Images of every candidate multiplier monomial of degree
+    ``min_degree`` up to the bound.
 
     Returns ``(exponents, image)`` pairs in ascending graded-lex order; zero
     images are kept, since they witness kernel directions of the map.
@@ -140,10 +150,11 @@ def sigma_image_basis(
         raise ValueError("degree bound must be non-negative")
     rep = group.classes[class_index].representative
     out = []
-    for exps in monomials_up_to(group.dim, degree_bound):
-        mono = Polynomial.monomial(group.dim, exps)
-        image = hh0_project(SkewElement.term(group, psi * mono, rep), class_index)
-        out.append((exps, image))
+    for degree in range(min_degree, degree_bound + 1):
+        for exps in monomials_of_degree(group.dim, degree):
+            mono = Polynomial.monomial(group.dim, exps)
+            image = hh0_project(SkewElement.term(group, psi * mono, rep), class_index)
+            out.append((exps, image))
     return out
 
 
@@ -194,54 +205,89 @@ def _divides(v: int, images: Sequence[Polynomial], target: Polynomial) -> bool:
 
 
 def solve_sigma(problem: ObstructionProblem) -> Certificate:
-    """Decide the obstruction condition at the problem's degree bound.
+    """Decide the obstruction condition at the problem's degree bound: the
+    one-rung case of :func:`solve_ladder`."""
+    return next(solve_ladder(problem, (problem.degree_bound,)))
 
-    Feasible outcomes return a multiplier (deterministic support, from
+
+def solve_ladder(problem: ObstructionProblem,
+                 bounds: Sequence[int]) -> Iterator[Certificate]:
+    """Decide the obstruction condition at each bound of a strictly
+    increasing ladder, in order, stopping after the first feasible rung.
+
+    The certificate yielded at bound ``d`` is the one a solve of the problem
+    at degree bound ``d`` gives; the problem's own ``degree_bound`` is not
+    read.  Feasible outcomes carry a multiplier (deterministic support, from
     graded-lex pivoting) that replays to exact zero.  Infeasible outcomes
     record the rank data of the linear system; when the divisor argument
     applies, the verdict is upgraded to all degrees, and otherwise it stays
-    at the degree bound with a dual witness checked against the images.
+    at the rung's bound with a dual witness checked against the rung's
+    images.
+
+    The candidate monomials are ascending in graded-lex order, so the images
+    at one bound are a prefix of those at any larger bound: each image is
+    computed once and added to one tracked :class:`~skewpoisson.linalg.RowSpace`
+    that grows across the rungs.  That space's state depends only on the
+    sequence of vectors inserted, so every rung reproduces the rank,
+    residual, multiplier and dual witness of a fresh solve exactly.  The
+    target and the divisor test are computed once per ladder.
     """
-    group = problem.group
-    target = _project_bracket(group, problem.phi, problem.psi, problem.class_index,
-                              problem.form)
-    images = sigma_image_basis(group, problem.psi, problem.class_index,
-                               problem.degree_bound)
-    vectors = [img.to_vector() for _, img in images]
+    bounds = tuple(bounds)
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"degree bounds must be strictly increasing, got {list(bounds)}")
+    if bounds and bounds[0] < 0:
+        raise ValueError("degree bound must be non-negative")
+    group, psi, class_index = problem.group, problem.psi, problem.class_index
+    target = _project_bracket(group, problem.phi, psi, class_index, problem.form)
     goal = (-target).to_vector()
-    coeffs, rank, residual, separating = linalg.solve_combination(vectors, goal)
-
-    if coeffs is not None:
-        sigma = Polynomial(
-            group.dim,
-            {exps: c for (exps, _), c in zip(images, coeffs) if c},
-        )
-        cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
-        if not _replays(problem, cert, target):
-            raise RuntimeError("feasible certificate failed to replay")
-        return cert
-
+    space = linalg.RowSpace(track=True)
+    images = []  # (exponents, image) for every candidate up to the last rung
     support = set(goal)
-    for vec in vectors:
-        support.update(vec)
-    residual_poly = Polynomial(group.dim, {key[1]: c for key, c in residual.items()})
-    rank_data = RankData(rows=len(support), cols=len(images), rank=rank,
-                         residual=residual_poly)
-    generators = multiplier_image_generators(group, problem.psi, problem.class_index)
-    witness = divisor_certificate(generators, target)
-    if witness is not None:
-        return Certificate(
-            Verdict.INFEASIBLE_ALL_DEGREES,
-            target=target,
-            rank_data=rank_data,
-            divisor_witness=witness,
-            divisor_images=generators,
-        )
-    dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
-    if not _separates(dual, [img for _, img in images], target):
-        raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
-    return Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target,
-                       rank_data=rank_data, dual_witness=dual)
+    divisor = None  # (witness, generators), from the first infeasible rung
+    low = 0  # the lowest degree no rung has covered yet
+    for bound in bounds:
+        new = sigma_image_basis(group, psi, class_index, bound, min_degree=low)
+        low = bound + 1
+        for _, image in new:
+            vec = image.to_vector()
+            space.add(vec)
+            support.update(vec)
+        images.extend(new)
+        coeffs, residual = space.solve(goal)
+
+        if coeffs is not None:
+            sigma = Polynomial(
+                group.dim,
+                {exps: c for (exps, _), c in zip(images, coeffs) if c},
+            )
+            cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
+            if not _replays(problem, cert, target):
+                raise RuntimeError("feasible certificate failed to replay")
+            yield cert
+            return
+
+        residual_poly = Polynomial(group.dim, {key[1]: c for key, c in residual.items()})
+        rank_data = RankData(rows=len(support), cols=len(images), rank=space.rank,
+                             residual=residual_poly)
+        if divisor is None:
+            generators = multiplier_image_generators(group, psi, class_index)
+            divisor = (divisor_certificate(generators, target), generators)
+        witness, generators = divisor
+        if witness is not None:
+            yield Certificate(
+                Verdict.INFEASIBLE_ALL_DEGREES,
+                target=target,
+                rank_data=rank_data,
+                divisor_witness=witness,
+                divisor_images=generators,
+            )
+            continue
+        separating = space.separating(residual)
+        dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
+        if not _separates(dual, [img for _, img in images], target):
+            raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
+        yield Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target,
+                          rank_data=rank_data, dual_witness=dual)
 
 
 def _separates(witness: Polynomial, images: Sequence[Polynomial],

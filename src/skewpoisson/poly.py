@@ -49,12 +49,6 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
             yield (first,) + rest
 
 
-def monomials_up_to(nvars: int, max_degree: int) -> Iterator[Exponents]:
-    """Yield all exponent tuples of total degree <= max_degree, grlex ascending."""
-    for d in range(max_degree + 1):
-        yield from monomials_of_degree(nvars, d)
-
-
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
@@ -326,7 +320,14 @@ class LinearSubstitution:
         rows = [[(k, Fraction(c)) for k, c in enumerate(row) if c] for row in matrix]
         self.nvars = n
         if all(len(row) <= 1 for row in rows):
-            self._simple = [row[0] if row else None for row in rows]
+            # a coefficient of 1 or -1 is kept as an int, so the call tells it
+            # apart cheaply and applies -1 by the parity of the exponent
+            self._simple = []
+            for row in rows:
+                if row:
+                    k, c = row[0]
+                    row = (k, int(c) if abs(c) == 1 else c)
+                self._simple.append(row or None)
             self._forms = self._images = None
         else:
             self._simple = None
@@ -351,7 +352,10 @@ class LinearSubstitution:
                         break
                     k, c = target
                     out[k] += e
-                    if c != 1:
+                    if c == -1:
+                        if e & 1:
+                            scale = -scale
+                    elif c != 1:
                         scale = scale * c**e
                 else:
                     key = tuple(out)

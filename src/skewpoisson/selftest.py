@@ -37,6 +37,7 @@ from .obstruction import (
     multiplier_image_generators,
     replay_certificate,
     sigma_image_basis,
+    solve_ladder,
     solve_sigma,
     target_poly,
 )
@@ -480,8 +481,8 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
     # ladder monotonicity and divisor soundness on the bundled instance
     ranks = []
     witnessed = False
-    for bound in range(9):
-        cert = solve_sigma(ObstructionProblem(group, phi, psi, class_index, bound, form))
+    top = ObstructionProblem(group, phi, psi, class_index, 8, form)
+    for bound, cert in zip(range(9), solve_ladder(top, range(9))):
         infeasible = cert.verdict in (
             Verdict.INFEASIBLE_AT_DEGREE, Verdict.INFEASIBLE_ALL_DEGREES
         )

@@ -166,6 +166,12 @@ class TestBracketCommand:
         assert "degree cap 64" in out
         assert time.perf_counter() - start < 1.0
 
+    def test_parse_error_names_the_argument(self, capsys):
+        code, out = run(capsys, "bracket", "x1", "(x1^64)^64")
+        assert code == 2
+        assert "second: cannot resolve polynomial '(x1^64)^64'" in out
+        assert "obstruction" not in out
+
 
 class TestProjectCommand:
     def test_bundled_projection(self, capsys):
@@ -187,6 +193,12 @@ class TestProjectCommand:
         rows = doc["stages"][0]["payload"]["components"]
         assert rows == [{"class": 1, "representative": "b",
                          "projection": "x3*x4"}]
+
+    def test_part_parse_error_names_the_option(self, capsys):
+        code, out = run(capsys, "project", "--part", "b:x1 +")
+        assert code == 2
+        assert "--part: cannot resolve polynomial 'x1 +'" in out
+        assert "obstruction" not in out
 
     def test_bad_part_syntax(self, capsys):
         code, out = run(capsys, "project", "--part", "b=x1")
@@ -238,6 +250,18 @@ class TestObstructionCommand:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "--degree" in out and f"limit of {MAX_DEGREE_MONOMIALS}" in out
+
+    def test_configured_ladder_over_the_work_budget_fails_fast(self, capsys, tmp_path):
+        data = json.loads((GOLDEN / "class_e.config.json").read_text(encoding="utf-8"))
+        data["obstruction"]["degree_ladder"] = [0, 60]
+        path = tmp_path / "ladder60.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        code, out = run(capsys, "obstruction", "--config", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "obstruction.degree_ladder" in out
+        assert f"limit of {MAX_DEGREE_MONOMIALS}" in out
 
     def test_degree_sixteen_is_within_the_budget(self):
         # C(16 + 4, 4) = 4845 monomials in the bundled 4-variable scenario
@@ -297,6 +321,7 @@ GOLDEN_EXIT_CODES = {
     "invariants_degree8.machine.json": 0,
     "obstruction.machine.json": 0,
     "obstruction.text": 0,
+    "obstruction_degree16.machine.json": 0,
     "obstruction_class_e_degree3.machine.json": 1,
     "obstruction_trivial_group.machine.json": 2,
     "obstruction_non_invariant_f1.machine.json": 2,
@@ -319,6 +344,8 @@ PROJECT_PARTS = ["--part", "b:x1^2*x2 + x3*x4 - 2*x1",
      "invariants_degree8.machine.json"),
     (["obstruction", "--format", "machine"], "obstruction.machine.json"),
     (["obstruction", "--format", "text"], "obstruction.text"),
+    (["obstruction", "--degree", "16", "--format", "machine"],
+     "obstruction_degree16.machine.json"),
     (["obstruction", *_golden_config("class_e.config.json"), "--degree", "3",
       "--format", "machine"], "obstruction_class_e_degree3.machine.json"),
     (["obstruction", *_golden_config("trivial_group.config.json"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from skewpoisson import (
     replay_certificate,
     run_counterexample,
     sigma_image_basis,
+    solve_ladder,
     solve_sigma,
     substitute_linear,
     target_poly,
@@ -337,9 +339,78 @@ class TestInvarianceCheckedOnce:
         assert replay_certificate(problem, cert)
         assert len(counted) == 1
 
+    def test_one_check_per_ladder(self, counted, group, form, named, class_of_b):
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 6, form)
+        assert len(list(solve_ladder(problem, range(7)))) == 7
+        assert counted == [named["f1"]]
+
     def test_public_target_still_checks(self, counted, group, form, named, class_of_b):
         target_poly(group, named["f1"], named["h1"], class_of_b, form)
         assert len(counted) == 1
+
+
+def monomial_count(degree, nvars=4):
+    return comb(degree + nvars, nvars)
+
+
+class TestLadder:
+    """One ladder solve reproduces a fresh solve at every rung."""
+
+    @pytest.mark.parametrize("bounds", [range(7), (0, 2, 4, 8)])
+    def test_matches_fresh_solves(self, group, form, named, bounds):
+        verdicts = set()
+        for phi in ("f1", "h1", "h2"):
+            for psi in ("f1", "f2", "h1", "h2", "h3", "h4"):
+                for i in range(1, len(group.classes)):
+                    problem = ObstructionProblem(group, named[phi], named[psi], i,
+                                                 bounds[-1], form)
+                    fresh = []
+                    for bound in bounds:
+                        cert = solve_sigma(replace(problem, degree_bound=bound))
+                        fresh.append(repr(cert))
+                        verdicts.add(cert.verdict)
+                        if cert.verdict is Verdict.FEASIBLE:
+                            break
+                    assert [repr(c) for c in solve_ladder(problem, bounds)] == fresh
+        assert verdicts == set(Verdict)
+
+    def test_each_image_is_projected_once(self, monkeypatch, group, form, named,
+                                          class_of_b):
+        calls = []
+        original = obstruction.hh0_project
+
+        def counting(element, class_index):
+            calls.append(class_index)
+            return original(element, class_index)
+
+        monkeypatch.setattr(obstruction, "hh0_project", counting)
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
+        certs = list(solve_ladder(problem, range(9)))
+        assert len(certs) == 9
+        # the images of the top rung plus the target, not the 1287 images
+        # of nine fresh solves
+        assert len(calls) == monomial_count(8) + 1
+
+    def test_each_rung_checks_its_own_images(self, monkeypatch, group, form, named):
+        checked = []
+        original = obstruction._separates
+
+        def recording(witness, images, target):
+            checked.append(len(images))
+            return original(witness, images, target)
+
+        monkeypatch.setattr(obstruction, "_separates", recording)
+        i = group.class_of(group.element_from_word("e"))
+        problem = ObstructionProblem(group, named["f1"], named["h1"], i, 4, form)
+        certs = list(solve_ladder(problem, (0, 1, 3, 4)))
+        assert {c.verdict for c in certs} == {Verdict.INFEASIBLE_AT_DEGREE}
+        assert checked == [monomial_count(d) for d in (0, 1, 3, 4)]
+
+    @pytest.mark.parametrize("bounds", [(2, 2), (3, 1)])
+    def test_bounds_must_increase(self, group, form, named, class_of_b, bounds):
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 3, form)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            list(solve_ladder(problem, bounds))
 
 
 class TestCollapse:

@@ -228,6 +228,17 @@ class TestLinearSubstitution:
         sub = LinearSubstitution(random_matrix(random.Random(3), "general", 4))
         assert sub(Polynomial.zero(4)).is_zero
 
+    def test_signs_follow_the_parity_of_the_exponent(self):
+        # x1 -> -x3, x2 -> x1, x3 -> -x2, x4 -> -x4 (a signed permutation)
+        matrix = [[0, 0, -1, 0], [1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1]]
+        sub = LinearSubstitution(matrix)
+        for text, image in [
+            ("x1^3*x2^2*x4^2", "-x1^2*x3^3*x4^2"),  # odd -, even -
+            ("x1^2*x3^5*x4", "x2^5*x3^2*x4"),  # even -, odd -, odd -
+            ("2*x1*x3*x4^4 - 1/3*x2^7*x4^3", "2*x2*x3*x4^4 + 1/3*x1^7*x4^3"),
+        ]:
+            assert sub(P(text)) == P(image) == reference_substitution(P(text), matrix)
+
 
 class TestSymplecticForm:
     def test_standard_form_matrix(self, form):
