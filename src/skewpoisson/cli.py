@@ -33,8 +33,7 @@ from ._version import __version__
 from .config import ConfigError, ScenarioConfig
 from .groups import FiniteMatrixGroup, is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
-from .obstruction import (Certificate, ObstructionProblem, Verdict, solve_ladder,
-                          target_poly)
+from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
 from .poly import SymplecticForm, format_poly, poisson_bracket
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest, suite_names
@@ -357,7 +356,7 @@ def run_counterexample(
         stage_prefix = f"psi={psi_name}"
         try:
             psi = config.polynomial_or_inline(psi_name)
-            target = target_poly(group, phi, psi, class_index, form)
+            problem = ObstructionProblem(group, phi, psi, class_index, ladder[-1], form)
         except ValueError as exc:
             return fail(f"{stage_prefix}:target", exc)
         report.add(f"{stage_prefix}:target", STATUS_OK, {
@@ -366,12 +365,11 @@ def run_counterexample(
             "class_rep": spec.class_rep,
             "class_index": class_index,
             "bracket": format_poly(poisson_bracket(phi, psi, form)),
-            "target": format_poly(target),
+            "target": format_poly(problem.target),
         })
 
         steps = []
         try:
-            problem = ObstructionProblem(group, phi, psi, class_index, ladder[-1], form)
             for bound, cert in zip(ladder, solve_ladder(problem, ladder)):
                 steps.append({"degree": bound, **_certificate_payload(cert)})
         except (ValueError, RuntimeError) as exc:

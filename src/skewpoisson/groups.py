@@ -250,10 +250,14 @@ class FiniteMatrixGroup:
         ``conjugators`` pairs each member ``h`` (ascending) with the
         lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k``
         moves a part at ``h`` onto ``rep``; the representative is paired
-        with the identity.
+        with the identity.  An index outside the classes, negative ones
+        included, raises ``ValueError``.
         """
         cached = self._restrictions.get(class_index)
         if cached is None:
+            if not 0 <= class_index < len(self.classes):
+                raise ValueError(f"class index {class_index} out of range "
+                                 f"(group has {len(self.classes)} classes)")
             cls = self.classes[class_index]
             rep = cls.representative
             table, inv = self.mul_table, self.inverse_table

@@ -8,7 +8,7 @@ row-reduction machinery are sparse dicts mapping a column index to a nonzero
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 SparseVec = dict  # dict[int, Fraction], zero entries never stored
@@ -257,20 +257,3 @@ class RowSpace:
             reduced[p] = row
         return [reduced[p] for p in pivots]
 
-
-def solve_combination(vectors: Sequence[SparseVec], target: SparseVec):
-    """Solve ``sum(c_i * vectors[i]) = target`` exactly, or separate the
-    target from the span, from one tracked reduction.
-
-    Returns ``(coeffs, rank, residual, witness)``.  When the system is
-    consistent, ``coeffs`` is a list of Fractions, ``residual`` is an empty
-    dict and ``witness`` is ``None``.  Otherwise ``coeffs`` is ``None``,
-    ``residual`` is the part of ``target`` outside the span, and ``witness``
-    is the functional of :meth:`RowSpace.separating`.
-    """
-    space = RowSpace(track=True)
-    for vec in vectors:
-        space.add(vec)
-    coeffs, residual = space.solve(target)
-    witness = None if coeffs is not None else space.separating(residual)
-    return coeffs, space.rank, residual, witness

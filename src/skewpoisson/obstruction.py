@@ -14,7 +14,8 @@ its rank data and a dual witness (a functional on monomials that kills
 every candidate image but not the target), and a divisor argument (some
 variable divides every monomial every candidate image can ever contain,
 but not the target) upgrades infeasibility to all degrees.  Every verdict
-ships as a replayable certificate.
+ships as a certificate that :func:`replay_certificate` checks against the
+target its :class:`ObstructionProblem` computed on construction.
 
 :func:`solve_ladder` decides a ladder of degree bounds in one pass: it
 projects each candidate multiplier image once and grows one row reduction
@@ -27,7 +28,7 @@ case.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
@@ -86,26 +87,28 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ObstructionProblem:
+    """One obstruction instance.  Construction validates it and computes its
+    ``target`` by :func:`target_poly`, which every solve and replay reads."""
+
     group: FiniteMatrixGroup
     phi: Polynomial
     psi: Polynomial
     class_index: int
     degree_bound: int
     form: SymplecticForm
+    target: Polynomial = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.class_index < len(self.group.classes):
             raise ValueError(f"class index {self.class_index} out of range")
-        if self.class_index == 0:
-            raise ValueError("the obstruction concerns non-identity classes only")
         if self.degree_bound < 0:
             raise ValueError("degree bound must be non-negative")
         if self.phi.nvars != self.group.dim or self.psi.nvars != self.group.dim:
             raise ValueError("polynomial variable count does not match the group")
         if self.form.nvars != self.group.dim:
             raise ValueError("form dimension does not match the group")
-        if not is_invariant(self.group, self.phi):
-            raise ValueError("phi must be invariant under the whole group")
+        object.__setattr__(self, "target", target_poly(
+            self.group, self.phi, self.psi, self.class_index, self.form))
 
 
 def target_poly(
@@ -116,18 +119,12 @@ def target_poly(
     form: SymplecticForm,
 ) -> Polynomial:
     """Class projection of the bracket term: the inhomogeneous side of the
-    obstruction equation.  Rejects a non-invariant ``phi``."""
-    if not is_invariant(group, phi):
-        raise ValueError("phi must be invariant under the whole group")
+    obstruction equation.  Rejects the identity class and a non-invariant
+    ``phi``."""
     if class_index == 0:
         raise ValueError("the obstruction concerns non-identity classes only")
-    return _project_bracket(group, phi, psi, class_index, form)
-
-
-def _project_bracket(group: FiniteMatrixGroup, phi: Polynomial, psi: Polynomial,
-                     class_index: int, form: SymplecticForm) -> Polynomial:
-    """:func:`target_poly` without its checks, for a problem whose
-    ``__post_init__`` already made them."""
+    if not is_invariant(group, phi):
+        raise ValueError("phi must be invariant under the whole group")
     rep = group.classes[class_index].representative
     bracket = poisson_bracket(phi, psi, form)
     return hh0_project(SkewElement.term(group, bracket, rep), class_index)
@@ -230,7 +227,7 @@ def solve_ladder(problem: ObstructionProblem,
     that grows across the rungs.  That space's state depends only on the
     sequence of vectors inserted, so every rung reproduces the rank,
     residual, multiplier and dual witness of a fresh solve exactly.  The
-    target and the divisor test are computed once per ladder.
+    target is the problem's, and the divisor test runs once per ladder.
     """
     bounds = tuple(bounds)
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
@@ -238,7 +235,7 @@ def solve_ladder(problem: ObstructionProblem,
     if bounds and bounds[0] < 0:
         raise ValueError("degree bound must be non-negative")
     group, psi, class_index = problem.group, problem.psi, problem.class_index
-    target = _project_bracket(group, problem.phi, psi, class_index, problem.form)
+    target = problem.target
     goal = (-target).to_vector()
     space = linalg.RowSpace(track=True)
     images = []  # (exponents, image) for every candidate up to the last rung
@@ -261,7 +258,7 @@ def solve_ladder(problem: ObstructionProblem,
                 {exps: c for (exps, _), c in zip(images, coeffs) if c},
             )
             cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
-            if not _replays(problem, cert, target):
+            if not replay_certificate(problem, cert):
                 raise RuntimeError("feasible certificate failed to replay")
             yield cert
             return
@@ -328,23 +325,15 @@ def collapse_to_sigma(d_of_g: SkewElement, g: ElementLike) -> Polynomial:
 def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
     """Re-verify a certificate against its problem from first principles.
 
-    The target is recomputed from the problem and must equal the one the
-    certificate records.  Feasible: substitute the multiplier back and
-    demand exact zero.  All-degrees: recompute the degree-independent image
-    generators and rescan them and the target for the divisor property.
+    The certificate's target must equal the one the problem computed on
+    construction.  Feasible: substitute the multiplier back and demand exact
+    zero.  All-degrees: recompute the degree-independent image generators
+    and rescan them and the target for the divisor property.
     Degree-bounded: recompute the candidate images and demand that the dual
     witness vanishes on each of them but not on the target, which takes dot
     products only, no row reduction.
     """
-    target = _project_bracket(problem.group, problem.phi, problem.psi,
-                              problem.class_index, problem.form)
-    return _replays(problem, cert, target)
-
-
-def _replays(problem: ObstructionProblem, cert: Certificate,
-             target: Polynomial) -> bool:
-    """:func:`replay_certificate` against a target already computed from
-    the problem."""
+    target = problem.target
     if cert.target != target:
         return False
     group = problem.group

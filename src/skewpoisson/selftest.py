@@ -39,7 +39,6 @@ from .obstruction import (
     sigma_image_basis,
     solve_ladder,
     solve_sigma,
-    target_poly,
 )
 from .parse import format_poly, parse_poly
 from .poly import (
@@ -537,8 +536,7 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
 
     # the divisor certificate never contradicts the solver
     generators = multiplier_image_generators(group, psi, class_index)
-    target = target_poly(group, phi, psi, class_index, form)
-    witness = divisor_certificate(generators, target)
+    witness = divisor_certificate(generators, top.target)
     check.record(witness is not None,
                  lambda: "the bundled instance lost its divisor witness")
     return check.result()

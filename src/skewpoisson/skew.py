@@ -244,10 +244,6 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     averaged over the centralizer, every move by an element's own action.
     """
     group = a.group
-    if not 0 <= class_index < len(group.classes):
-        raise ValueError(
-            f"class index {class_index} out of range (group has {len(group.classes)} classes)"
-        )
     restrict, conjugators = group.class_restriction(class_index)
     elements = group.elements
     moved = None

@@ -328,6 +328,8 @@ GOLDEN_EXIT_CODES = {
     "group_missing_config.machine.json": 2,
     "project_multi_part.machine.json": 0,
     "project_multi_part.text": 0,
+    "obstruction_psi_sweep_degree3.machine.json": 0,
+    "obstruction_psi_parse_error.machine.json": 2,
 }
 
 # parts on b and c (one class, so c is moved onto b by a non-identity
@@ -357,6 +359,10 @@ PROJECT_PARTS = ["--part", "b:x1^2*x2 + x3*x4 - 2*x1",
     (["project", *PROJECT_PARTS, "--format", "text"], "project_multi_part.text"),
     (["obstruction", "--degree", "16", "--format", "machine"],
      "obstruction_degree16.machine.json"),
+    (["obstruction", "--degree", "3", "--psi", "h1", "--psi", "f1", "--psi", "x1",
+      "--format", "machine"], "obstruction_psi_sweep_degree3.machine.json"),
+    (["obstruction", "--degree", "2", "--psi", "f1", "--psi", "(x1",
+      "--format", "machine"], "obstruction_psi_parse_error.machine.json"),
 ])
 def test_machine_reports_match_golden_files(capsys, argv, golden):
     """Reports stay byte for byte what the files under tests/data record,

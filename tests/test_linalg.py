@@ -17,7 +17,6 @@ from skewpoisson.linalg import (
     mat_scale,
     matrix_from_rows,
     parse_scalar,
-    solve_combination,
     transpose,
 )
 
@@ -104,17 +103,25 @@ class TestRowSpace:
             {1: Fraction(1), 2: Fraction(1)},
         ]
 
-    def test_solve_combination_consistent(self):
+    @staticmethod
+    def tracked(vectors):
+        space = RowSpace(track=True)
+        for vec in vectors:
+            space.add(vec)
+        return space
+
+    def test_solve_consistent(self):
         vectors = [
             {0: Fraction(1), 1: Fraction(1)},
             {1: Fraction(1)},
             {0: Fraction(1)},  # dependent on the first two
         ]
         target = {0: Fraction(3), 1: Fraction(5)}
-        coeffs, rank, residual, witness = solve_combination(vectors, target)
-        assert rank == 2
+        space = self.tracked(vectors)
+        coeffs, residual = space.solve(target)
+        assert space.rank == 2
+        assert coeffs is not None
         assert residual == {}
-        assert witness is None
         # replay the combination exactly
         acc: dict = {}
         for c, vec in zip(coeffs, vectors):
@@ -122,14 +129,15 @@ class TestRowSpace:
                 acc[col] = acc.get(col, Fraction(0)) + c * val
         assert {k: v for k, v in acc.items() if v} == target
 
-    def test_solve_combination_inconsistent(self):
+    def test_solve_inconsistent(self):
         vectors = [{0: Fraction(1)}]
         target = {1: Fraction(1)}
-        coeffs, rank, residual, witness = solve_combination(vectors, target)
+        space = self.tracked(vectors)
+        coeffs, residual = space.solve(target)
         assert coeffs is None
-        assert rank == 1
+        assert space.rank == 1
         assert residual == {1: Fraction(1)}
-        assert witness == {1: Fraction(1)}
+        assert space.separating(residual) == {1: Fraction(1)}
 
     def test_separating_functional(self):
         vectors = [
@@ -138,8 +146,10 @@ class TestRowSpace:
             {0: Fraction(1), 1: Fraction(2), 3: Fraction(2)},  # the sum of the first two
         ]
         target = {2: Fraction(3), 3: Fraction(1)}
-        coeffs, _, _, y = solve_combination(vectors, target)
+        space = self.tracked(vectors)
+        coeffs, residual = space.solve(target)
         assert coeffs is None
+        y = space.separating(residual)
         # column 2 is the target's first non-pivot column; the reduced rows
         # reach it from pivots 0 and 1
         assert y == {2: Fraction(1), 0: Fraction(-1), 1: Fraction(1, 2)}
@@ -152,8 +162,16 @@ class TestRowSpace:
 
     def test_no_separating_functional_inside_the_span(self):
         vectors = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-        _, _, _, y = solve_combination(vectors, {0: Fraction(2)})
-        assert y is None
+        coeffs, residual = self.tracked(vectors).solve({0: Fraction(2)})
+        # nothing is left to separate: the target is a combination of the inputs
+        assert coeffs is not None
+        assert residual == {}
+
+    def test_solve_needs_a_tracked_space(self):
+        space = RowSpace()
+        space.add({0: Fraction(1)})
+        with pytest.raises(ValueError, match="track=True"):
+            space.solve({0: Fraction(1)})
 
     def test_zero_vector_never_increases_rank(self):
         space = RowSpace()

@@ -111,6 +111,11 @@ class TestDivisorCertificate:
         gens = multiplier_image_generators(group, named["h1"], class_of_b)
         assert gens == (P("x3*x4"),)
 
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_generators_reject_a_class_index_out_of_range(self, group, named, index):
+        with pytest.raises(ValueError, match=f"class index {index} out of range"):
+            multiplier_image_generators(group, named["h1"], index)
+
     @pytest.mark.parametrize("name", ["group", "s3_group"])
     def test_generators_are_restricted_translates(self, request, name):
         """Each generator is restrict(k . psi) for k in the centralizer, in
@@ -347,6 +352,49 @@ class TestInvarianceCheckedOnce:
     def test_public_target_still_checks(self, counted, group, form, named, class_of_b):
         target_poly(group, named["f1"], named["h1"], class_of_b, form)
         assert len(counted) == 1
+
+
+def counting(monkeypatch, name):
+    """Count the calls of the function ``obstruction`` binds to ``name``."""
+    calls = []
+    original = getattr(obstruction, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obstruction, name, wrapper)
+    return calls
+
+
+class TestTargetComputedOnce:
+    """A problem computes its target on construction; solving, the solver's
+    own replay and a later replay all read it."""
+
+    @pytest.mark.parametrize("psi, word, degree, verdict", [
+        ("h1", "b", 2, Verdict.INFEASIBLE_ALL_DEGREES),
+        ("h3", "b", 4, Verdict.FEASIBLE),  # replayed inside the solve too
+        ("h1", "e", 2, Verdict.INFEASIBLE_AT_DEGREE),
+    ])
+    def test_one_bracket_per_problem(self, monkeypatch, group, form, named,
+                                     psi, word, degree, verdict):
+        brackets = counting(monkeypatch, "poisson_bracket")
+        i = group.class_of(group.element_from_word(word))
+        problem = ObstructionProblem(group, named["f1"], named[psi], i, degree, form)
+        cert = solve_sigma(problem)
+        assert cert.verdict is verdict
+        assert replay_certificate(problem, cert)
+        assert len(brackets) == 1
+        assert cert.target == target_poly(group, named["f1"], named[psi], i, form)
+
+    def test_pipeline_projects_each_target_once(self, monkeypatch, config):
+        invariance = counting(monkeypatch, "is_invariant")
+        brackets = counting(monkeypatch, "poisson_bracket")
+        report = run_counterexample(config, psi_names=["h1", "f1"],
+                                    degree_ladder=[0, 2])
+        assert report.verdict == "h1: INFEASIBLE_ALL_DEGREES (witness x4); f1: FEASIBLE"
+        assert len(invariance) == 2
+        assert len(brackets) == 2
 
 
 def monomial_count(degree, nvars=4):

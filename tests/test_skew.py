@@ -224,6 +224,13 @@ class TestCompiledProjection:
         i = group.class_of(group.element_from_word("e"))
         assert group.class_restriction(i) is group.class_restriction(i)
 
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_class_index_out_of_range(self, group, index):
+        # -1 would otherwise index the last class
+        with pytest.raises(ValueError, match=f"class index {index} out of range "
+                                             r"\(group has 5 classes\)"):
+            group.class_restriction(index)
+
     @pytest.mark.parametrize("name", ["group", "s3_group"])
     def test_conjugators_move_each_member_onto_the_representative(self, request, name):
         group = request.getfixturevalue(name)
