@@ -56,7 +56,7 @@ from .skew import (
     commutator,
     hh0_project,
     inner_derivation_g_part,
-    restrict_to_fixed,
+    project_term,
     trace_vector,
 )
 
@@ -108,6 +108,6 @@ __all__ = [
     "commutator",
     "hh0_project",
     "inner_derivation_g_part",
-    "restrict_to_fixed",
+    "project_term",
     "trace_vector",
 ]

@@ -364,7 +364,7 @@ def run_counterexample(
             "psi": psi_name,
             "class_rep": spec.class_rep,
             "class_index": class_index,
-            "bracket": format_poly(poisson_bracket(phi, psi, form)),
+            "bracket": format_poly(problem.bracket),
             "target": format_poly(problem.target),
         })
 

@@ -17,12 +17,8 @@ Actions on polynomials are compiled lazily and kept as long as the group,
 with the monomial memos of their non-monomial maps: each element's
 ``action``, the :class:`~skewpoisson.poly.LinearSubstitution` of its inverse
 matrix, and per conjugacy class one restriction to the fixed space of the
-representative ``rep`` (:meth:`FiniteMatrixGroup.class_restriction`).  A
-class projection needs nothing else.  The ``k`` with ``k^-1 rep k == h``
-form one coset ``C k_h`` of the centralizer ``C``, and the restriction, a
-substitution by the average ``P`` of the powers of ``rep``, commutes with
-each ``c`` in ``C`` because ``P`` does; so acting by every ``k`` of the
-coset and restricting is averaging ``c . restrict(k_h . part)`` over ``C``.
+representative (:meth:`FiniteMatrixGroup.class_restriction`).  A class
+projection (:mod:`skewpoisson.skew`) needs nothing else.
 """
 
 from __future__ import annotations

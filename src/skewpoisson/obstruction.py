@@ -35,7 +35,7 @@ from . import linalg
 from .groups import ElementLike, FiniteMatrixGroup, act_on_poly
 from .invariants import is_invariant
 from .poly import Polynomial, SymplecticForm, monomials_of_degree, poisson_bracket
-from .skew import SkewElement, hh0_project
+from .skew import SkewElement, project_term
 
 __all__ = [
     "Verdict",
@@ -87,8 +87,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ObstructionProblem:
-    """One obstruction instance.  Construction validates it and computes its
-    ``target`` by :func:`target_poly`, which every solve and replay reads."""
+    """One obstruction instance.  Construction validates it and computes the
+    ``bracket`` {phi, psi} and its class projection ``target``, the value of
+    :func:`target_poly`, which every solve and replay reads."""
 
     group: FiniteMatrixGroup
     phi: Polynomial
@@ -96,6 +97,7 @@ class ObstructionProblem:
     class_index: int
     degree_bound: int
     form: SymplecticForm
+    bracket: Polynomial = field(init=False)
     target: Polynomial = field(init=False)
 
     def __post_init__(self):
@@ -107,8 +109,10 @@ class ObstructionProblem:
             raise ValueError("polynomial variable count does not match the group")
         if self.form.nvars != self.group.dim:
             raise ValueError("form dimension does not match the group")
-        object.__setattr__(self, "target", target_poly(
-            self.group, self.phi, self.psi, self.class_index, self.form))
+        _check_target_inputs(self.group, self.phi, self.class_index)
+        bracket = poisson_bracket(self.phi, self.psi, self.form)
+        object.__setattr__(self, "bracket", bracket)
+        object.__setattr__(self, "target", project_term(self.group, bracket, self.class_index))
 
 
 def target_poly(
@@ -121,13 +125,17 @@ def target_poly(
     """Class projection of the bracket term: the inhomogeneous side of the
     obstruction equation.  Rejects the identity class and a non-invariant
     ``phi``."""
+    _check_target_inputs(group, phi, class_index)
+    return project_term(group, poisson_bracket(phi, psi, form), class_index)
+
+
+def _check_target_inputs(group: FiniteMatrixGroup, phi: Polynomial,
+                         class_index: int) -> None:
+    """The checks :func:`target_poly` and :class:`ObstructionProblem` share."""
     if class_index == 0:
         raise ValueError("the obstruction concerns non-identity classes only")
     if not is_invariant(group, phi):
         raise ValueError("phi must be invariant under the whole group")
-    rep = group.classes[class_index].representative
-    bracket = poisson_bracket(phi, psi, form)
-    return hh0_project(SkewElement.term(group, bracket, rep), class_index)
 
 
 def sigma_image_basis(
@@ -145,13 +153,11 @@ def sigma_image_basis(
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    rep = group.classes[class_index].representative
     out = []
     for degree in range(min_degree, degree_bound + 1):
         for exps in monomials_of_degree(group.dim, degree):
             mono = Polynomial.monomial(group.dim, exps)
-            image = hh0_project(SkewElement.term(group, psi * mono, rep), class_index)
-            out.append((exps, image))
+            out.append((exps, project_term(group, psi * mono, class_index)))
     return out
 
 
@@ -340,11 +346,7 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
     if cert.verdict is Verdict.FEASIBLE:
         if cert.sigma is None:
             return False
-        rep = group.classes[problem.class_index].representative
-        image = hh0_project(
-            SkewElement.term(group, problem.psi * cert.sigma, rep),
-            problem.class_index,
-        )
+        image = project_term(group, problem.psi * cert.sigma, problem.class_index)
         return (target + image).is_zero
     if cert.verdict is Verdict.INFEASIBLE_ALL_DEGREES:
         v = cert.divisor_witness

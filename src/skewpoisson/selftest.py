@@ -47,7 +47,13 @@ from .poly import (
     poisson_bracket,
     substitute_linear,
 )
-from .skew import SkewElement, commutator, hh0_project, inner_derivation_g_part
+from .skew import (
+    SkewElement,
+    commutator,
+    hh0_project,
+    inner_derivation_g_part,
+    project_term,
+)
 
 DEFAULT_SEED = 20240809
 
@@ -365,9 +371,8 @@ def _suite_hh0_idempotence(rng: random.Random, env: _Env) -> SuiteResult:
     for _ in range(200):
         a = _skew(rng, group)
         i = rng.randrange(len(group.classes))
-        rep = group.classes[i].representative
         once = hh0_project(a, i)
-        twice = hh0_project(SkewElement.term(group, once, rep), i)
+        twice = project_term(group, once, i)
         check.record(twice == once, lambda: f"projection onto class {i} not idempotent")
     return check.result()
 
@@ -386,10 +391,7 @@ def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
             if table[table[k][h]][inv[k]] == cls.representative
         )
         lhs = hh0_project(SkewElement.term(group, psi, h), cls.index)
-        moved = act_on_poly(group.elements[k], psi)
-        rhs = hh0_project(
-            SkewElement.term(group, moved, cls.representative), cls.index
-        )
+        rhs = project_term(group, act_on_poly(group.elements[k], psi), cls.index)
         check.record(lhs == rhs,
                      lambda: f"conjugation invariance failed on class {cls.index}")
     return check.result()
@@ -400,7 +402,7 @@ def _suite_hh0_invariant_summand(rng: random.Random, env: _Env) -> SuiteResult:
     group = env.group
     for _ in range(200):
         psi = reynolds(group, _poly(rng, group.dim, 4))
-        projected = hh0_project(SkewElement.from_polynomial(group, psi), 0)
+        projected = project_term(group, psi, 0)
         check.record(projected == psi,
                      lambda: "identity-class projection moved an invariant")
     return check.result()
@@ -513,9 +515,7 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
         (m1, img1), (m2, img2) = rng.sample(images, 2)
         alpha, beta = _fraction(rng), _fraction(rng)
         combo = Polynomial(4, {m1: alpha}) + Polynomial(4, {m2: beta})
-        direct = hh0_project(
-            SkewElement.term(group, psi * combo, rep), class_index
-        )
+        direct = project_term(group, psi * combo, class_index)
         check.record(direct == img1 * alpha + img2 * beta,
                      lambda: "image map is not linear")
 
@@ -528,9 +528,7 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
         for _, img in sigma_image_basis(group, psi, class_index, degree):
             if not img.is_zero:
                 span.add(img.to_vector())
-        image = hh0_project(
-            SkewElement.term(group, psi * collapsed, rep), class_index
-        )
+        image = project_term(group, psi * collapsed, class_index)
         check.record(image.is_zero or span.contains(image.to_vector()),
                      lambda: "collapsed multiplier escaped the image span")
 

@@ -6,9 +6,10 @@ written ``sum_g psi_g . g``.  The product twists by the group action,
     (psi . g)(phi . h) = (psi * (g . phi)) . (g h),
 
 extended bilinearly.  On top of the ring structure this module provides the
-trace-space machinery: restriction of a polynomial to the fixed space of a
-group element, and the per-conjugacy-class projections whose direct sum
-realizes the zeroth Hochschild homology of the algebra.  The class-``i``
+trace-space machinery: the per-conjugacy-class projections whose direct sum
+realizes the zeroth Hochschild homology of the algebra, of a single term at
+the class representative (:func:`project_term`) and of a whole element
+(:func:`hh0_project`, which reduces to the former).  The class-``i``
 projection sends a commutator to zero and acts as the identity on
 ``psi . g_i`` whenever ``psi`` is a centralizer-invariant polynomial on the
 fixed space of the representative ``g_i``; both facts are what the
@@ -25,17 +26,15 @@ from typing import Mapping
 from .groups import (
     ElementLike,
     FiniteMatrixGroup,
-    GroupElement,
     act_on_poly,
-    fixed_projection,
 )
-from .poly import Polynomial, format_poly, substitute_linear
+from .poly import Polynomial, format_poly
 
 __all__ = [
     "NotFixedError",
     "SkewElement",
     "commutator",
-    "restrict_to_fixed",
+    "project_term",
     "hh0_project",
     "TraceVector",
     "trace_vector",
@@ -216,14 +215,25 @@ def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
     return a * b - b * a
 
 
-def restrict_to_fixed(p: Polynomial, g: GroupElement) -> Polynomial:
-    """Restrict a polynomial to the fixed space of ``g`` (re-embedded).
+def project_term(group: FiniteMatrixGroup, poly: Polynomial, class_index: int) -> Polynomial:
+    """Trace-space projection of the single term ``poly . rep`` onto a
+    conjugacy class with representative ``rep``.
 
-    Implemented as composition with the averaging projection of ``g``, so
-    the result is again a polynomial in the ambient variables; the map is
-    idempotent and kills every difference ``x - g . x``.
+    ``poly`` is restricted once, by the class's cached restriction to the
+    fixed space of ``rep``, and the result is averaged over the centralizer
+    of ``rep``.  The image is exactly the polynomials on that fixed space
+    that the centralizer leaves invariant, and on them the map is the
+    identity.  An index outside the classes raises ``ValueError``.
     """
-    return substitute_linear(p, fixed_projection(g))
+    restrict, _ = group.class_restriction(class_index)
+    fixed = restrict(poly)
+    centralizer = group.classes[class_index].centralizer
+    total = fixed
+    if not fixed.is_zero:
+        for c in centralizer:
+            if c:
+                total = total + group.elements[c].action(fixed)
+    return total * Fraction(1, len(centralizer))
 
 
 def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
@@ -233,37 +243,24 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     the sum over all ``k`` in the group of ``restrict(k . a_(k^-1 rep k))``,
     normalized by the centralizer order so the projection is idempotent.
     Vanishes on every commutator.  The ``k`` with ``k^-1 rep k == h`` form
-    one coset ``C k_h`` of the centralizer ``C``, and the restriction
-    commutes with each ``c`` in ``C`` (the fixed-space projection of ``rep``
-    commutes with ``c``), so the sum is
+    one coset ``C k_h`` of the centralizer ``C``, and the restriction, a
+    substitution by the average of the powers of ``rep``, commutes with each
+    ``c`` in ``C``; so the sum is
 
-        (1/|C|) sum_(c in C) c . restrict(sum_h k_h . a_h)
+        (1/|C|) sum_(c in C) c . restrict(sum_h k_h . a_h),
 
-    for the conjugators ``k_h`` of :meth:`FiniteMatrixGroup.class_restriction`:
-    each part is moved once, the sum is restricted once, and the result is
-    averaged over the centralizer, every move by an element's own action.
+    the projection of the single term ``(sum_h k_h . a_h) . rep`` by
+    :func:`project_term`, for the conjugators ``k_h`` of
+    :meth:`FiniteMatrixGroup.class_restriction`.
     """
     group = a.group
-    restrict, conjugators = group.class_restriction(class_index)
-    elements = group.elements
-    moved = None
+    _, conjugators = group.class_restriction(class_index)
+    moved = Polynomial.zero(group.dim)
     for h, k in conjugators:
         part = a._parts.get(h)
-        if part is None:
-            continue
-        if k:
-            part = elements[k].action(part)
-        moved = part if moved is None else moved + part
-    if moved is None:
-        return Polynomial.zero(group.dim)
-    fixed = restrict(moved)
-    centralizer = group.classes[class_index].centralizer
-    total = fixed
-    if not fixed.is_zero:
-        for c in centralizer:
-            if c:
-                total = total + elements[c].action(fixed)
-    return total * Fraction(1, len(centralizer))
+        if part is not None:
+            moved = moved + (group.elements[k].action(part) if k else part)
+    return project_term(group, moved, class_index)
 
 
 @dataclass(frozen=True)
@@ -278,15 +275,10 @@ class TraceVector:
 
     def validate(self) -> bool:
         """Each component must live on the representative's fixed space and
-        be invariant under the representative's centralizer."""
-        for cls, comp in zip(self.group.classes, self.components):
-            restrict, _ = self.group.class_restriction(cls.index)
-            if restrict(comp) != comp:
-                return False
-            for h in cls.centralizer:
-                if act_on_poly(self.group.elements[h], comp) != comp:
-                    return False
-        return True
+        be invariant under the representative's centralizer: exactly the
+        polynomials :func:`project_term` leaves unchanged."""
+        return all(project_term(self.group, comp, i) == comp
+                   for i, comp in enumerate(self.components))
 
 
 def trace_vector(a: SkewElement) -> TraceVector:

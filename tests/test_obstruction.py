@@ -6,10 +6,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from skewpoisson import obstruction
+from skewpoisson import cli, obstruction
 from skewpoisson import (
     Certificate,
     ObstructionProblem,
@@ -66,6 +67,12 @@ class TestTarget:
         with pytest.raises(ValueError, match="non-identity"):
             target_poly(group, named["f1"], named["h1"], 0, form)
 
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_class_index_out_of_range(self, group, form, named, index):
+        with pytest.raises(ValueError, match=f"class index {index} out of range "
+                                             r"\(group has 5 classes\)"):
+            target_poly(group, named["f1"], named["h1"], index, form)
+
 
 class TestImageBasis:
     def test_degree_zero_single_image(self, group, named, class_of_b):
@@ -80,6 +87,12 @@ class TestImageBasis:
     def test_image_of_x3x4(self, group, named, class_of_b):
         images = dict(sigma_image_basis(group, named["h1"], class_of_b, 2))
         assert images[(0, 0, 1, 1)] == P("x3^2*x4^2")
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_class_index_out_of_range(self, group, named, index):
+        with pytest.raises(ValueError, match=f"class index {index} out of range "
+                                             r"\(group has 5 classes\)"):
+            sigma_image_basis(group, named["h1"], index, 1)
 
     def test_images_are_linear_in_the_multiplier(self, group, named, class_of_b):
         b = group.element_from_word("b")
@@ -354,16 +367,16 @@ class TestInvarianceCheckedOnce:
         assert len(counted) == 1
 
 
-def counting(monkeypatch, name):
-    """Count the calls of the function ``obstruction`` binds to ``name``."""
+def counting(monkeypatch, name, module=obstruction):
+    """Count the calls of the function ``module`` binds to ``name``."""
     calls = []
-    original = getattr(obstruction, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(obstruction, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -390,11 +403,13 @@ class TestTargetComputedOnce:
     def test_pipeline_projects_each_target_once(self, monkeypatch, config):
         invariance = counting(monkeypatch, "is_invariant")
         brackets = counting(monkeypatch, "poisson_bracket")
+        reported = counting(monkeypatch, "poisson_bracket", module=cli)
         report = run_counterexample(config, psi_names=["h1", "f1"],
                                     degree_ladder=[0, 2])
         assert report.verdict == "h1: INFEASIBLE_ALL_DEGREES (witness x4); f1: FEASIBLE"
         assert len(invariance) == 2
-        assert len(brackets) == 2
+        # the target stage reports the bracket its problem computed
+        assert len(brackets) + len(reported) == 2
 
 
 def monomial_count(degree, nvars=4):
@@ -424,14 +439,7 @@ class TestLadder:
 
     def test_each_image_is_projected_once(self, monkeypatch, group, form, named,
                                           class_of_b):
-        calls = []
-        original = obstruction.hh0_project
-
-        def counting(element, class_index):
-            calls.append(class_index)
-            return original(element, class_index)
-
-        monkeypatch.setattr(obstruction, "hh0_project", counting)
+        calls = counting(monkeypatch, "project_term")
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
         certs = list(solve_ladder(problem, range(9)))
         assert len(certs) == 9
@@ -459,6 +467,32 @@ class TestLadder:
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 3, form)
         with pytest.raises(ValueError, match="strictly increasing"):
             list(solve_ladder(problem, bounds))
+
+
+PINNED_CERTIFICATES = Path(__file__).parent / "data" / "certificates.repr"
+PINNED_PSIS = ("f1", "f2", "h1", "h2", "h3", "h4",
+               "2*x1^2 + x1*x2 - x3*x2 + 3*x2*x4", "x1*x3 + x4 - 1/2*x2^2")
+PINNED_LADDER = (0, 2, 3, 4)
+
+
+def certificate_reprs(group, form, named):
+    """The ``repr`` of every certificate a ladder solve yields over the
+    pinned grid, one a line: phi in f1/h1/h2, the pinned psis, every
+    non-identity class of the bundled group."""
+    lines = []
+    for phi in ("f1", "h1", "h2"):
+        for psi in PINNED_PSIS:
+            psi_poly = named[psi] if psi in named else P(psi)
+            for i in range(1, len(group.classes)):
+                problem = ObstructionProblem(group, named[phi], psi_poly, i,
+                                             PINNED_LADDER[-1], form)
+                lines.extend(repr(c) for c in solve_ladder(problem, PINNED_LADDER))
+    return "\n".join(lines) + "\n"
+
+
+def test_certificates_match_the_pinned_copy(group, form, named):
+    """Every certificate of the grid is byte-identical to the pinned copy."""
+    assert certificate_reprs(group, form, named) == PINNED_CERTIFICATES.read_text()
 
 
 class TestCollapse:

@@ -11,11 +11,12 @@ from skewpoisson import (
     NotFixedError,
     Polynomial,
     SkewElement,
+    TraceVector,
     commutator,
     hh0_project,
     inner_derivation_g_part,
     parse_poly,
-    restrict_to_fixed,
+    project_term,
     substitute_linear,
     trace_vector,
 )
@@ -106,24 +107,29 @@ class TestCommutatorAndParts:
             a.g_part(alien)
 
 
+def restriction(group, word):
+    """The cached restriction of the class that ``word`` represents."""
+    g = group.element_from_word(word)
+    i = group.class_of(g)
+    assert group.classes[i].representative == g.index
+    return group.class_restriction(i)[0]
+
+
 class TestRestriction:
     def test_bracket_restricts_to_fixed_block(self, group):
-        b = group.element_from_word("b")
-        assert restrict_to_fixed(P("2*x1^2 + 2*x3^2"), b) == P("2*x3^2")
+        assert restriction(group, "b")(P("2*x1^2 + 2*x3^2")) == P("2*x3^2")
 
     def test_identity_restriction(self, group):
         p = P("x1^4 - x2*x3")
-        assert restrict_to_fixed(p, group.identity) == p
+        assert restriction(group, "1")(p) == p
 
     def test_invariant_generator_restricts_to_one_term(self, group):
-        b = group.element_from_word("b")
-        assert restrict_to_fixed(P("x1*x2 + x3*x4"), b) == P("x3*x4")
+        assert restriction(group, "b")(P("x1*x2 + x3*x4")) == P("x3*x4")
 
     def test_idempotent(self, group):
-        b = group.element_from_word("b")
-        p = P("x1^2 + x2*x3 + x3*x4^3")
-        once = restrict_to_fixed(p, b)
-        assert restrict_to_fixed(once, b) == once
+        restrict = restriction(group, "b")
+        once = restrict(P("x1^2 + x2*x3 + x3*x4^3"))
+        assert restrict(once) == once
 
 
 class TestProjection:
@@ -176,6 +182,17 @@ class TestProjection:
         assert len(vector.components) == len(group.classes)
         assert vector.validate()
 
+    @pytest.mark.parametrize("text", [
+        "x1",  # off the fixed space of b
+        "x3",  # on it, but c, which commutes with b, negates x3
+    ])
+    def test_fabricated_trace_vector_fails_validation(self, group, text):
+        i = group.class_of(group.element_from_word("b"))
+        zero = Polynomial.zero(group.dim)
+        comps = tuple(P(text) if j == i else zero for j in range(len(group.classes)))
+        assert TraceVector(group, (zero,) * len(comps)).validate()
+        assert not TraceVector(group, comps).validate()
+
 
 def two_step_projection(a, class_index):
     """hh0_project by its definition: move each part by k (substitution by
@@ -219,6 +236,17 @@ class TestCompiledProjection:
             a = random_skew_element(rng, group)
             for i in range(len(group.classes)):
                 assert hh0_project(a, i) == two_step_projection(a, i)
+
+    @pytest.mark.parametrize("name", ["group", "s3_group", "b3_group"])
+    def test_single_term_matches_two_step_definition(self, request, name):
+        group = request.getfixturevalue(name)
+        rng = random.Random(f"term:{name}")
+        for _ in range(4):
+            p = random_poly(rng, group.dim)
+            for cls in group.classes:
+                term = SkewElement.term(group, p, cls.representative)
+                assert project_term(group, p, cls.index) == two_step_projection(
+                    term, cls.index)
 
     def test_maps_are_compiled_once_per_class(self, group):
         i = group.class_of(group.element_from_word("e"))
