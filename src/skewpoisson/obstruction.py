@@ -18,11 +18,13 @@ ships as a certificate that :func:`replay_certificate` checks against the
 target its :class:`ObstructionProblem` computed on construction.
 
 :func:`solve_ladder` decides a ladder of degree bounds in one pass: it
-projects each candidate multiplier image once and grows one row reduction
+computes each candidate multiplier image once and grows one row reduction
 across the rungs, so the ladder 0..D costs about its top rung alone, and
 every rung's certificate (hence every report and exit code) equals that of
 a fresh solve at the rung's bound.  :func:`solve_sigma` is its one-rung
-case.
+case.  An image depends only on the class restriction of its multiplier
+(see :func:`sigma_image_basis`), so each distinct restriction is projected
+once.
 """
 
 from __future__ import annotations
@@ -150,14 +152,30 @@ def sigma_image_basis(
 
     Returns ``(exponents, image)`` pairs in ascending graded-lex order; zero
     images are kept, since they witness kernel directions of the map.
+
+    The class's restriction ``R`` substitutes by a projection matrix, so it
+    is multiplicative and idempotent, and the image of a monomial ``m`` is
+
+        project_term(psi * m) == project_term(R(psi) * R(m)):
+
+    it depends only on ``R(m)``.  Each distinct ``R(m)`` is projected once
+    per call, and a monomial with ``R(m) == 0`` gets the zero image without
+    a projection.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
+    restrict, _ = group.class_restriction(class_index)
+    fixed_psi = restrict(psi)
+    zero = Polynomial.zero(group.dim)
+    images = {zero: zero}  # restricted monomial -> its image
     out = []
     for degree in range(min_degree, degree_bound + 1):
         for exps in monomials_of_degree(group.dim, degree):
-            mono = Polynomial.monomial(group.dim, exps)
-            out.append((exps, project_term(group, psi * mono, class_index)))
+            key = restrict(Polynomial.monomial(group.dim, exps))
+            image = images.get(key)
+            if image is None:
+                image = images[key] = project_term(group, fixed_psi * key, class_index)
+            out.append((exps, image))
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from skewpoisson import (
     GroupClosureError,
+    Polynomial,
     act_on_poly,
     fixed_projection,
     generate_group,
@@ -277,6 +278,32 @@ class TestFixedProjection:
             assert mat_mul(g.matrix, proj) == proj
             for u in group.centralizer_of(g):
                 assert mat_mul(u.matrix, proj) == mat_mul(proj, u.matrix)
+
+
+def random_poly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Polynomial(nvars, terms)
+
+
+class TestClassRestriction:
+    """Each class's restriction substitutes by a projection matrix, so it is
+    idempotent and multiplicative; the image memo of ``sigma_image_basis``
+    rests on both laws."""
+
+    def test_idempotent_and_multiplicative(self, reference_group):
+        group = reference_group
+        rng = random.Random(f"restriction:{group.order}")
+        for cls in group.classes:
+            restrict, _ = group.class_restriction(cls.index)
+            for _ in range(4):
+                p, q = random_poly(rng, group.dim), random_poly(rng, group.dim)
+                assert restrict(restrict(p)) == restrict(p)
+                assert restrict(p * q) == restrict(p) * restrict(q)
 
 
 class TestSymplectic:

@@ -24,6 +24,7 @@ from skewpoisson import (
     hh0_project,
     multiplier_image_generators,
     parse_poly,
+    project_term,
     replay_certificate,
     run_counterexample,
     sigma_image_basis,
@@ -34,10 +35,21 @@ from skewpoisson import (
 )
 from skewpoisson.groups import fixed_projection
 from skewpoisson.linalg import inverse
+from skewpoisson.poly import monomials_of_degree
 
 
 def P(text):
     return parse_poly(text, nvars=4)
+
+
+def random_poly(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Polynomial(nvars, terms)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +105,30 @@ class TestImageBasis:
         with pytest.raises(ValueError, match=f"class index {index} out of range "
                                              r"\(group has 5 classes\)"):
             sigma_image_basis(group, named["h1"], index, 1)
+
+    def test_matches_projecting_every_product(self, reference_group):
+        group, dim = reference_group, reference_group.dim
+        bound = 3 if dim == 4 else 2  # B3 acts on six variables
+        rng = random.Random(f"images:{group.order}")
+        # coefficients of random_poly never reach 5, so nothing cancels
+        constant_and_square = Polynomial(dim, {(0,) * dim: 5, (2,) + (0,) * (dim - 1): 5})
+        variables = [Polynomial.monomial(dim, [int(j == k) for j in range(dim)])
+                     for k in range(dim)]
+        for i in range(1, len(group.classes)):
+            restrict, _ = group.class_restriction(i)
+            # a variable the restriction moves gives a psi it sends to zero
+            moved = next(x for x in variables if restrict(x) != x)
+            inhomogeneous = random_poly(rng, dim) + constant_and_square
+            psis = [random_poly(rng, dim), inhomogeneous,
+                    (moved - restrict(moved)) * inhomogeneous]
+            assert not inhomogeneous.is_homogeneous()
+            assert restrict(psis[2]).is_zero and not psis[2].is_zero
+            for psi in psis:
+                expected = [(e, project_term(group, psi * Polynomial.monomial(dim, e), i))
+                            for d in range(bound + 1) for e in monomials_of_degree(dim, d)]
+                assert sigma_image_basis(group, psi, i, bound) == expected
+                assert sigma_image_basis(group, psi, i, bound, min_degree=2) == [
+                    (e, image) for e, image in expected if sum(e) >= 2]
 
     def test_images_are_linear_in_the_multiplier(self, group, named, class_of_b):
         b = group.element_from_word("b")
@@ -443,9 +479,20 @@ class TestLadder:
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
         certs = list(solve_ladder(problem, range(9)))
         assert len(certs) == 9
-        # the images of the top rung plus the target, not the 1287 images
-        # of nine fresh solves
-        assert len(calls) == monomial_count(8) + 1
+        # the 495 monomials of the top rung restrict to 45 distinct nonzero
+        # polynomials, each projected once, plus the target; nine fresh
+        # solves would project 1287 images
+        assert len(calls) == 45 + 1
+
+    def test_each_distinct_restriction_is_projected_once(self, monkeypatch, group,
+                                                         form, named):
+        calls = counting(monkeypatch, "project_term")
+        i = group.class_of(group.element_from_word("e"))
+        problem = ObstructionProblem(group, named["h2"], named["f1"], i, 3, form)
+        assert solve_sigma(problem).verdict is Verdict.FEASIBLE
+        # the 35 monomials restrict to 10 distinct polynomials, plus the
+        # target and the replay of the feasible sigma
+        assert len(calls) == 10 + 1 + 1
 
     def test_each_rung_checks_its_own_images(self, monkeypatch, group, form, named):
         checked = []
