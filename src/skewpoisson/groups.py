@@ -16,9 +16,15 @@ off the table.
 Actions on polynomials are compiled lazily and kept as long as the group,
 with the monomial memos of their non-monomial maps: each element's
 ``action``, the :class:`~skewpoisson.poly.LinearSubstitution` of its inverse
-matrix, and per conjugacy class one restriction to the fixed space of the
-representative (:meth:`FiniteMatrixGroup.class_restriction`).  A class
-projection (:mod:`skewpoisson.skew`) needs nothing else.
+matrix, and per conjugacy class its :class:`ClassCoordinates`
+(:meth:`FiniteMatrixGroup.class_coordinates`).  A class representative
+``g`` restricts polynomials to its fixed space ``V^g`` by substituting its
+fixed-space projection ``P``, so every restricted polynomial is a
+polynomial in ``k = dim V^g`` coordinates ``u`` rather than in all ``n``
+variables ``x``.  A class keeps the map ``into`` ``u``, the map ``back`` to
+``x`` and the ``k x k`` actions of the centralizer of ``g`` on ``u``, all
+compiled substitutions; a class projection (:mod:`skewpoisson.skew`) needs
+nothing else.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "GroupClosureError",
     "GroupElement",
     "ConjugacyClass",
+    "ClassCoordinates",
     "FiniteMatrixGroup",
     "generate_group",
     "fixed_projection",
@@ -138,7 +145,7 @@ class FiniteMatrixGroup:
             for m in cls.members:
                 self._class_of[m] = cls.index
         self._fixed_proj = {}
-        self._restrictions = {}
+        self._coordinates = {}
 
     # ------------------------------------------------------------------
 
@@ -238,18 +245,30 @@ class FiniteMatrixGroup:
             self._fixed_proj[idx] = cached
         return cached
 
-    def class_restriction(self, class_index: int) -> tuple:
-        """Cached ``(restrict, conjugators)`` of a conjugacy class.
+    def class_coordinates(self, class_index: int) -> "ClassCoordinates":
+        """Cached :class:`ClassCoordinates` of a conjugacy class, compiled on
+        first request.
 
-        ``restrict`` is the substitution by the fixed-space projection of
-        the representative ``rep``, compiled on first request, and
+        Let ``P`` be the fixed-space projection of the representative
+        ``rep``.  Its rows span the dual of the fixed space ``V^rep``, so the
+        ``k = rank P`` independent rows ``U`` that come first by index give
+        coordinates ``u = U x`` on it, and ``P = A U`` for one ``n x k``
+        matrix ``A``.  The restriction, the substitution ``x -> P x``,
+        therefore factors as ``into``, the substitution ``x -> A u`` into a
+        polynomial in ``u``, followed by ``back``, the substitution
+        ``u -> U x``.  Each ``c`` in the centralizer commutes with ``P``, and
+        ``U P == U`` since ``P`` is idempotent, so ``B_c = U c^-1 A``
+        satisfies ``B_c U == U c^-1``: ``c`` acts on the restricted
+        polynomials as the ``k x k`` substitution ``u -> B_c u``.  ``c -> B_c``
+        reverses products, so the distinct ``B_c`` form a group, and an
+        average over the centralizer equals the average over them.
         ``conjugators`` pairs each member ``h`` (ascending) with the
-        lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k``
-        moves a part at ``h`` onto ``rep``; the representative is paired
-        with the identity.  An index outside the classes, negative ones
-        included, raises ``ValueError``.
+        lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k`` moves a
+        part at ``h`` onto ``rep``; the representative is paired with the
+        identity.  An index outside the classes, negative ones included,
+        raises ``ValueError``.
         """
-        cached = self._restrictions.get(class_index)
+        cached = self._coordinates.get(class_index)
         if cached is None:
             if not 0 <= class_index < len(self.classes):
                 raise ValueError(f"class index {class_index} out of range "
@@ -260,10 +279,66 @@ class FiniteMatrixGroup:
             first = {}
             for k in range(self.order):
                 first.setdefault(table[table[inv[k]][rep]][k], k)
-            cached = (LinearSubstitution(self.fixed_projection_matrix(rep)),
-                      tuple((h, first[h]) for h in cls.members))
-            self._restrictions[class_index] = cached
+            conjugators = tuple((h, first[h]) for h in cls.members)
+            cached = ClassCoordinates.compile(
+                self.fixed_projection_matrix(rep),
+                [self.elements[inv[c]].matrix for c in cls.centralizer],
+                conjugators)
+            self._coordinates[class_index] = cached
         return cached
+
+
+@dataclass(frozen=True)
+class ClassCoordinates:
+    """Coordinates ``u`` on the fixed space of a class representative and the
+    maps a class projection needs; see
+    :meth:`FiniteMatrixGroup.class_coordinates`.
+
+    A representative that fixes only the origin (``rank == 0``) restricts
+    every polynomial to its constant term.  Its maps pass through a single
+    coordinate that every variable sends to zero, so no polynomial in zero
+    variables is ever built.
+    """
+
+    rank: int  # k, the dimension of the fixed space
+    basis: tuple  # U: the k rows of the projection P that come first by index
+    weights: tuple  # A: the n x k matrix with P == A U
+    into: LinearSubstitution  # x -> A u
+    back: LinearSubstitution  # u -> U x
+    actions: tuple  # the distinct B_c other than the identity, compiled
+    conjugators: tuple  # (member h, lowest k with k^-1 * rep * k == h)
+
+    @classmethod
+    def compile(cls, projection, inverses, conjugators) -> "ClassCoordinates":
+        """The coordinates of the projection ``P``, acted on by the
+        centralizer elements whose inverse matrices are ``inverses``."""
+        n = len(projection)
+        space = linalg.RowSpace(track=True)
+        basis, vectors = [], []
+        for row in projection:
+            vec = {j: v for j, v in enumerate(row) if v}
+            vectors.append(vec)
+            if vec and not space.contains(vec):
+                space.add(vec)
+                basis.append(row)
+        weights = tuple(tuple(space.solve(vec)[0]) for vec in vectors)
+        if not basis:
+            zero = Fraction(0)
+            return cls(0, (), weights, LinearSubstitution(((zero,),) * n),
+                       LinearSubstitution(((zero,) * n,)), (), conjugators)
+        basis = tuple(basis)
+        identity = linalg.identity_matrix(len(basis))
+        actions = {}
+        for c_inv in inverses:
+            b = linalg.mat_mul(linalg.mat_mul(basis, c_inv), weights)
+            if b != identity and b not in actions:
+                actions[b] = LinearSubstitution(b)
+        return cls(len(basis), basis, weights, LinearSubstitution(weights),
+                   LinearSubstitution(basis), tuple(actions.values()), conjugators)
+
+    def restrict(self, p: Polynomial) -> Polynomial:
+        """The substitution ``x -> P x``, mapped into ``u`` and back."""
+        return self.back(self.into(p))
 
 
 def generate_group(

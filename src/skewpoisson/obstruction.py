@@ -19,12 +19,16 @@ target its :class:`ObstructionProblem` computed on construction.
 
 :func:`solve_ladder` decides a ladder of degree bounds in one pass: it
 computes each candidate multiplier image once and grows one row reduction
-across the rungs, so the ladder 0..D costs about its top rung alone, and
-every rung's certificate (hence every report and exit code) equals that of
-a fresh solve at the rung's bound.  :func:`solve_sigma` is its one-rung
-case.  An image depends only on the class restriction of its multiplier
-(see :func:`sigma_image_basis`), so each distinct restriction is projected
-once.
+across the rungs, adding each distinct nonzero image once, so the ladder
+0..D costs about its top rung alone, and every rung's certificate (hence
+every report and exit code) equals that of a fresh solve at the rung's
+bound.  :func:`solve_sigma` is its one-rung case.  An image depends only
+on the restriction of its multiplier to the fixed space of the class
+representative, a polynomial in the class's ``k = dim V^g`` coordinates
+``u`` (see :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`).
+So each distinct restricted monomial in ``u`` is projected once, in ``u``,
+and only its image is mapped back to the ``n`` variables ``x`` (see
+:func:`sigma_image_basis`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from . import linalg
 from .groups import ElementLike, FiniteMatrixGroup, act_on_poly
 from .invariants import is_invariant
 from .poly import Polynomial, SymplecticForm, monomials_of_degree, poisson_bracket
-from .skew import SkewElement, project_term
+from .skew import SkewElement, project_fixed, project_term
 
 __all__ = [
     "Verdict",
@@ -158,23 +162,29 @@ def sigma_image_basis(
 
         project_term(psi * m) == project_term(R(psi) * R(m)):
 
-    it depends only on ``R(m)``.  Each distinct ``R(m)`` is projected once
-    per call, and a monomial with ``R(m) == 0`` gets the zero image without
-    a projection.
+    it depends only on ``R(m) == back(into(m))``, hence on ``into(m)``, the
+    restriction of ``m`` in the class's fixed-space coordinates ``u``.  That
+    is one monomial in ``u`` (times a scalar) whenever ``into`` is a
+    monomial map, as on the class of ``e``.  The memo is keyed by that
+    restricted monomial in ``u``: each distinct one is multiplied by
+    ``psi`` in ``u``, averaged over the centralizer there by
+    :func:`~skewpoisson.skew.project_fixed` and mapped back to ``x`` once
+    per call.  A monomial whose restriction is zero gets the zero image
+    without a projection.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    restrict, _ = group.class_restriction(class_index)
-    fixed_psi = restrict(psi)
+    into = group.class_coordinates(class_index).into
+    fixed_psi = into(psi)
     zero = Polynomial.zero(group.dim)
-    images = {zero: zero}  # restricted monomial -> its image
+    images = {into(zero): zero}  # restricted monomial in u -> its image
     out = []
     for degree in range(min_degree, degree_bound + 1):
         for exps in monomials_of_degree(group.dim, degree):
-            key = restrict(Polynomial.monomial(group.dim, exps))
+            key = into(Polynomial.monomial(group.dim, exps))
             image = images.get(key)
             if image is None:
-                image = images[key] = project_term(group, fixed_psi * key, class_index)
+                image = images[key] = project_fixed(group, fixed_psi * key, class_index)
             out.append((exps, image))
     return out
 
@@ -191,8 +201,7 @@ def multiplier_image_generators(
     These translates therefore certify divisor properties for multipliers of
     arbitrary degree, not just up to some bound.
     """
-    restrict, _ = group.class_restriction(class_index)
-    restricted = restrict(psi)
+    restricted = group.class_coordinates(class_index).restrict(psi)
     if restricted.is_zero:
         return ()
     seen = []
@@ -247,11 +256,15 @@ def solve_ladder(problem: ObstructionProblem,
 
     The candidate monomials are ascending in graded-lex order, so the images
     at one bound are a prefix of those at any larger bound: each image is
-    computed once and added to one tracked :class:`~skewpoisson.linalg.RowSpace`
-    that grows across the rungs.  That space's state depends only on the
-    sequence of vectors inserted, so every rung reproduces the rank,
-    residual, multiplier and dual witness of a fresh solve exactly.  The
-    target is the problem's, and the divisor test runs once per ladder.
+    computed once, and each distinct nonzero one is added once, tagged with
+    the first monomial that has it, to one tracked
+    :class:`~skewpoisson.linalg.RowSpace` that grows across the rungs.  A
+    zero or repeated image reduces to zero, so it would never become a pivot
+    nor enter a combination; skipping it leaves every row unchanged.  That
+    space's state depends only on the sequence of vectors inserted, so every
+    rung reproduces the rank, residual, multiplier and dual witness of a
+    fresh solve exactly; the rank data still counts every image.  The target
+    is the problem's, and the divisor test runs once per ladder.
     """
     bounds = tuple(bounds)
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
@@ -263,23 +276,26 @@ def solve_ladder(problem: ObstructionProblem,
     goal = (-target).to_vector()
     space = linalg.RowSpace(track=True)
     images = []  # (exponents, image) for every candidate up to the last rung
+    tags = {}  # each distinct nonzero image -> the first monomial with it
     support = set(goal)
     divisor = None  # (witness, generators), from the first infeasible rung
     low = 0  # the lowest degree no rung has covered yet
     for bound in bounds:
         new = sigma_image_basis(group, psi, class_index, bound, min_degree=low)
         low = bound + 1
-        for _, image in new:
-            vec = image.to_vector()
-            space.add(vec)
-            support.update(vec)
+        for exps, image in new:
+            if image and image not in tags:
+                tags[image] = exps
+                vec = image.to_vector()
+                space.add(vec)
+                support.update(vec)
         images.extend(new)
         coeffs, residual = space.solve(goal)
 
         if coeffs is not None:
             sigma = Polynomial(
                 group.dim,
-                {exps: c for (exps, _), c in zip(images, coeffs) if c},
+                {exps: c for exps, c in zip(tags.values(), coeffs) if c},
             )
             cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
             if not replay_certificate(problem, cert):

@@ -11,12 +11,13 @@ Terms are ordered graded-lexicographically (total degree first, then the
 exponent tuple, ``x1`` most significant) wherever a deterministic ordering
 is needed, e.g. for printing and for pivoting in linear solves.
 
-Linear changes of variables are compiled once into a
-:class:`LinearSubstitution`: a monomial matrix becomes one target variable
-and coefficient per variable, and any other matrix keeps its linear forms
-and memoizes the image of each monomial it expands, so a map applied again
-and again (a group element's action, a class projection) never expands a
-monomial twice.
+Linear changes of variables, square or between polynomial rings of
+different sizes, are compiled once into a :class:`LinearSubstitution`: a
+monomial matrix becomes one target variable and coefficient per variable,
+and any other matrix keeps its linear forms and memoizes the image of each
+monomial it expands, so a map applied again and again (a group element's
+action, a class's maps into and out of its fixed-space coordinates) never
+expands a monomial twice.
 """
 
 from __future__ import annotations
@@ -214,10 +215,11 @@ class Polynomial:
             e >>= 1
         return result
 
-    def _wrap(self, terms: dict) -> "Polynomial":
-        # internal fast path: terms already canonical (no zeros, right arity)
+    def _wrap(self, terms: dict, nvars: Optional[int] = None) -> "Polynomial":
+        # internal fast path: terms already canonical (no zeros, right arity);
+        # ``nvars`` defaults to this polynomial's own
         p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "nvars", self.nvars)
+        object.__setattr__(p, "nvars", self.nvars if nvars is None else nvars)
         object.__setattr__(p, "_terms", terms)
         object.__setattr__(p, "_hash", None)
         return p
@@ -299,8 +301,12 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
 
 
 class LinearSubstitution:
-    """The linear change of variables x_j -> sum_k M[j][k] x_k, compiled once.
+    """The linear change of variables x_j -> sum_k M[j][k] y_k, compiled once.
 
+    ``M`` has one row per variable x_j of the input and one column per
+    variable y_k of the output; it need not be square, so a map between
+    polynomial rings of different sizes (into and out of a class's
+    fixed-space coordinates) compiles the same way as a change of variables.
     A monomial matrix (at most one nonzero per row, as for signed
     permutations and diagonal actions) keeps one ``(target, coefficient)``
     pair per variable.  Any other matrix keeps its linear forms and
@@ -311,14 +317,16 @@ class LinearSubstitution:
     Calling the object composes a polynomial with the change of variables.
     """
 
-    __slots__ = ("nvars", "_simple", "_forms", "_images")
+    __slots__ = ("nvars", "target_nvars", "_simple", "_forms", "_images")
 
     def __init__(self, matrix):
         n = len(matrix)
-        if n == 0 or any(len(row) != n for row in matrix):
-            raise ValueError(f"substitution matrix must be {n}x{n}")
+        width = len(matrix[0]) if n else 0
+        if width == 0 or any(len(row) != width for row in matrix):
+            raise ValueError(f"substitution matrix must be a nonempty {n}x{width} matrix")
         rows = [[(k, Fraction(c)) for k, c in enumerate(row) if c] for row in matrix]
         self.nvars = n
+        self.target_nvars = width
         if all(len(row) <= 1 for row in rows):
             # a coefficient of 1 or -1 is kept as an int, so the call tells it
             # apart cheaply and applies -1 by the parity of the exponent
@@ -332,17 +340,19 @@ class LinearSubstitution:
         else:
             self._simple = None
             self._forms = rows
-            self._images = {(0,) * n: {(0,) * n: Fraction(1)}}
+            self._images = {(0,) * n: {(0,) * width: Fraction(1)}}
 
     def __call__(self, p: Polynomial) -> Polynomial:
-        n = self.nvars
-        if p.nvars != n:
-            raise ValueError(f"substitution matrix must be {p.nvars}x{p.nvars}")
+        if p.nvars != self.nvars:
+            raise ValueError(f"substitution matrix must have {p.nvars} rows, one per "
+                             f"variable (as a {p.nvars}x{p.nvars} change of variables "
+                             f"has), not {self.nvars}")
+        width = self.target_nvars
         terms: dict = {}
         if self._simple is not None:
             simple = self._simple
             for exps, coeff in p._terms.items():
-                out = [0] * n
+                out = [0] * width
                 scale = coeff
                 for j, e in enumerate(exps):
                     if e == 0:
@@ -364,7 +374,7 @@ class LinearSubstitution:
                         terms[key] = acc
                     else:
                         terms.pop(key, None)
-            return p._wrap(terms)
+            return p._wrap(terms, width)
         for exps, coeff in p._terms.items():
             for key, c in self._image(exps).items():
                 acc = terms.get(key, 0) + coeff * c
@@ -372,7 +382,7 @@ class LinearSubstitution:
                     terms[key] = acc
                 else:
                     terms.pop(key, None)
-        return p._wrap(terms)
+        return p._wrap(terms, width)
 
     def _image(self, exps: Exponents) -> dict:
         """Terms of the image of the monomial ``exps``, memoized."""

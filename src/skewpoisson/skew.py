@@ -8,8 +8,10 @@ written ``sum_g psi_g . g``.  The product twists by the group action,
 extended bilinearly.  On top of the ring structure this module provides the
 trace-space machinery: the per-conjugacy-class projections whose direct sum
 realizes the zeroth Hochschild homology of the algebra, of a single term at
-the class representative (:func:`project_term`) and of a whole element
-(:func:`hh0_project`, which reduces to the former).  The class-``i``
+the class representative (:func:`project_term`), of such a term already
+restricted to the class's fixed-space coordinates (:func:`project_fixed`,
+which the former reduces to) and of a whole element (:func:`hh0_project`,
+which reduces to the first).  The class-``i``
 projection sends a commutator to zero and acts as the identity on
 ``psi . g_i`` whenever ``psi`` is a centralizer-invariant polynomial on the
 fixed space of the representative ``g_i``; both facts are what the
@@ -35,6 +37,7 @@ __all__ = [
     "SkewElement",
     "commutator",
     "project_term",
+    "project_fixed",
     "hh0_project",
     "TraceVector",
     "trace_vector",
@@ -219,21 +222,33 @@ def project_term(group: FiniteMatrixGroup, poly: Polynomial, class_index: int) -
     """Trace-space projection of the single term ``poly . rep`` onto a
     conjugacy class with representative ``rep``.
 
-    ``poly`` is restricted once, by the class's cached restriction to the
-    fixed space of ``rep``, and the result is averaged over the centralizer
-    of ``rep``.  The image is exactly the polynomials on that fixed space
-    that the centralizer leaves invariant, and on them the map is the
-    identity.  An index outside the classes raises ``ValueError``.
+    ``poly`` is restricted to the fixed space of ``rep`` by mapping it into
+    the class's coordinates ``u`` there, and :func:`project_fixed` averages
+    it over the centralizer of ``rep`` in ``u`` and maps it back.  The image
+    is exactly the polynomials on that fixed space that the centralizer
+    leaves invariant, and on them the map is the identity.  An index outside
+    the classes raises ``ValueError``.
     """
-    restrict, _ = group.class_restriction(class_index)
-    fixed = restrict(poly)
-    centralizer = group.classes[class_index].centralizer
+    into = group.class_coordinates(class_index).into
+    return project_fixed(group, into(poly), class_index)
+
+
+def project_fixed(group: FiniteMatrixGroup, fixed: Polynomial,
+                  class_index: int) -> Polynomial:
+    """Projection of a term already restricted to the fixed space of the
+    class representative, given as a polynomial in the class's coordinates
+    ``u`` (see :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`).
+
+    The centralizer acts on ``u`` by the ``k x k`` substitutions ``B_c``; the
+    average over the distinct ones equals the average over the centralizer,
+    and the result is mapped back to ``x`` once.
+    """
+    coords = group.class_coordinates(class_index)
     total = fixed
     if not fixed.is_zero:
-        for c in centralizer:
-            if c:
-                total = total + group.elements[c].action(fixed)
-    return total * Fraction(1, len(centralizer))
+        for action in coords.actions:
+            total = total + action(fixed)
+    return coords.back(total * Fraction(1, len(coords.actions) + 1))
 
 
 def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
@@ -251,12 +266,11 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
 
     the projection of the single term ``(sum_h k_h . a_h) . rep`` by
     :func:`project_term`, for the conjugators ``k_h`` of
-    :meth:`FiniteMatrixGroup.class_restriction`.
+    :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`.
     """
     group = a.group
-    _, conjugators = group.class_restriction(class_index)
     moved = Polynomial.zero(group.dim)
-    for h, k in conjugators:
+    for h, k in group.class_coordinates(class_index).conjugators:
         part = a._parts.get(h)
         if part is not None:
             moved = moved + (group.elements[k].action(part) if k else part)

@@ -7,10 +7,12 @@ budget.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from skewpoisson import (
     ObstructionProblem,
@@ -176,8 +178,13 @@ def test_criterion_8_determinism(tmp_path):
     with criterion(8, "two machine-format obstruction runs are byte-identical"):
         cmd = [sys.executable, "-m", "skewpoisson", "obstruction",
                "--format", "machine"]
-        first = subprocess.run(cmd, capture_output=True, check=False)
-        second = subprocess.run(cmd, capture_output=True, check=False)
+        # the package's own source comes first, whether or not pytest was
+        # started with PYTHONPATH set
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        first = subprocess.run(cmd, capture_output=True, check=False, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=False, env=env)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
         assert len(first.stdout) > 0

@@ -16,9 +16,12 @@ from skewpoisson import (
     is_symplectic,
     molien_coefficients,
     parse_poly,
+    project_term,
+    sigma_image_basis,
+    substitute_linear,
 )
-from skewpoisson.linalg import identity_matrix, inverse, mat_mul, matrix_from_rows
-from skewpoisson.poly import monomials_of_degree
+from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
+from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
 B = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 C = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
@@ -299,11 +302,85 @@ class TestClassRestriction:
         group = reference_group
         rng = random.Random(f"restriction:{group.order}")
         for cls in group.classes:
-            restrict, _ = group.class_restriction(cls.index)
+            restrict = group.class_coordinates(cls.index).restrict
             for _ in range(4):
                 p, q = random_poly(rng, group.dim), random_poly(rng, group.dim)
                 assert restrict(restrict(p)) == restrict(p)
                 assert restrict(p * q) == restrict(p) * restrict(q)
+
+
+class TestClassCoordinates:
+    """A class's restriction ``R``, the substitution by the fixed-space
+    projection ``P`` of its representative, factors through ``k = rank P``
+    coordinates ``u``, on which the centralizer acts by ``k x k`` matrices."""
+
+    def test_back_after_into_is_the_restriction(self, reference_group):
+        group = reference_group
+        rng = random.Random(f"coordinates:{group.order}")
+        for cls in group.classes:
+            coords = group.class_coordinates(cls.index)
+            proj = group.fixed_projection_matrix(cls.representative)
+            for _ in range(4):
+                p = random_poly(rng, group.dim)
+                fixed = coords.into(p)
+                assert fixed.nvars == max(coords.rank, 1)
+                assert coords.back(fixed) == substitute_linear(p, proj)
+                assert coords.restrict(p) == substitute_linear(p, proj)
+
+    def test_rank_and_basis_of_the_projection(self, reference_group):
+        group = reference_group
+        for cls in group.classes:
+            coords = group.class_coordinates(cls.index)
+            proj = group.fixed_projection_matrix(cls.representative)
+            space = RowSpace()
+            for row in proj:
+                space.add({j: v for j, v in enumerate(row) if v})
+            assert coords.rank == space.rank == len(coords.basis)
+            # u is the rows of P that come first by index, and P == A U
+            chosen = [proj.index(row) for row in coords.basis]
+            assert chosen == sorted(set(chosen))
+            if coords.rank:
+                assert mat_mul(coords.weights, coords.basis) == proj
+            else:
+                assert all(not any(row) for row in proj)
+
+    def test_centralizer_acts_by_k_by_k_matrices(self, reference_group):
+        group = reference_group
+        rng = random.Random(f"centralizer:{group.order}")
+        for cls in group.classes:
+            coords = group.class_coordinates(cls.index)
+            p = random_poly(rng, group.dim)
+            fixed, restricted = coords.into(p), coords.restrict(p)
+            matrices = set()
+            for c in cls.centralizer:
+                element = group.elements[c]
+                if coords.rank:
+                    b = mat_mul(mat_mul(coords.basis, inverse(element.matrix)),
+                                coords.weights)
+                    matrices.add(b)
+                    acted = coords.back(LinearSubstitution(b)(fixed))
+                else:
+                    acted = restricted  # a constant
+                assert acted == element.action(restricted)
+            # the compiled actions are the distinct ones other than the identity
+            matrices.discard(identity_matrix(coords.rank))
+            assert len(coords.actions) == len(matrices)
+            for action in coords.actions:
+                assert any(action(fixed) == LinearSubstitution(b)(fixed)
+                           for b in matrices)
+
+    def test_fixed_point_free_class_projects_onto_the_constant_term(self, group):
+        i = group.class_of(group.element_from_word("b*c"))  # -I
+        assert group.class_coordinates(i).rank == 0
+        rng = random.Random("constant-term")
+        for _ in range(4):
+            p = random_poly(rng, 4)
+            assert project_term(group, p, i) == Polynomial.constant(4, p.coefficient((0,) * 4))
+        psi = P("3 + x1*x2 - 2*x3^2")
+        images = sigma_image_basis(group, psi, i, 3)
+        assert images[0] == ((0, 0, 0, 0), P("3"))
+        assert len(images) == 35
+        assert all(image.is_zero for _, image in images[1:])
 
 
 class TestSymplectic:

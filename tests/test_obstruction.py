@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewpoisson import cli, obstruction
+from skewpoisson import cli, linalg, obstruction
 from skewpoisson import (
     Certificate,
     ObstructionProblem,
@@ -115,7 +115,7 @@ class TestImageBasis:
         variables = [Polynomial.monomial(dim, [int(j == k) for j in range(dim)])
                      for k in range(dim)]
         for i in range(1, len(group.classes)):
-            restrict, _ = group.class_restriction(i)
+            restrict = group.class_coordinates(i).restrict
             # a variable the restriction moves gives a psi it sends to zero
             moved = next(x for x in variables if restrict(x) != x)
             inhomogeneous = random_poly(rng, dim) + constant_and_square
@@ -475,24 +475,38 @@ class TestLadder:
 
     def test_each_image_is_projected_once(self, monkeypatch, group, form, named,
                                           class_of_b):
-        calls = counting(monkeypatch, "project_term")
+        terms = counting(monkeypatch, "project_term")
+        images = counting(monkeypatch, "project_fixed")
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
         certs = list(solve_ladder(problem, range(9)))
         assert len(certs) == 9
         # the 495 monomials of the top rung restrict to 45 distinct nonzero
         # polynomials, each projected once, plus the target; nine fresh
         # solves would project 1287 images
-        assert len(calls) == 45 + 1
+        assert (len(images), len(terms)) == (45, 1)
+
+    def test_each_distinct_image_enters_the_row_space_once(self, monkeypatch, group,
+                                                            form, named, class_of_b):
+        group.class_coordinates(class_of_b)  # compiled before counting
+        added = counting(monkeypatch, "add", module=linalg.RowSpace)
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
+        certs = list(solve_ladder(problem, range(9)))
+        images = sigma_image_basis(group, named["h1"], class_of_b, 8)
+        # the 495 images take 25 distinct nonzero values, each added once;
+        # the rank data still counts every image
+        assert len(added) == len({image for _, image in images if image}) == 25
+        assert certs[-1].rank_data.cols == len(images) == 495
 
     def test_each_distinct_restriction_is_projected_once(self, monkeypatch, group,
                                                          form, named):
-        calls = counting(monkeypatch, "project_term")
+        terms = counting(monkeypatch, "project_term")
+        images = counting(monkeypatch, "project_fixed")
         i = group.class_of(group.element_from_word("e"))
         problem = ObstructionProblem(group, named["h2"], named["f1"], i, 3, form)
         assert solve_sigma(problem).verdict is Verdict.FEASIBLE
         # the 35 monomials restrict to 10 distinct polynomials, plus the
         # target and the replay of the feasible sigma
-        assert len(calls) == 10 + 1 + 1
+        assert (len(images), len(terms)) == (10, 1 + 1)
 
     def test_each_rung_checks_its_own_images(self, monkeypatch, group, form, named):
         checked = []

@@ -112,7 +112,7 @@ def restriction(group, word):
     g = group.element_from_word(word)
     i = group.class_of(g)
     assert group.classes[i].representative == g.index
-    return group.class_restriction(i)[0]
+    return group.class_coordinates(i).restrict
 
 
 class TestRestriction:
@@ -250,20 +250,21 @@ class TestCompiledProjection:
 
     def test_maps_are_compiled_once_per_class(self, group):
         i = group.class_of(group.element_from_word("e"))
-        assert group.class_restriction(i) is group.class_restriction(i)
+        assert group.class_coordinates(i) is group.class_coordinates(i)
 
     @pytest.mark.parametrize("index", [-1, 5])
     def test_class_index_out_of_range(self, group, index):
         # -1 would otherwise index the last class
         with pytest.raises(ValueError, match=f"class index {index} out of range "
                                              r"\(group has 5 classes\)"):
-            group.class_restriction(index)
+            group.class_coordinates(index)
 
     @pytest.mark.parametrize("name", ["group", "s3_group"])
     def test_conjugators_move_each_member_onto_the_representative(self, request, name):
         group = request.getfixturevalue(name)
         for cls in group.classes:
-            restrict, conjugators = group.class_restriction(cls.index)
+            coords = group.class_coordinates(cls.index)
+            restrict, conjugators = coords.restrict, coords.conjugators
             assert [h for h, _ in conjugators] == list(cls.members)
             assert dict(conjugators)[cls.representative] == 0
             for h, k in conjugators:
@@ -277,8 +278,11 @@ class TestCompiledProjection:
             assert restrict(p) == substitute_linear(p, proj)
 
     def test_one_compiled_restriction_per_class(self, monkeypatch, config):
-        """Projecting compiles one substitution per class, and every other
-        substitution it compiles is an element's own action."""
+        """Projecting compiles, per class, the maps into and back out of its
+        fixed-space coordinates and its distinct non-identity centralizer
+        actions there; every other substitution it compiles is an element's
+        own action.  A second round of the same projections compiles
+        nothing."""
         compiled = []
 
         class Counting(poly.LinearSubstitution):
@@ -292,14 +296,22 @@ class TestCompiledProjection:
         monkeypatch.setattr(groups, "LinearSubstitution", Counting)
         group = config.build_group()
         rng = random.Random("compile-count")
-        for _ in range(3):
-            a = random_skew_element(rng, group)
-            for i in range(len(group.classes)):
-                hh0_project(a, i)
-            assert trace_vector(a).validate()
+        elements = [random_skew_element(rng, group) for _ in range(3)]
+
+        def project_all():
+            for a in elements:
+                for i in range(len(group.classes)):
+                    hh0_project(a, i)
+                assert trace_vector(a).validate()
+
+        project_all()
         acted = [g for g in group.elements if g._action is not None]
         assert acted
-        assert len(compiled) == len(group.classes) + len(acted)
+        coords = [group.class_coordinates(i) for i in range(len(group.classes))]
+        assert len(compiled) == sum(2 + len(c.actions) for c in coords) + len(acted)
+        compiled.clear()
+        project_all()
+        assert compiled == []
 
 
 class TestInnerDerivation:
