@@ -13,7 +13,6 @@ from .groups import (
     GroupClosureError,
     GroupElement,
     act_on_poly,
-    fixed_projection,
     generate_group,
     is_symplectic,
 )
@@ -39,7 +38,6 @@ from .obstruction import (
     sigma_image_basis,
     solve_ladder,
     solve_sigma,
-    target_poly,
 )
 from .parse import PolyParseError, format_poly, parse_poly
 from .poly import (
@@ -72,7 +70,6 @@ __all__ = [
     "GroupClosureError",
     "GroupElement",
     "act_on_poly",
-    "fixed_projection",
     "generate_group",
     "is_symplectic",
     "GeneratorSet",
@@ -95,7 +92,6 @@ __all__ = [
     "sigma_image_basis",
     "solve_ladder",
     "solve_sigma",
-    "target_poly",
     "PolyParseError",
     "format_poly",
     "parse_poly",

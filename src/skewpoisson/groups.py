@@ -10,8 +10,8 @@ The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
 the Cayley graph.  Every element but the identity is its parent times one
 generator, so a row of the multiplication table follows from those edges
-by integer lookups alone; inverses, classes and centralizers are then read
-off the table.
+by integer lookups alone; inverses, element orders, classes and
+centralizers are then read off the table.
 
 Actions on polynomials are compiled lazily and kept as long as the group,
 with the monomial memos of their non-monomial maps: each element's
@@ -19,19 +19,20 @@ with the monomial memos of their non-monomial maps: each element's
 matrix, and per conjugacy class its :class:`ClassCoordinates`
 (:meth:`FiniteMatrixGroup.class_coordinates`).  A class representative
 ``g`` restricts polynomials to its fixed space ``V^g`` by substituting its
-fixed-space projection ``P``, so every restricted polynomial is a
-polynomial in ``k = dim V^g`` coordinates ``u`` rather than in all ``n``
-variables ``x``.  A class keeps the map ``into`` ``u``, the map ``back`` to
-``x`` and the ``k x k`` actions of the centralizer of ``g`` on ``u``, all
-compiled substitutions; a class projection (:mod:`skewpoisson.skew`) needs
-nothing else.
+fixed-space projection ``P``, the average of the matrices of the powers of
+``g`` (:meth:`FiniteMatrixGroup.fixed_projection_matrix`), so every
+restricted polynomial is a polynomial in ``k = dim V^g`` coordinates ``u``
+rather than in all ``n`` variables ``x``.  A class keeps the map ``into``
+``u``, the map ``back`` to ``x`` and the ``k x k`` actions of the
+centralizer of ``g`` on ``u``, all compiled substitutions; a class
+projection (:mod:`skewpoisson.skew`) needs nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .poly import LinearSubstitution, Polynomial, SymplecticForm
@@ -43,7 +44,6 @@ __all__ = [
     "ClassCoordinates",
     "FiniteMatrixGroup",
     "generate_group",
-    "fixed_projection",
     "is_symplectic",
     "act_on_poly",
 ]
@@ -76,18 +76,6 @@ class GroupElement:
             self._action = LinearSubstitution(linalg.inverse(self.matrix))
         return self._action
 
-    def matrix_order(self, cap: int = 10_000) -> int:
-        """Multiplicative order of the matrix; raises if it exceeds ``cap``."""
-        ident = linalg.identity_matrix(self.dim)
-        power = self.matrix
-        order = 1
-        while power != ident:
-            power = linalg.mat_mul(power, self.matrix)
-            order += 1
-            if order > cap:
-                raise ValueError("matrix order exceeds cap; not a finite-order element?")
-        return order
-
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.matrix == other.matrix
 
@@ -108,9 +96,6 @@ class ConjugacyClass:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-ElementLike = Union[GroupElement, int]
 
 
 class FiniteMatrixGroup:
@@ -182,7 +167,7 @@ class FiniteMatrixGroup:
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
 
-    def element_index(self, g: ElementLike) -> int:
+    def element_index(self, g: "GroupElement | int") -> int:
         """Index of an element; raises for matrices outside the group."""
         if isinstance(g, GroupElement):
             idx = self._index_by_matrix.get(g.matrix)
@@ -194,13 +179,13 @@ class FiniteMatrixGroup:
             raise ValueError(f"element index {idx} out of range")
         return idx
 
-    def mul(self, a: ElementLike, b: ElementLike) -> GroupElement:
+    def mul(self, a: "GroupElement | int", b: "GroupElement | int") -> GroupElement:
         return self.elements[self.mul_table[self.element_index(a)][self.element_index(b)]]
 
-    def inverse(self, g: ElementLike) -> GroupElement:
+    def inverse(self, g: "GroupElement | int") -> GroupElement:
         return self.elements[self.inverse_table[self.element_index(g)]]
 
-    def element_order(self, g: ElementLike) -> int:
+    def element_order(self, g: "GroupElement | int") -> int:
         idx = self.element_index(g)
         order = 1
         cur = idx
@@ -226,23 +211,34 @@ class FiniteMatrixGroup:
     # ------------------------------------------------------------------
     # structure queries
 
-    def class_of(self, g: ElementLike) -> int:
+    def class_of(self, g: "GroupElement | int") -> int:
         return self._class_of[self.element_index(g)]
 
-    def centralizer_of(self, g: ElementLike) -> tuple:
+    def centralizer_of(self, g: "GroupElement | int") -> tuple:
         idx = self.element_index(g)
         return tuple(
             self.elements[h] for h in range(self.order)
             if self.mul_table[h][idx] == self.mul_table[idx][h]
         )
 
-    def fixed_projection_matrix(self, g: ElementLike):
-        """Cached averaging projection onto the fixed space of an element."""
+    def fixed_projection_matrix(self, g: "GroupElement | int"):
+        """Cached projection onto the fixed space of an element: the average
+        of the matrices of its powers, which are read off the multiplication
+        table.
+
+        The result is idempotent, has image ``ker(g - 1)``, and commutes with
+        everything commuting with ``g``, and all of this stays inside the
+        rationals, unlike an eigen-decomposition.
+        """
         idx = self.element_index(g)
         cached = self._fixed_proj.get(idx)
         if cached is None:
-            cached = fixed_projection(self.elements[idx])
-            self._fixed_proj[idx] = cached
+            acc, power, order = self.identity.matrix, idx, 1
+            while power != 0:
+                acc = linalg.mat_add(acc, self.elements[power].matrix)
+                power = self.mul_table[power][idx]
+                order += 1
+            cached = self._fixed_proj[idx] = linalg.mat_scale(Fraction(1, order), acc)
         return cached
 
     def class_coordinates(self, class_index: int) -> "ClassCoordinates":
@@ -336,10 +332,6 @@ class ClassCoordinates:
         return cls(len(basis), basis, weights, LinearSubstitution(weights),
                    LinearSubstitution(basis), tuple(actions.values()), conjugators)
 
-    def restrict(self, p: Polynomial) -> Polynomial:
-        """The substitution ``x -> P x``, mapped into ``u`` and back."""
-        return self.back(self.into(p))
-
 
 def generate_group(
     generators: Iterable,
@@ -406,23 +398,6 @@ def generate_group(
 
     generator_indices = [index[g] for g in gens]
     return FiniteMatrixGroup(elements, generator_indices, names, right, parents)
-
-
-def fixed_projection(g: GroupElement):
-    """Projection onto the fixed space, as the average of the powers of ``g``.
-
-    The result is idempotent, has image ``ker(g - 1)``, and commutes with
-    everything commuting with ``g``, and all of this stays inside the
-    rationals, unlike an eigen-decomposition.
-    """
-    order = g.matrix_order()
-    n = g.dim
-    acc = linalg.identity_matrix(n)
-    power = g.matrix
-    for _ in range(order - 1):
-        acc = linalg.mat_add(acc, power)
-        power = linalg.mat_mul(power, g.matrix)
-    return linalg.mat_scale(Fraction(1, order), acc)
 
 
 def is_symplectic(g: GroupElement, form: SymplecticForm) -> bool:

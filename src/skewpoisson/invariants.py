@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
@@ -247,7 +247,6 @@ def verify_generators(
     group: FiniteMatrixGroup,
     gens: GeneratorSet,
     up_to_degree: int,
-    molien: Optional[Sequence[int]] = None,
 ) -> GeneratorSpanReport:
     """Compare generator-product spans with the invariant slices per degree.
 
@@ -265,8 +264,7 @@ def verify_generators(
                 f"generator {name!r} must be homogeneous of positive degree"
             )
     weights = [p.total_degree() for p in gens.polys]
-    if molien is None:
-        molien = molien_coefficients(group, up_to_degree)
+    molien = molien_coefficients(group, up_to_degree)
 
     times_powers = _power_products(gens)
     rows = []

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
-from .groups import ElementLike, FiniteMatrixGroup, act_on_poly
+from .groups import FiniteMatrixGroup, GroupElement, act_on_poly
 from .invariants import is_invariant
 from .poly import Polynomial, SymplecticForm, monomials_of_degree, poisson_bracket
 from .skew import SkewElement, project_fixed, project_term
@@ -48,7 +48,6 @@ __all__ = [
     "RankData",
     "Certificate",
     "ObstructionProblem",
-    "target_poly",
     "sigma_image_basis",
     "multiplier_image_generators",
     "divisor_certificate",
@@ -93,9 +92,10 @@ class Certificate:
 
 @dataclass(frozen=True)
 class ObstructionProblem:
-    """One obstruction instance.  Construction validates it and computes the
-    ``bracket`` {phi, psi} and its class projection ``target``, the value of
-    :func:`target_poly`, which every solve and replay reads."""
+    """One obstruction instance.  Construction validates it, rejecting the
+    identity class and a non-invariant ``phi``, and computes the ``bracket``
+    {phi, psi} and its class projection ``target``, the inhomogeneous side of
+    the obstruction equation, which every solve and replay reads."""
 
     group: FiniteMatrixGroup
     phi: Polynomial
@@ -115,33 +115,13 @@ class ObstructionProblem:
             raise ValueError("polynomial variable count does not match the group")
         if self.form.nvars != self.group.dim:
             raise ValueError("form dimension does not match the group")
-        _check_target_inputs(self.group, self.phi, self.class_index)
+        if self.class_index == 0:
+            raise ValueError("the obstruction concerns non-identity classes only")
+        if not is_invariant(self.group, self.phi):
+            raise ValueError("phi must be invariant under the whole group")
         bracket = poisson_bracket(self.phi, self.psi, self.form)
         object.__setattr__(self, "bracket", bracket)
         object.__setattr__(self, "target", project_term(self.group, bracket, self.class_index))
-
-
-def target_poly(
-    group: FiniteMatrixGroup,
-    phi: Polynomial,
-    psi: Polynomial,
-    class_index: int,
-    form: SymplecticForm,
-) -> Polynomial:
-    """Class projection of the bracket term: the inhomogeneous side of the
-    obstruction equation.  Rejects the identity class and a non-invariant
-    ``phi``."""
-    _check_target_inputs(group, phi, class_index)
-    return project_term(group, poisson_bracket(phi, psi, form), class_index)
-
-
-def _check_target_inputs(group: FiniteMatrixGroup, phi: Polynomial,
-                         class_index: int) -> None:
-    """The checks :func:`target_poly` and :class:`ObstructionProblem` share."""
-    if class_index == 0:
-        raise ValueError("the obstruction concerns non-identity classes only")
-    if not is_invariant(group, phi):
-        raise ValueError("phi must be invariant under the whole group")
 
 
 def sigma_image_basis(
@@ -195,21 +175,24 @@ def multiplier_image_generators(
     """Degree-independent generators of everything the images can contain.
 
     The image of any multiplier is a centralizer average of products
-    ``c . restrict(psi) * c . restrict(multiplier)``, so every image
-    monomial is divisible by a monomial of one of the translates
-    ``c . restrict(psi)`` for ``c`` in the representative's centralizer.
-    These translates therefore certify divisor properties for multipliers of
-    arbitrary degree, not just up to some bound.
+    ``c . R(psi) * c . R(multiplier)``, where ``R`` is the class's
+    restriction, so every image monomial is divisible by a monomial of one
+    of the translates ``c . R(psi)`` for ``c`` in the representative's
+    centralizer.  These translates therefore certify divisor properties for
+    multipliers of arbitrary degree, not just up to some bound.  They are
+    computed in the class's coordinates ``u``: ``c`` acts on ``into(psi)``
+    by ``B_c`` (see
+    :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`), so the
+    generators are ``R(psi)`` and its distinct translates under the distinct
+    ``B_c``, mapped ``back``, in the order of the first centralizer element
+    giving each.
     """
-    restricted = group.class_coordinates(class_index).restrict(psi)
-    if restricted.is_zero:
+    coords = group.class_coordinates(class_index)
+    fixed = coords.into(psi)
+    if fixed.is_zero:
         return ()
-    seen = []
-    for c in group.classes[class_index].centralizer:
-        translated = group.elements[c].action(restricted) if c else restricted
-        if translated not in seen:
-            seen.append(translated)
-    return tuple(seen)
+    translates = (fixed, *(action(fixed) for action in coords.actions))
+    return tuple(dict.fromkeys(coords.back(t) for t in translates))
 
 
 def divisor_certificate(images: Sequence[Polynomial], target: Polynomial) -> Optional[int]:
@@ -252,7 +235,7 @@ def solve_ladder(problem: ObstructionProblem,
     record the rank data of the linear system; when the divisor argument
     applies, the verdict is upgraded to all degrees, and otherwise it stays
     at the rung's bound with a dual witness checked against the rung's
-    images.
+    distinct nonzero images.
 
     The candidate monomials are ascending in graded-lex order, so the images
     at one bound are a prefix of those at any larger bound: each image is
@@ -263,8 +246,10 @@ def solve_ladder(problem: ObstructionProblem,
     nor enter a combination; skipping it leaves every row unchanged.  That
     space's state depends only on the sequence of vectors inserted, so every
     rung reproduces the rank, residual, multiplier and dual witness of a
-    fresh solve exactly; the rank data still counts every image.  The target
-    is the problem's, and the divisor test runs once per ladder.
+    fresh solve exactly; the rank data still counts every candidate.  Those
+    distinct nonzero images are all the ladder keeps: a zero image pairs to
+    zero with the dual witness, and a repeated one like its first copy.  The
+    target is the problem's, and the divisor test runs once per ladder.
     """
     bounds = tuple(bounds)
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
@@ -275,7 +260,7 @@ def solve_ladder(problem: ObstructionProblem,
     target = problem.target
     goal = (-target).to_vector()
     space = linalg.RowSpace(track=True)
-    images = []  # (exponents, image) for every candidate up to the last rung
+    cols = 0  # candidate monomials up to the last rung
     tags = {}  # each distinct nonzero image -> the first monomial with it
     support = set(goal)
     divisor = None  # (witness, generators), from the first infeasible rung
@@ -289,7 +274,7 @@ def solve_ladder(problem: ObstructionProblem,
                 vec = image.to_vector()
                 space.add(vec)
                 support.update(vec)
-        images.extend(new)
+        cols += len(new)
         coeffs, residual = space.solve(goal)
 
         if coeffs is not None:
@@ -304,7 +289,7 @@ def solve_ladder(problem: ObstructionProblem,
             return
 
         residual_poly = Polynomial(group.dim, {key[1]: c for key, c in residual.items()})
-        rank_data = RankData(rows=len(support), cols=len(images), rank=space.rank,
+        rank_data = RankData(rows=len(support), cols=cols, rank=space.rank,
                              residual=residual_poly)
         if divisor is None:
             generators = multiplier_image_generators(group, psi, class_index)
@@ -321,23 +306,24 @@ def solve_ladder(problem: ObstructionProblem,
             continue
         separating = space.separating(residual)
         dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
-        if not _separates(dual, [img for _, img in images], target):
+        if not _separates(dual, tags, target):
             raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
         yield Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target,
                           rank_data=rank_data, dual_witness=dual)
 
 
-def _separates(witness: Polynomial, images: Sequence[Polynomial],
+def _separates(witness: Polynomial, images: Iterable[Polynomial],
                target: Polynomial) -> bool:
     """Whether the witness, read as a functional on monomials, vanishes on
-    every image but not on the target."""
+    every image but not on the target.  Pairing is linear, so a repeated or
+    zero image may be left out."""
     def pair(p: Polynomial):
         return sum(c * p.coefficient(exps) for exps, c in witness.items())
 
     return all(pair(img) == 0 for img in images) and pair(target) != 0
 
 
-def collapse_to_sigma(d_of_g: SkewElement, g: ElementLike) -> Polynomial:
+def collapse_to_sigma(d_of_g: SkewElement, g: "GroupElement | int") -> Polynomial:
     """Collapse a candidate derivation value at ``g`` to a single multiplier.
 
     Sums, over the whole group, the translates of the parts of the input
@@ -393,4 +379,4 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
         return False
     images = sigma_image_basis(group, problem.psi, problem.class_index,
                                problem.degree_bound)
-    return _separates(cert.dual_witness, [img for _, img in images], target)
+    return _separates(cert.dual_witness, {img for _, img in images}, target)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .groups import (
-    ElementLike,
     FiniteMatrixGroup,
+    GroupElement,
     act_on_poly,
 )
 from .poly import Polynomial, format_poly
@@ -88,7 +88,8 @@ class SkewElement:
         return cls(group, {0: Polynomial.one(group.dim)})
 
     @classmethod
-    def term(cls, group: FiniteMatrixGroup, poly: Polynomial, g: ElementLike) -> "SkewElement":
+    def term(cls, group: FiniteMatrixGroup, poly: Polynomial,
+             g: "GroupElement | int") -> "SkewElement":
         """The single-term element ``poly . g``."""
         return cls(group, {group.element_index(g): poly})
 
@@ -110,7 +111,7 @@ class SkewElement:
     def is_zero(self) -> bool:
         return not self._parts
 
-    def g_part(self, g: ElementLike) -> Polynomial:
+    def g_part(self, g: "GroupElement | int") -> Polynomial:
         """Coefficient polynomial of a group element (zero if absent)."""
         idx = self.group.element_index(g)
         return self._parts.get(idx, Polynomial.zero(self.group.dim))
@@ -301,7 +302,7 @@ def trace_vector(a: SkewElement) -> TraceVector:
     return TraceVector(a.group, comps)
 
 
-def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: ElementLike) -> Polynomial:
+def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: "GroupElement | int") -> Polynomial:
     """Part at ``g`` of the inner derivation ``[a, x]`` for a ``g``-fixed ``x``.
 
     Preconditions: ``g`` is not the identity and ``g . x == x`` (violations

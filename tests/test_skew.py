@@ -112,7 +112,8 @@ def restriction(group, word):
     g = group.element_from_word(word)
     i = group.class_of(g)
     assert group.classes[i].representative == g.index
-    return group.class_coordinates(i).restrict
+    coords = group.class_coordinates(i)
+    return lambda p: coords.back(coords.into(p))
 
 
 class TestRestriction:
@@ -264,7 +265,7 @@ class TestCompiledProjection:
         group = request.getfixturevalue(name)
         for cls in group.classes:
             coords = group.class_coordinates(cls.index)
-            restrict, conjugators = coords.restrict, coords.conjugators
+            conjugators = coords.conjugators
             assert [h for h, _ in conjugators] == list(cls.members)
             assert dict(conjugators)[cls.representative] == 0
             for h, k in conjugators:
@@ -275,7 +276,7 @@ class TestCompiledProjection:
                                                        cls.representative), j).index == h)
             p = random_poly(random.Random(f"restrict:{cls.index}"), group.dim)
             proj = group.fixed_projection_matrix(cls.representative)
-            assert restrict(p) == substitute_linear(p, proj)
+            assert coords.back(coords.into(p)) == substitute_linear(p, proj)
 
     def test_one_compiled_restriction_per_class(self, monkeypatch, config):
         """Projecting compiles, per class, the maps into and back out of its
