@@ -44,10 +44,10 @@ EXIT_INCONCLUSIVE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-# ``invariants --degree D`` row-reduces every monomial of degree 0..D, and
-# ``obstruction --degree D`` projects every multiplier monomial of degree
-# 0..D: C(D + n, n) of them in n variables; 5000 admits degree 16 in 4
-# variables
+# ``invariants --degree D`` row-reduces the generators' images of every
+# monomial of degree 0..D, and ``obstruction --degree D`` projects every
+# multiplier monomial of degree 0..D: C(D + n, n) of them in n variables;
+# 5000 admits degree 16 in 4 variables
 MAX_DEGREE_MONOMIALS = 5000
 
 

@@ -3,12 +3,13 @@
 Two independent routes to the dimensions of the invariant degree slices are
 kept side by side on purpose: the Molien series (exact power-series
 expansion of characteristic determinants, averaged over conjugacy classes
-weighted by class size) and brute force
-(Reynolds images of all monomials of a degree, row-reduced over the
-rationals).  Generator verification compares the span of generator
-products against those slices degree by degree, and relation verification
-substitutes the generators into candidate relations and reports the
-residual verbatim; a nonzero residual is a finding, never an exception.
+weighted by class size) and the common kernel of the generators' actions
+(the polynomials of a degree that every generator fixes, read off the
+row-reduced images of its monomials over the rationals).  Generator
+verification compares the span of generator products against those slices
+degree by degree, and relation verification substitutes the generators into
+candidate relations and reports the residual verbatim; a nonzero residual is
+a finding, never an exception.
 """
 
 from __future__ import annotations
@@ -117,20 +118,39 @@ def _slice_vector(p: Polynomial, axis: dict) -> dict:
 def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
     """A canonical basis of the degree-``degree`` invariant slice.
 
-    Row-reduces the Reynolds images of all monomials of the degree; the
-    returned polynomials are the fully reduced echelon rows (leading
-    coefficient 1), so the basis is deterministic.
+    A polynomial is invariant exactly when every generator fixes it, so the
+    slice is the common kernel of the maps ``v -> g.v - v`` over the
+    distinct generators ``g``.  Each generator's image of each monomial of
+    the degree gives one column of those maps, and the null space of the
+    row-reduced constraints (``RowSpace.annihilator``) is the slice.  The
+    returned polynomials are the fully reduced echelon rows of that null
+    space (leading coefficient 1).  A subspace has one reduced echelon form
+    for a fixed column order, so the basis is deterministic and equals the
+    row-reduced Reynolds images of the monomials, without averaging over
+    the group.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     axis = _slice_axis(group.dim, degree)
     back = {i: m for m, i in axis.items()}
+    monomials = [Polynomial.monomial(group.dim, exps) for exps in axis]
+    constraints = linalg.RowSpace()
+    for g in dict.fromkeys(group.generator_indices):
+        element = group.elements[g]
+        rows = {}  # monomial m' -> {column of m: coefficient of m' in g.m - m}
+        for (exps, col), mono in zip(axis.items(), monomials):
+            image = act_on_poly(element, mono)._terms
+            for out, coeff in image.items():
+                if out != exps:
+                    rows.setdefault(out, {})[col] = coeff
+            stays = image.get(exps, Fraction(0)) - 1
+            if stays:
+                rows.setdefault(exps, {})[col] = stays
+        for row in rows.values():
+            constraints.add(row)
     space = linalg.RowSpace()
-    for exps in axis:
-        image = reynolds(group, Polynomial.monomial(group.dim, exps))
-        if image.is_zero:
-            continue
-        space.add(_slice_vector(image, axis))
+    for vec in constraints.annihilator(range(len(axis))):
+        space.add(vec)
     basis = []
     for row in space.reduced_rows():
         basis.append(Polynomial(group.dim, {back[i]: c for i, c in row.items()}))

@@ -223,19 +223,28 @@ class RowSpace:
         the span and ``y . residual != 0``, for a nonzero ``residual`` left
         by :meth:`reduce`.
 
-        That is the Fredholm alternative made explicit: ``c`` is the lead
-        column of the residual, never a pivot, and
-        ``y = e_c - sum_i R_i[c] e_(p_i)`` over the reduced rows ``R_i`` with
-        pivots ``p_i``.  Every vector of the span is ``sum_i v[p_i] R_i``, so
-        ``y`` vanishes on it, while ``y`` applied to the reduced target is
-        the residual's entry at ``c``.
+        That is the Fredholm alternative made explicit: ``y`` is the
+        :meth:`annihilator` functional of the residual's lead column ``c``,
+        never a pivot.  It vanishes on the span, while ``y`` applied to the
+        reduced target is the residual's entry at ``c``.
         """
-        c = min(residual)
-        witness = {c: Fraction(1)}
-        for row in self.reduced_rows():
-            if c in row:
-                witness[min(row)] = -row[c]
-        return witness
+        return self.annihilator([min(residual)])[0]
+
+    def annihilator(self, columns) -> list[SparseVec]:
+        """The functionals that vanish on the span, one for each
+        of ``columns`` that is not a pivot, in the order given.
+
+        Over the reduced rows ``R_i`` with pivots ``p_i``, column ``c`` gives
+        ``y_c = e_c - sum_i R_i[c] e_(p_i)``.  Every vector of the span is
+        ``sum_i v[p_i] R_i``, so ``y_c`` vanishes on it.  Given every column,
+        these are the null space of the rows added so far.
+        """
+        free = {c: {c: Fraction(1)} for c in columns if c not in self._rows}
+        for pivot, row in zip(sorted(self._rows), self.reduced_rows()):
+            for c, coeff in row.items():
+                if c in free:
+                    free[c][pivot] = -coeff
+        return list(free.values())
 
     def reduced_rows(self) -> list[SparseVec]:
         """Fully back-substituted (reduced row echelon) basis, by pivot column."""

@@ -20,6 +20,8 @@ from skewpoisson import (
     verify_generators,
     verify_relations,
 )
+from skewpoisson import invariants
+from skewpoisson.invariants import _slice_axis, _slice_vector
 from skewpoisson.linalg import RowSpace
 
 
@@ -106,6 +108,71 @@ class TestInvariantBasis:
         for d in range(5):
             for p in invariant_basis(group, d):
                 assert is_invariant(group, p, exhaustive=True)
+
+
+def reynolds_basis(group, degree):
+    """The slice by definition: the Reynolds images of every monomial of the
+    degree, row-reduced on the same axis."""
+    axis = _slice_axis(group.dim, degree)
+    back = {i: m for m, i in axis.items()}
+    space = RowSpace()
+    for exps in axis:
+        image = reynolds(group, Polynomial.monomial(group.dim, exps))
+        if not image.is_zero:
+            space.add(_slice_vector(image, axis))
+    return [Polynomial(group.dim, {back[i]: c for i, c in row.items()})
+            for row in space.reduced_rows()]
+
+
+def counting(monkeypatch, name):
+    """Count the calls of the function ``invariants`` binds to ``name``."""
+    calls = []
+    original = getattr(invariants, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, name, wrapper)
+    return calls
+
+
+class TestCommonKernel:
+    """The slice is computed as the common kernel of ``v -> g.v - v`` over
+    the generators; its reduced echelon basis is the one the Reynolds images
+    of the monomials give."""
+
+    @pytest.mark.parametrize("name, top", [
+        ("group", 8), ("s3_group", 8), ("b3_group", 4), ("trivial", 3), ("minus", 5),
+    ])
+    def test_matches_the_reynolds_images(self, request, name, top):
+        if name == "trivial":
+            group = generate_group([], dim=4)
+        elif name == "minus":
+            group = generate_group([[["-1", "0"], ["0", "-1"]]])
+        else:
+            group = request.getfixturevalue(name)
+        for d in range(top + 1):
+            got = [list(p.items()) for p in invariant_basis(group, d)]
+            assert got == [list(p.items()) for p in reynolds_basis(group, d)]
+
+    def test_applies_each_generator_once_per_monomial(self, monkeypatch, b3_group):
+        averaged = counting(monkeypatch, "reynolds")
+        acted = counting(monkeypatch, "act_on_poly")
+        invariant_basis(b3_group, 4)
+        assert averaged == []
+        assert len(acted) == len(set(b3_group.generator_indices)) * comb(4 + 5, 5)
+
+    def test_repeated_generator_is_applied_once(self, monkeypatch):
+        minus = [["-1", "0"], ["0", "-1"]]
+        swap = [["0", "1"], ["1", "0"]]
+        group = generate_group([minus, swap, minus])
+        acted = counting(monkeypatch, "act_on_poly")
+        basis = invariant_basis(group, 4)
+        assert len(acted) == 2 * 5
+        assert sorted({g.index for g, _ in acted}) == sorted(set(group.generator_indices))
+        assert [list(p.items()) for p in basis] == [
+            list(p.items()) for p in reynolds_basis(group, 4)]
 
 
 class TestVerifyGenerators:

@@ -160,6 +160,26 @@ class TestRowSpace:
         assert all(dot(v) == 0 for v in vectors)
         assert dot(target) == 3
 
+    def test_annihilator_is_the_null_space(self):
+        vectors = [
+            {0: Fraction(1), 2: Fraction(1), 3: Fraction(2)},
+            {1: Fraction(2), 2: Fraction(-1)},
+            {0: Fraction(1), 1: Fraction(2), 3: Fraction(2)},
+        ]
+        space = RowSpace()
+        for v in vectors:
+            space.add(v)
+        # pivots 0 and 1 are skipped; columns 3 and 2 keep the order given
+        ys = space.annihilator([3, 0, 2, 1])
+        assert ys == [
+            {3: Fraction(1), 0: Fraction(-2)},
+            {2: Fraction(1), 0: Fraction(-1), 1: Fraction(1, 2)},
+        ]
+        assert all(sum(c * v.get(col, 0) for col, c in y.items()) == 0
+                   for y in ys for v in vectors)
+        # rank 2 in four columns: a two-dimensional null space
+        assert space.rank + len(space.annihilator(range(4))) == 4
+
     def test_no_separating_functional_inside_the_span(self):
         vectors = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
         coeffs, residual = self.tracked(vectors).solve({0: Fraction(2)})
