@@ -127,7 +127,7 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int = 8) -> Report:
     gens = config.build_generator_set()
     rows = [
         {"name": n, "degree": p.total_degree(),
-         "invariant": is_invariant(group, p, exhaustive=True)}
+         "invariant": is_invariant(group, p)}
         for n, p in zip(gens.names, gens.polys)
     ]
     all_inv = all(r["invariant"] for r in rows)
@@ -304,7 +304,7 @@ def run_counterexample(
     try:
         gens = config.build_generator_set()
         invariance = [
-            {"name": n, "invariant": is_invariant(group, p, exhaustive=True)}
+            {"name": n, "invariant": is_invariant(group, p)}
             for n, p in zip(gens.names, gens.polys)
         ]
     except ValueError as exc:

@@ -2,16 +2,17 @@
 
 A group is enumerated once, breadth-first from its generators, and is
 immutable afterwards: elements (with stable indices and generator words),
-the full multiplication table, inverses, conjugacy classes with
-lowest-index representatives, and centralizers.  All structure is computed
-with exact arithmetic, so two runs always agree element for element.
+the full multiplication table, inverses and conjugacy classes.  All
+structure is computed with exact arithmetic, so two runs always agree
+element for element.
 
 The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
 the Cayley graph.  Every element but the identity is its parent times one
 generator, so a row of the multiplication table follows from those edges
-by integer lookups alone; inverses, element orders, classes and
-centralizers are then read off the table.
+by integer lookups alone; inverses, element orders and classes are then
+read off the table.  One pass of ``k^-1 * rep * k`` over all ``k`` gives a
+class's members, centralizer and conjugators (:class:`ConjugacyClass`).
 
 Actions on polynomials are compiled lazily and kept as long as the group,
 with the monomial memos of their non-monomial maps: each element's
@@ -22,17 +23,16 @@ matrix, and per conjugacy class its :class:`ClassCoordinates`
 fixed-space projection ``P``, the average of the matrices of the powers of
 ``g`` (:meth:`FiniteMatrixGroup.fixed_projection_matrix`), so every
 restricted polynomial is a polynomial in ``k = dim V^g`` coordinates ``u``
-rather than in all ``n`` variables ``x``.  A class keeps the map ``into``
-``u``, the map ``back`` to ``x`` and the ``k x k`` actions of the
-centralizer of ``g`` on ``u``, all compiled substitutions; a class
-projection (:mod:`skewpoisson.skew`) needs nothing else.
+rather than in all ``n`` variables ``x``.  A class's coordinates hold only
+maps: ``into`` ``u``, ``back`` to ``x`` and the ``k x k`` actions of the
+centralizer of ``g`` on ``u``, all compiled substitutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .poly import LinearSubstitution, Polynomial, SymplecticForm
@@ -88,10 +88,16 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """``conjugators`` pairs each member ``h`` (ascending) with the
+    lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k`` moves a
+    part at ``h`` onto ``rep``; the representative is paired with the
+    identity."""
+
     index: int
     representative: int  # element index, always the lowest in the class
     members: tuple  # sorted element indices
     centralizer: tuple  # sorted element indices commuting with the representative
+    conjugators: tuple  # (member h, lowest k with k^-1 * rep * k == h)
 
     @property
     def size(self) -> int:
@@ -103,16 +109,17 @@ class FiniteMatrixGroup:
 
     def __init__(self, elements: Sequence[GroupElement], generator_indices: Sequence[int],
                  generator_names: Sequence[str], right: Sequence[Sequence[int]],
-                 parents: Sequence[Optional[tuple]]):
-        """``right[i][k]`` is the index of ``elements[i] * generator k``, and
+                 parents: Sequence[Optional[tuple]], index: dict):
+        """``right[i][k]`` is the index of ``elements[i] * generator k``,
         ``parents[j] == (i, k)`` says element ``j`` was found as that product
-        (``parents[0]`` is ``None``: the identity has no parent)."""
+        (``parents[0]`` is ``None``: the identity has no parent) and
+        ``index`` maps each element's matrix to its index."""
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
         self.dim = self.elements[0].dim
         self.order = len(self.elements)
-        self._index_by_matrix = {e.matrix: e.index for e in self.elements}
+        self._index_by_matrix = index
 
         # a * elements[j] == (a * elements[i]) * generator k, for parents[j] == (i, k)
         table = []
@@ -121,38 +128,28 @@ class FiniteMatrixGroup:
             for i, k in parents[1:]:
                 row.append(right[row[i]][k])
             table.append(tuple(row))
-        self.mul_table = tuple(table)
-        self.inverse_table = tuple(row.index(0) for row in self.mul_table)
+        self.mul_table = table = tuple(table)
+        self.inverse_table = inv = tuple(row.index(0) for row in table)
 
-        self.classes = self._compute_classes()
+        # one pass of k^-1 * rep * k over all k per class (see ConjugacyClass)
         self._class_of = [None] * self.order
-        for cls in self.classes:
-            for m in cls.members:
-                self._class_of[m] = cls.index
-        self._fixed_proj = {}
-        self._coordinates = {}
-
-    # ------------------------------------------------------------------
-
-    def _compute_classes(self):
         classes = []
-        assigned = [False] * self.order
-        for i in range(self.order):
-            if assigned[i]:
+        for rep in range(self.order):
+            if self._class_of[rep] is not None:
                 continue
-            members = set()
-            for h in range(self.order):
-                hi = self.mul_table[h][i]
-                members.add(self.mul_table[hi][self.inverse_table[h]])
-            members = tuple(sorted(members))
+            first, centr = {}, []
+            for k in range(self.order):
+                h = table[table[inv[k]][rep]][k]
+                first.setdefault(h, k)
+                if h == rep:
+                    centr.append(k)
+            members = tuple(sorted(first))
             for m in members:
-                assigned[m] = True
-            centr = tuple(
-                h for h in range(self.order)
-                if self.mul_table[h][i] == self.mul_table[i][h]
-            )
-            classes.append(ConjugacyClass(len(classes), i, members, centr))
-        return tuple(classes)
+                self._class_of[m] = len(classes)
+            classes.append(ConjugacyClass(len(classes), rep, members, tuple(centr),
+                                          tuple((h, first[h]) for h in members)))
+        self.classes = tuple(classes)
+        self._coordinates = {}
 
     # ------------------------------------------------------------------
     # element access
@@ -160,12 +157,6 @@ class FiniteMatrixGroup:
     @property
     def identity(self) -> GroupElement:
         return self.elements[0]
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
 
     def element_index(self, g: "GroupElement | int") -> int:
         """Index of an element; raises for matrices outside the group."""
@@ -222,24 +213,21 @@ class FiniteMatrixGroup:
         )
 
     def fixed_projection_matrix(self, g: "GroupElement | int"):
-        """Cached projection onto the fixed space of an element: the average
-        of the matrices of its powers, which are read off the multiplication
-        table.
+        """Projection onto the fixed space of an element, computed afresh on
+        each call: the average of the matrices of its powers, which are read
+        off the multiplication table.
 
         The result is idempotent, has image ``ker(g - 1)``, and commutes with
         everything commuting with ``g``, and all of this stays inside the
         rationals, unlike an eigen-decomposition.
         """
         idx = self.element_index(g)
-        cached = self._fixed_proj.get(idx)
-        if cached is None:
-            acc, power, order = self.identity.matrix, idx, 1
-            while power != 0:
-                acc = linalg.mat_add(acc, self.elements[power].matrix)
-                power = self.mul_table[power][idx]
-                order += 1
-            cached = self._fixed_proj[idx] = linalg.mat_scale(Fraction(1, order), acc)
-        return cached
+        acc, power, order = self.identity.matrix, idx, 1
+        while power != 0:
+            acc = linalg.mat_add(acc, self.elements[power].matrix)
+            power = self.mul_table[power][idx]
+            order += 1
+        return linalg.mat_scale(Fraction(1, order), acc)
 
     def class_coordinates(self, class_index: int) -> "ClassCoordinates":
         """Cached :class:`ClassCoordinates` of a conjugacy class, compiled on
@@ -257,12 +245,8 @@ class FiniteMatrixGroup:
         satisfies ``B_c U == U c^-1``: ``c`` acts on the restricted
         polynomials as the ``k x k`` substitution ``u -> B_c u``.  ``c -> B_c``
         reverses products, so the distinct ``B_c`` form a group, and an
-        average over the centralizer equals the average over them.
-        ``conjugators`` pairs each member ``h`` (ascending) with the
-        lowest-index ``k`` such that ``k^-1 * rep * k == h``, so ``k`` moves a
-        part at ``h`` onto ``rep``; the representative is paired with the
-        identity.  An index outside the classes, negative ones included,
-        raises ``ValueError``.
+        average over the centralizer equals the average over them.  An index
+        outside the classes, negative ones included, raises ``ValueError``.
         """
         cached = self._coordinates.get(class_index)
         if cached is None:
@@ -270,16 +254,9 @@ class FiniteMatrixGroup:
                 raise ValueError(f"class index {class_index} out of range "
                                  f"(group has {len(self.classes)} classes)")
             cls = self.classes[class_index]
-            rep = cls.representative
-            table, inv = self.mul_table, self.inverse_table
-            first = {}
-            for k in range(self.order):
-                first.setdefault(table[table[inv[k]][rep]][k], k)
-            conjugators = tuple((h, first[h]) for h in cls.members)
             cached = ClassCoordinates.compile(
-                self.fixed_projection_matrix(rep),
-                [self.elements[inv[c]].matrix for c in cls.centralizer],
-                conjugators)
+                self.fixed_projection_matrix(cls.representative),
+                [self.elements[self.inverse_table[c]].matrix for c in cls.centralizer])
             self._coordinates[class_index] = cached
         return cached
 
@@ -302,10 +279,9 @@ class ClassCoordinates:
     into: LinearSubstitution  # x -> A u
     back: LinearSubstitution  # u -> U x
     actions: tuple  # the distinct B_c other than the identity, compiled
-    conjugators: tuple  # (member h, lowest k with k^-1 * rep * k == h)
 
     @classmethod
-    def compile(cls, projection, inverses, conjugators) -> "ClassCoordinates":
+    def compile(cls, projection, inverses) -> "ClassCoordinates":
         """The coordinates of the projection ``P``, acted on by the
         centralizer elements whose inverse matrices are ``inverses``."""
         n = len(projection)
@@ -321,7 +297,7 @@ class ClassCoordinates:
         if not basis:
             zero = Fraction(0)
             return cls(0, (), weights, LinearSubstitution(((zero,),) * n),
-                       LinearSubstitution(((zero,) * n,)), (), conjugators)
+                       LinearSubstitution(((zero,) * n,)), ())
         basis = tuple(basis)
         identity = linalg.identity_matrix(len(basis))
         actions = {}
@@ -330,7 +306,7 @@ class ClassCoordinates:
             if b != identity and b not in actions:
                 actions[b] = LinearSubstitution(b)
         return cls(len(basis), basis, weights, LinearSubstitution(weights),
-                   LinearSubstitution(basis), tuple(actions.values()), conjugators)
+                   LinearSubstitution(basis), tuple(actions.values()))
 
 
 def generate_group(
@@ -397,7 +373,7 @@ def generate_group(
         right.append(row)
 
     generator_indices = [index[g] for g in gens]
-    return FiniteMatrixGroup(elements, generator_indices, names, right, parents)
+    return FiniteMatrixGroup(elements, generator_indices, names, right, parents, index)
 
 
 def is_symplectic(g: GroupElement, form: SymplecticForm) -> bool:

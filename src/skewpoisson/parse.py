@@ -17,6 +17,7 @@ are meant; every other juxtaposition is a syntax error.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .poly import Polynomial, format_poly
@@ -24,6 +25,7 @@ from .poly import Polynomial, format_poly
 __all__ = ["PolyParseError", "parse_poly", "format_poly", "DEFAULT_DEGREE_CAP"]
 
 DEFAULT_DEGREE_CAP = 64
+TERM_PRODUCT_BUDGET = 50_000  # (x1+x2+x3+x4)^16 takes 15504
 
 _NUMBER = "number"
 _NAME = "name"
@@ -116,11 +118,14 @@ class _Parser:
                 break
         return total
 
-    def check_degree(self, degree: int, pos: int):
+    def check_size(self, degree: int, work: int, pos: int):
         if degree > self.degree_cap:
             raise PolyParseError(
                 f"degree {degree} exceeds the degree cap {self.degree_cap}", pos
             )
+        if work > TERM_PRODUCT_BUDGET:
+            raise PolyParseError(f"expanding needs up to {work} term products, over "
+                                 f"the term-product budget {TERM_PRODUCT_BUDGET}", pos)
 
     def parse_term(self) -> Polynomial:
         product = self.parse_factor()
@@ -132,7 +137,8 @@ class _Parser:
                 # a factor followed by a name multiplies it (compact juxtaposition)
                 break
             factor = self.parse_factor()
-            self.check_degree(product.total_degree() + factor.total_degree(), pos)
+            self.check_size(product.total_degree() + factor.total_degree(),
+                            len(product) * len(factor), pos)
             product = product * factor
         return product
 
@@ -148,8 +154,11 @@ class _Parser:
                 raise PolyParseError(
                     f"exponent {value} exceeds the degree cap {self.degree_cap}", pos
                 )
-            self.check_degree(base.total_degree() * value, pos)
-            base = base**value
+            self.check_size(base.total_degree() * value, _power_work(base, value), pos)
+            power = Polynomial.one(self.nvars)
+            for _ in range(value):
+                power = power * base
+            return power
         return base
 
     def parse_atom(self) -> Polynomial:
@@ -175,6 +184,17 @@ class _Parser:
         raise PolyParseError("expected a number, a name or '('", pos)
 
 
+def _power_work(base: Polynomial, exponent: int) -> int:
+    """An upper bound on the term products of multiplying ``base`` into the
+    power ``exponent`` times, from 1: ``base^j`` has no more terms than there
+    are multisets of ``j`` terms of ``base``, or monomials of degree at most
+    ``j * deg(base)`` in the variables ``base`` contains."""
+    t, d = len(base), max(base.total_degree(), 0)
+    v = sum(map(any, zip(*(e for e, _ in base.items()))))
+    return t * (1 + sum(min(comb(t + j - 1, j), comb(j * d + v, v))
+                        for j in range(1, exponent)))
+
+
 def parse_poly(
     text: str,
     nvars: Optional[int] = None,
@@ -188,8 +208,10 @@ def parse_poly(
     variable alphabet.  ``degree_cap`` bounds the total degree of every
     power and product, checked from the degrees of the operands before the
     power or product is expanded, so a nested power such as ``(x1^64)^64``
-    or a product such as ``x1^40*x1^40`` is rejected without being built.
-    The degree of a sum is that of its highest term, so sums need no check.
+    or a product such as ``x1^40*x1^40`` is rejected without being built,
+    as is one whose expansion would take over :data:`TERM_PRODUCT_BUDGET`
+    term-by-term products, such as ``(x1+x2+x3+x4)^48``.  The degree of a
+    sum is that of its highest term, so sums need no check.
     """
     if names is None:
         if nvars is None:

@@ -266,12 +266,13 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
         (1/|C|) sum_(c in C) c . restrict(sum_h k_h . a_h),
 
     the projection of the single term ``(sum_h k_h . a_h) . rep`` by
-    :func:`project_term`, for the conjugators ``k_h`` of
-    :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`.
+    :func:`project_term`, for the class's conjugators ``k_h``
+    (:class:`~skewpoisson.groups.ConjugacyClass`).
     """
     group = a.group
+    group.class_coordinates(class_index)  # raises for an index outside the classes
     moved = Polynomial.zero(group.dim)
-    for h, k in group.class_coordinates(class_index).conjugators:
+    for h, k in group.classes[class_index].conjugators:
         part = a._parts.get(h)
         if part is not None:
             moved = moved + (group.elements[k].action(part) if k else part)

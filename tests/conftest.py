@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from skewpoisson import ScenarioConfig, generate_group
+from skewpoisson import Polynomial, ScenarioConfig, act_on_poly, generate_group
 from skewpoisson.linalg import inverse, mat_mul, matrix_from_rows, transpose
 from skewpoisson.selftest import DEFAULT_SEED, run_selftest
 
@@ -40,6 +41,29 @@ def coxeter_bn(n, seed):
     gens = [mat_mul(mat_mul(g, matrix_from_rows(s)), inverse(g)) for s in gens]
     rng.shuffle(gens)
     return [on_h_plus_dual(s) for s in gens]
+
+
+def random_poly(rng, nvars):
+    """Up to four terms of degree at most 3 with small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    return Polynomial(nvars, terms)
+
+
+def fixed_by_every_element(group, p):
+    """Invariance by definition: every element of the group fixes ``p``."""
+    return all(act_on_poly(g, p) == p for g in group.elements)
+
+
+def class_restriction(group, class_index):
+    """The restriction of a class, the substitution by its representative's
+    fixed-space projection, as the class's coordinates factor it."""
+    coords = group.class_coordinates(class_index)
+    return lambda p: coords.back(coords.into(p))
 
 
 @pytest.fixture(scope="session")

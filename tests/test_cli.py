@@ -10,6 +10,7 @@ import pytest
 
 from skewpoisson import ConfigError
 from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, main
+from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -164,6 +165,15 @@ class TestBracketCommand:
         code, out = run(capsys, "bracket", "(x1^64)^64", "x2")
         assert code == 2
         assert "degree cap 64" in out
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", ["(x1+x2+x3+x4)^48",
+                                      "(x1+x2+x3+x4)^30*(x1+x2+x3+x4)^30"])
+    def test_dense_power_over_the_term_product_budget_exits_2(self, capsys, text):
+        start = time.perf_counter()
+        code, out = run(capsys, "bracket", text, "x1")
+        assert code == 2
+        assert f"term-product budget {TERM_PRODUCT_BUDGET}" in out
         assert time.perf_counter() - start < 1.0
 
     def test_parse_error_names_the_argument(self, capsys):

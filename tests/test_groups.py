@@ -22,6 +22,8 @@ from skewpoisson import (
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
+from conftest import class_restriction, random_poly
+
 B = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 C = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
 E = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
@@ -282,16 +284,6 @@ class TestFixedProjection:
                 assert mat_mul(u.matrix, proj) == mat_mul(proj, u.matrix)
 
 
-def random_poly(rng, nvars):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-    return Polynomial(nvars, terms)
-
-
 class TestClassRestriction:
     """Each class's restriction substitutes by a projection matrix, so it is
     idempotent and multiplicative; the image memo of ``sigma_image_basis``
@@ -301,11 +293,7 @@ class TestClassRestriction:
         group = reference_group
         rng = random.Random(f"restriction:{group.order}")
         for cls in group.classes:
-            coords = group.class_coordinates(cls.index)
-
-            def restrict(p):
-                return coords.back(coords.into(p))
-
+            restrict = class_restriction(group, cls.index)
             for _ in range(4):
                 p, q = random_poly(rng, group.dim), random_poly(rng, group.dim)
                 assert restrict(restrict(p)) == restrict(p)

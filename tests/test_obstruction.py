@@ -34,19 +34,11 @@ from skewpoisson import (
 from skewpoisson.linalg import inverse
 from skewpoisson.poly import monomials_of_degree
 
+from conftest import class_restriction, random_poly
+
 
 def P(text):
     return parse_poly(text, nvars=4)
-
-
-def random_poly(rng, nvars):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-    return Polynomial(nvars, terms)
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +108,7 @@ class TestImageBasis:
         variables = [Polynomial.monomial(dim, [int(j == k) for j in range(dim)])
                      for k in range(dim)]
         for i in range(1, len(group.classes)):
-            coords = group.class_coordinates(i)
-
-            def restrict(p):
-                return coords.back(coords.into(p))
-
+            restrict = class_restriction(group, i)
             # a variable the restriction moves gives a psi it sends to zero
             moved = next(x for x in variables if restrict(x) != x)
             inhomogeneous = random_poly(rng, dim) + constant_and_square

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from skewpoisson import PolyParseError, Polynomial, format_poly, parse_poly
+from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
 GEN_NAMES = ["f1", "f2", "f3", "f4", "h1", "h2", "h3", "h4"]
 
@@ -105,6 +107,21 @@ class TestErrors:
         assert parse_poly("(x1^8)^8", nvars=4) == parse_poly("x1^64", nvars=4)
         assert parse_poly("x1^32*x2^32 + x3", nvars=4).total_degree() == 64
         assert parse_poly("(x1^40)^2", nvars=4, degree_cap=80).total_degree() == 80
+
+    def test_dense_product_over_the_budget_rejected_unbuilt(self):
+        # each power fits the budget, their product (455 x 455 terms) does not
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError,
+                           match=f"term-product budget {TERM_PRODUCT_BUDGET}"):
+            parse_poly("(x1+x2+x3+x4)^12*(x1+x2+x3+x4)^12", nvars=4)
+        assert time.perf_counter() - start < 0.5
+
+    def test_dense_power_within_the_budget_accepted(self):
+        # every monomial of degree 16 in four variables
+        assert len(parse_poly("(x1+x2+x3+x4)^16", nvars=4)) == 969
+
+    def test_zero_power_needs_no_work(self):
+        assert parse_poly("(x1-x1)^64", nvars=4).is_zero
 
     def test_number_after_name_rejected(self):
         with pytest.raises(PolyParseError):

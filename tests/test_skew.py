@@ -23,6 +23,8 @@ from skewpoisson import (
 from skewpoisson import groups, poly
 from skewpoisson.linalg import RowSpace, inverse
 
+from conftest import class_restriction, random_poly
+
 
 def P(text):
     return parse_poly(text, nvars=4)
@@ -112,8 +114,7 @@ def restriction(group, word):
     g = group.element_from_word(word)
     i = group.class_of(g)
     assert group.classes[i].representative == g.index
-    coords = group.class_coordinates(i)
-    return lambda p: coords.back(coords.into(p))
+    return class_restriction(group, i)
 
 
 class TestRestriction:
@@ -151,8 +152,11 @@ class TestProjection:
         assert hh0_project(SkewElement.term(group, P("x3*x4"), b), i) == P("x3*x4")
 
     def test_invalid_class_index(self, group):
+        # -1 would otherwise project onto the last class
         with pytest.raises(ValueError, match="class index"):
             hh0_project(SkewElement.one(group), 99)
+        with pytest.raises(ValueError, match="class index"):
+            hh0_project(SkewElement.one(group), -1)
 
     def test_projection_lands_in_quadratic_fixed_invariants(self, group):
         # the class-of-b component must lie in the span of x3^2, x4^2, x3*x4
@@ -212,16 +216,6 @@ def two_step_projection(a, class_index):
     return total * Fraction(1, len(cls.centralizer))
 
 
-def random_poly(rng, nvars):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-    return Polynomial(nvars, terms)
-
-
 def random_skew_element(rng, group):
     parts = {idx: random_poly(rng, group.dim)
              for idx in rng.sample(range(group.order), min(4, group.order))}
@@ -260,12 +254,11 @@ class TestCompiledProjection:
                                              r"\(group has 5 classes\)"):
             group.class_coordinates(index)
 
-    @pytest.mark.parametrize("name", ["group", "s3_group"])
+    @pytest.mark.parametrize("name", ["group", "s3_group", "b3_group"])
     def test_conjugators_move_each_member_onto_the_representative(self, request, name):
         group = request.getfixturevalue(name)
         for cls in group.classes:
-            coords = group.class_coordinates(cls.index)
-            conjugators = coords.conjugators
+            conjugators = cls.conjugators
             assert [h for h, _ in conjugators] == list(cls.members)
             assert dict(conjugators)[cls.representative] == 0
             for h, k in conjugators:
@@ -276,7 +269,7 @@ class TestCompiledProjection:
                                                        cls.representative), j).index == h)
             p = random_poly(random.Random(f"restrict:{cls.index}"), group.dim)
             proj = group.fixed_projection_matrix(cls.representative)
-            assert coords.back(coords.into(p)) == substitute_linear(p, proj)
+            assert class_restriction(group, cls.index)(p) == substitute_linear(p, proj)
 
     def test_one_compiled_restriction_per_class(self, monkeypatch, config):
         """Projecting compiles, per class, the maps into and back out of its
