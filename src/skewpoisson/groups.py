@@ -343,8 +343,10 @@ def generate_group(
     for name, g in zip(names, gens):
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError(f"generator {name!r} is not {n}x{n}")
-        if not linalg.is_invertible(g):
-            raise ValueError(f"generator {name!r} is singular")
+        try:
+            linalg.inverse(g)
+        except ValueError:
+            raise ValueError(f"generator {name!r} is singular") from None
 
     ident = linalg.identity_matrix(n)
     elements = [GroupElement(0, ident, "1")]

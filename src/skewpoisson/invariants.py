@@ -7,9 +7,10 @@ weighted by class size) and the common kernel of the generators' actions
 (the polynomials of a degree that every generator fixes, read off the
 row-reduced images of its monomials over the rationals).  Generator
 verification compares the span of generator products against those slices
-degree by degree, and relation verification substitutes the generators into
-candidate relations and reports the residual verbatim; a nonzero residual is
-a finding, never an exception.
+degree by degree, counting each slice by rank-nullity, and relation
+verification substitutes the generators into candidate relations and
+reports the residual verbatim; a nonzero residual is a finding, never an
+exception.
 """
 
 from __future__ import annotations
@@ -111,24 +112,15 @@ def _slice_vector(p: Polynomial, axis: dict) -> dict:
     return vec
 
 
-def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
-    """A canonical basis of the degree-``degree`` invariant slice.
+def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
+    """The row-reduced constraints whose null space is the invariant slice
+    on ``axis``.
 
     A polynomial is invariant exactly when every generator fixes it, so the
     slice is the common kernel of the maps ``v -> g.v - v`` over the
     distinct generators ``g``.  Each generator's image of each monomial of
-    the degree gives one column of those maps, and the null space of the
-    row-reduced constraints (``RowSpace.annihilator``) is the slice.  The
-    returned polynomials are the fully reduced echelon rows of that null
-    space (leading coefficient 1).  A subspace has one reduced echelon form
-    for a fixed column order, so the basis is deterministic and equals the
-    row-reduced Reynolds images of the monomials, without averaging over
-    the group.
+    the axis gives one column of those maps.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    axis = _slice_axis(group.dim, degree)
-    back = {i: m for m, i in axis.items()}
     monomials = [Polynomial.monomial(group.dim, exps) for exps in axis]
     constraints = linalg.RowSpace()
     for g in dict.fromkeys(group.generator_indices):
@@ -144,8 +136,24 @@ def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
                 rows.setdefault(exps, {})[col] = stays
         for row in rows.values():
             constraints.add(row)
+    return constraints
+
+
+def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
+    """A canonical basis of the degree-``degree`` invariant slice.
+
+    The returned polynomials are the fully reduced echelon rows of the null
+    space of :func:`_slice_constraints` (leading coefficient 1).  A subspace
+    has one reduced echelon form for a fixed column order, so the basis is
+    deterministic and equals the row-reduced Reynolds images of the
+    monomials, without averaging over the group.
+    """
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    axis = _slice_axis(group.dim, degree)
+    back = {i: m for m, i in axis.items()}
     space = linalg.RowSpace()
-    for vec in constraints.annihilator(range(len(axis))):
+    for vec in _slice_constraints(group, axis).annihilator(range(len(axis))):
         space.add(vec)
     basis = []
     for row in space.reduced_rows():
@@ -266,9 +274,11 @@ def verify_generators(
 ) -> GeneratorSpanReport:
     """Compare generator-product spans with the invariant slices per degree.
 
-    Requires homogeneous generators of positive degree, so the grading is
-    respected and a degree-slice comparison is exact.  A deficient degree is
-    reported, not raised.
+    A slice's dimension is its number of monomials minus the rank of its
+    constraints, still independent of Molien.  Requires homogeneous
+    generators of positive degree, so the grading is respected and a
+    degree-slice comparison is exact.  A deficient degree is reported, not
+    raised.
     """
     for name, p in zip(gens.names, gens.polys):
         if p.nvars != group.dim:
@@ -285,8 +295,8 @@ def verify_generators(
     times_powers = _power_products(gens)
     rows = []
     for d in range(up_to_degree + 1):
-        slice_dim = len(invariant_basis(group, d))
         axis = _slice_axis(group.dim, d)
+        slice_dim = len(axis) - _slice_constraints(group, axis).rank
         space = linalg.RowSpace()
         for exps in _weighted_exponents(weights, d):
             prod = times_powers(Polynomial.one(group.dim), exps)

@@ -2,7 +2,8 @@
 
 Matrices are immutable tuples of tuples of ``Fraction``; vectors used by the
 row-reduction machinery are sparse dicts mapping a column index to a nonzero
-``Fraction``.  Everything here is exact: no rounding, no tolerances.
+``Fraction``.  Everything here is exact: no rounding, no tolerances.  Every
+elimination, inversion included, is :class:`RowSpace`'s.
 """
 
 from __future__ import annotations
@@ -66,41 +67,30 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse, read off the ``n`` reduced rows of ``[A | I]`` in a
+    :class:`RowSpace`: ``A`` is singular exactly when some reduced row ``i``
+    has no entry at column ``i``; otherwise row ``i``'s right half is row
+    ``i`` of ``A^-1``."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse requires a square matrix")
-    work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-        inv_p = Fraction(1) / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def is_invertible(a: Matrix) -> bool:
-    try:
-        inverse(a)
-    except ValueError:
-        return False
-    return True
+    space = RowSpace()
+    for i, row in enumerate(a):
+        vec = {j: x for j, x in enumerate(row) if x}
+        vec[n + i] = Fraction(1)
+        space.add(vec)
+    rows = space.reduced_rows()
+    if any(i not in row for i, row in enumerate(rows)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in rows)
 
 
 def char_poly(a: Matrix) -> list:
     """Coefficients of det(t*I - a), indexed by the power of t.
 
     Faddeev-LeVerrier recursion: with M_0 = 0 and c_n = 1, each step sets
-    M_k = a*M_(k-1) + c_(n-k+1)*I and c_(n-k) = -trace(a*M_k)/k.  Exact over
-    the rationals in O(n^4) operations.
+    M_k = a*M_(k-1) + c_(n-k+1)*I and c_(n-k) = -trace(a*M_k)/k, the product
+    by :func:`mat_mul`.  Exact over the rationals in O(n^4) operations.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -110,10 +100,7 @@ def char_poly(a: Matrix) -> list:
     for k in range(1, n + 1):
         c = coeffs[n - k + 1]
         m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
-        am = [
-            [sum((x * m[l][j] for l, x in enumerate(row) if x), Fraction(0)) for j in range(n)]
-            for row in a
-        ]
+        am = mat_mul(a, m)
         coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
     return coeffs
 

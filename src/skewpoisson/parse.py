@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 from .poly import Polynomial, format_poly
 
-__all__ = ["PolyParseError", "parse_poly", "format_poly", "DEFAULT_DEGREE_CAP"]
+__all__ = ["PolyParseError", "parse_poly", "format_poly", "DEGREE_CAP"]
 
-DEFAULT_DEGREE_CAP = 64
+DEGREE_CAP = 64
 TERM_PRODUCT_BUDGET = 50_000  # (x1+x2+x3+x4)^16 takes 15504
 
 _NUMBER = "number"
@@ -81,11 +81,10 @@ def _tokenize(text: str, names: Sequence[str]):
 
 
 class _Parser:
-    def __init__(self, tokens, nvars: int, degree_cap: int):
+    def __init__(self, tokens, nvars: int):
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
-        self.degree_cap = degree_cap
 
     def peek(self):
         return self.tokens[self.pos]
@@ -119,10 +118,8 @@ class _Parser:
         return total
 
     def check_size(self, degree: int, work: int, pos: int):
-        if degree > self.degree_cap:
-            raise PolyParseError(
-                f"degree {degree} exceeds the degree cap {self.degree_cap}", pos
-            )
+        if degree > DEGREE_CAP:
+            raise PolyParseError(f"degree {degree} exceeds the degree cap {DEGREE_CAP}", pos)
         if work > TERM_PRODUCT_BUDGET:
             raise PolyParseError(f"expanding needs up to {work} term products, over "
                                  f"the term-product budget {TERM_PRODUCT_BUDGET}", pos)
@@ -150,15 +147,12 @@ class _Parser:
             kind, value, pos = self.advance()
             if kind != _NUMBER:
                 raise PolyParseError("expected an integer exponent after '^'", pos)
-            if value > self.degree_cap:
+            if value > DEGREE_CAP:
                 raise PolyParseError(
-                    f"exponent {value} exceeds the degree cap {self.degree_cap}", pos
+                    f"exponent {value} exceeds the degree cap {DEGREE_CAP}", pos
                 )
             self.check_size(base.total_degree() * value, _power_work(base, value), pos)
-            power = Polynomial.one(self.nvars)
-            for _ in range(value):
-                power = power * base
-            return power
+            return base ** value
         return base
 
     def parse_atom(self) -> Polynomial:
@@ -185,10 +179,10 @@ class _Parser:
 
 
 def _power_work(base: Polynomial, exponent: int) -> int:
-    """An upper bound on the term products of multiplying ``base`` into the
-    power ``exponent`` times, from 1: ``base^j`` has no more terms than there
-    are multisets of ``j`` terms of ``base``, or monomials of degree at most
-    ``j * deg(base)`` in the variables ``base`` contains."""
+    """An upper bound on the term products of ``base ** exponent``, which
+    multiplies ``base`` into the power ``exponent`` times, from 1: ``base^j``
+    has no more terms than there are multisets of ``j`` terms of ``base``,
+    or monomials of degree at most ``j * deg(base)`` in its variables."""
     t, d = len(base), max(base.total_degree(), 0)
     v = sum(map(any, zip(*(e for e, _ in base.items()))))
     return t * (1 + sum(min(comb(t + j - 1, j), comb(j * d + v, v))
@@ -199,19 +193,19 @@ def parse_poly(
     text: str,
     nvars: Optional[int] = None,
     names: Optional[Sequence[str]] = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Polynomial:
     """Parse an expression into a canonical :class:`Polynomial`.
 
     Exactly one of ``nvars`` (variables ``x1 .. x<nvars>``) or ``names``
     (explicit variable names, defining ``nvars`` by their count) selects the
-    variable alphabet.  ``degree_cap`` bounds the total degree of every
-    power and product, checked from the degrees of the operands before the
-    power or product is expanded, so a nested power such as ``(x1^64)^64``
-    or a product such as ``x1^40*x1^40`` is rejected without being built,
-    as is one whose expansion would take over :data:`TERM_PRODUCT_BUDGET`
-    term-by-term products, such as ``(x1+x2+x3+x4)^48``.  The degree of a
-    sum is that of its highest term, so sums need no check.
+    variable alphabet.  The fixed :data:`DEGREE_CAP` bounds the total degree
+    of every power and product, checked from the degrees of the operands
+    before the power or product is expanded, so a nested power such as
+    ``(x1^64)^64`` or a product such as ``x1^40*x1^40`` is rejected without
+    being built, as is one whose expansion would take over
+    :data:`TERM_PRODUCT_BUDGET` term-by-term products, such as
+    ``(x1+x2+x3+x4)^48``.  The degree of a sum is that of its highest term,
+    so sums need no check.
     """
     if names is None:
         if nvars is None:
@@ -226,7 +220,7 @@ def parse_poly(
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
     text = text.replace("−", "-")
-    parser = _Parser(_tokenize(text, names), len(names), degree_cap)
+    parser = _Parser(_tokenize(text, names), len(names))
     result = parser.parse_expr()
     kind, _, pos = parser.peek()
     if kind != _END:

@@ -203,16 +203,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """``self`` multiplied into 1 ``exponent`` times, one factor at a
+        time: the sequential loop whose term products ``parse._power_work``
+        bounds."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def _wrap(self, terms: dict, nvars: Optional[int] = None) -> "Polynomial":

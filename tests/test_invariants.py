@@ -192,6 +192,19 @@ class TestVerifyGenerators:
         assert row.span_dim == 2
         assert row.slice_dim == 3
 
+    @pytest.mark.parametrize("name, top", [("group", 8), ("s3_group", 6), ("b3_group", 4)])
+    def test_slice_dim_is_the_basis_length(self, request, generators, name, top):
+        group = request.getfixturevalue(name)
+        gens = generators if name == "group" else GeneratorSet((), ())
+        report = verify_generators(group, gens, top)
+        assert [r.slice_dim for r in report.rows] == [
+            len(invariant_basis(group, d)) for d in range(top + 1)]
+
+    def test_counts_slices_without_building_a_basis(self, monkeypatch, group, generators):
+        built = counting(monkeypatch, "invariant_basis")
+        assert verify_generators(group, generators, 8).complete
+        assert built == []
+
     def test_empty_generator_set_covers_degree_zero(self, group):
         report = verify_generators(group, GeneratorSet((), ()), 0)
         assert report.complete

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from importlib import resources
 
 import pytest
@@ -37,3 +38,17 @@ def test_core_module_does_not_import_outer_layers(module):
 
 def test_import_scan_sees_the_outer_layers():
     assert {"config", "report", "_version"} <= package_imports("cli")
+
+
+PACKAGE_MODULES = ("skewpoisson",) + tuple(
+    f"skewpoisson.{path.name[:-3]}"
+    for path in resources.files("skewpoisson").iterdir()
+    if path.name.endswith(".py") and path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_MODULES))
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -63,6 +63,49 @@ class TestScalarsAndMatrices:
         with pytest.raises(ValueError, match="singular"):
             inverse(matrix_from_rows([["1", "2"], ["2", "4"]]))
 
+    @staticmethod
+    def assert_inverts(m):
+        inv = inverse(m)
+        n = len(m)
+        assert mat_mul(m, inv) == mat_mul(inv, m) == identity_matrix(n)
+
+    def test_inverse_round_trips_on_dense_rational_matrices(self):
+        rng = random.Random(23)
+        for n in range(1, 7):
+            done = 0
+            while done < 4:
+                m = tuple(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                for _ in range(n)) for _ in range(n))
+                if cofactor_det(m) == 0:
+                    continue
+                self.assert_inverts(m)
+                done += 1
+
+    def test_inverse_round_trips_on_signed_permutations(self):
+        rng = random.Random(29)
+        for n in range(1, 7):
+            for _ in range(4):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m = tuple(tuple(Fraction(rng.choice((1, -1))) if perm[i] == j else Fraction(0)
+                                for j in range(n)) for i in range(n))
+                self.assert_inverts(m)
+                assert inverse(m) == transpose(m)
+
+    @pytest.mark.parametrize("rows", [
+        [["1", "2", "3"], ["0", "0", "0"], ["4", "5", "6"]],  # a zero row
+        [["0", "1", "2"], ["0", "3", "4"], ["0", "5", "7"]],  # a zero first column
+        [["1", "2", "3"], ["4", "5", "6"], ["5", "7", "9"]],  # row 3 = row 1 + row 2
+    ])
+    def test_singular_inverse_rejected_by_shape(self, rows):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(matrix_from_rows(rows))
+
+    def test_inverse_of_empty_and_non_square_matrices(self):
+        assert inverse(()) == ()
+        with pytest.raises(ValueError, match="inverse requires a square matrix"):
+            inverse(matrix_from_rows([["1", "2"]]))
+
     def test_char_poly_matches_cofactor_expansion(self):
         # det(t*I - a) has degree n, so agreeing at t = 0..n settles every coefficient
         rng = random.Random(11)

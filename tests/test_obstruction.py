@@ -476,9 +476,10 @@ class TestLadder:
 
     def test_each_distinct_image_enters_the_row_space_once(self, monkeypatch, group,
                                                             form, named, class_of_b):
-        group.class_coordinates(class_of_b)  # compiled before counting
-        added = counting(monkeypatch, "add", module=linalg.RowSpace)
+        # the problem compiles the class coordinates and the actions it needs
+        # (each inversion adds rows) before counting starts
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 8, form)
+        added = counting(monkeypatch, "add", module=linalg.RowSpace)
         certs = list(solve_ladder(problem, range(9)))
         images = sigma_image_basis(group, named["h1"], class_of_b, 8)
         # the 495 images take 25 distinct nonzero values, each added once;

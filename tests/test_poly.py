@@ -69,6 +69,15 @@ class TestRingOps:
         q = Polynomial(2, {(1, 0): Fraction(-1)})
         assert (p + q).is_zero
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_is_the_repeated_product(self, seed):
+        rng = random.Random(f"power:{seed}")
+        p = random_poly(rng, 3, terms=4, degree=3)
+        expected = Polynomial.one(3)
+        for e in range(7):
+            assert p**e == expected
+            expected = oracle_product(expected, p)
+
     def test_scalar_and_power_rules(self):
         p = P("x1 + x2", nvars=2)
         assert p * Fraction(1, 2) == P("1/2*x1 + 1/2*x2", nvars=2)
