@@ -8,7 +8,13 @@ element for element.
 
 The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
-the Cayley graph.  Every element but the identity is its parent times one
+the Cayley graph.  It runs on integers alone.  Each matrix is the key
+``(d, rows)`` of its least common denominator ``d`` and the integer matrix
+``d * M``, and the group's index maps keys to element indices.  Row ``a``
+of a product is the sum of ``a[r]`` times row ``r`` of the generator, over
+the nonzero entries of both, reduced by a gcd only when the product's
+denominator is not 1.  Each element's ``Fraction`` matrix is built once,
+after the search.  Every element but the identity is its parent times one
 generator, so a row of the multiplication table follows from those edges
 by integer lookups alone; inverses, element orders and classes are then
 read off the table.  One pass of ``k^-1 * rep * k`` over all ``k`` gives a
@@ -32,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -113,13 +121,14 @@ class FiniteMatrixGroup:
         """``right[i][k]`` is the index of ``elements[i] * generator k``,
         ``parents[j] == (i, k)`` says element ``j`` was found as that product
         (``parents[0]`` is ``None``: the identity has no parent) and
-        ``index`` maps each element's matrix to its index."""
+        ``index`` maps each element's integer key (``_key`` of its matrix)
+        to its index."""
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
         self.dim = self.elements[0].dim
         self.order = len(self.elements)
-        self._index_by_matrix = index
+        self._index_by_key = index
 
         # a * elements[j] == (a * elements[i]) * generator k, for parents[j] == (i, k)
         table = []
@@ -161,7 +170,7 @@ class FiniteMatrixGroup:
     def element_index(self, g: "GroupElement | int") -> int:
         """Index of an element; raises for matrices outside the group."""
         if isinstance(g, GroupElement):
-            idx = self._index_by_matrix.get(g.matrix)
+            idx = self._index_by_key.get(_key(g.matrix))
             if idx is None:
                 raise ValueError(f"element {g.word!r} is not a member of this group")
             return idx
@@ -256,7 +265,8 @@ class FiniteMatrixGroup:
             cls = self.classes[class_index]
             cached = ClassCoordinates.compile(
                 self.fixed_projection_matrix(cls.representative),
-                [self.elements[self.inverse_table[c]].matrix for c in cls.centralizer])
+                [(self.elements[c], self.elements[self.inverse_table[c]].matrix)
+                 for c in cls.centralizer])
             self._coordinates[class_index] = cached
         return cached
 
@@ -281,9 +291,11 @@ class ClassCoordinates:
     actions: tuple  # the distinct B_c other than the identity, compiled
 
     @classmethod
-    def compile(cls, projection, inverses) -> "ClassCoordinates":
+    def compile(cls, projection, centralizer) -> "ClassCoordinates":
         """The coordinates of the projection ``P``, acted on by the
-        centralizer elements whose inverse matrices are ``inverses``."""
+        centralizer, given as pairs of an element ``c`` and the matrix of
+        ``c^-1``.  Where ``B_c`` is ``c^-1`` itself (on the identity class,
+        ``U == A == I``) the element's cached ``action`` serves."""
         n = len(projection)
         space = linalg.RowSpace(track=True)
         basis, vectors = [], []
@@ -301,10 +313,10 @@ class ClassCoordinates:
         basis = tuple(basis)
         identity = linalg.identity_matrix(len(basis))
         actions = {}
-        for c_inv in inverses:
+        for c, c_inv in centralizer:
             b = linalg.mat_mul(linalg.mat_mul(basis, c_inv), weights)
             if b != identity and b not in actions:
-                actions[b] = LinearSubstitution(b)
+                actions[b] = c.action if b == c_inv else LinearSubstitution(b)
         return cls(len(basis), basis, weights, LinearSubstitution(weights),
                    LinearSubstitution(basis), tuple(actions.values()))
 
@@ -348,34 +360,82 @@ def generate_group(
         except ValueError:
             raise ValueError(f"generator {name!r} is singular") from None
 
-    ident = linalg.identity_matrix(n)
-    elements = [GroupElement(0, ident, "1")]
+    # each generator as (denominator, the nonzero (column, value) entries of each row)
+    sparse = []
+    for g in gens:
+        d, rows = _key(g)
+        sparse.append((d, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)))
+    ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    keys, words = [ident], ["1"]
     index = {ident: 0}
     right = []  # right[i][k]: index of elements[i] * gens[k]
     parents = [None]  # parents[j] == (i, k): elements[j] was found as elements[i] * gens[k]
     # elements are appended in the order they are found, so visiting them by
     # index is the breadth-first order
-    while len(right) < len(elements):
+    while len(right) < len(keys):
         i = len(right)
+        d, rows = keys[i]
         row = []
-        for k, (name, g) in enumerate(zip(names, gens)):
-            prod = linalg.mat_mul(elements[i].matrix, g)
-            j = index.get(prod)
+        for k, (name, (gd, grows)) in enumerate(zip(names, sparse)):
+            # row a of the product: the sum of a[r] * (row r of the generator)
+            prod = []
+            for a in rows:
+                out = [0] * n
+                for r, x in enumerate(a):
+                    if x:
+                        for j, v in grows[r]:
+                            out[j] += x * v
+                prod.append(tuple(out))
+            prod = tuple(prod)
+            pd = d * gd
+            if pd != 1:
+                common = gcd(pd, *chain.from_iterable(prod))
+                if common != 1:
+                    pd //= common
+                    prod = tuple(tuple([x // common for x in a]) for a in prod)
+            key = (pd, prod)
+            j = index.get(key)
             if j is None:
-                if len(elements) >= cap:
+                if len(keys) >= cap:
                     raise GroupClosureError(
                         f"group closure exceeded the cap of {cap} elements"
                     )
-                j = len(elements)
-                word = name if i == 0 else f"{elements[i].word}*{name}"
-                elements.append(GroupElement(j, prod, word))
-                index[prod] = j
+                j = len(keys)
+                keys.append(key)
+                words.append(name if i == 0 else f"{words[i]}*{name}")
+                index[key] = j
                 parents.append((i, k))
             row.append(j)
         right.append(row)
 
-    generator_indices = [index[g] for g in gens]
+    elements = [GroupElement(j, matrix, word)
+                for j, (matrix, word) in enumerate(zip(_matrices(keys), words))]
+    generator_indices = [index[_key(g)] for g in gens]
     return FiniteMatrixGroup(elements, generator_indices, names, right, parents, index)
+
+
+def _key(matrix) -> tuple:
+    """The integer key ``(d, rows)`` of a rational matrix: ``d`` is the least
+    common denominator of its entries and ``rows`` the integer matrix
+    ``d * matrix``.  It is the one such pair with ``gcd(d, rows) == 1``, so
+    equal matrices have equal keys."""
+    d = lcm(*(x.denominator for row in matrix for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in matrix)
+
+
+def _matrices(keys) -> list:
+    """The ``Fraction`` matrix of each key; each distinct entry ``x / d``
+    becomes one shared ``Fraction``."""
+    shared = {}  # d -> {x: Fraction(x, d)}
+    out = []
+    for d, rows in keys:
+        entries = shared.setdefault(d, {})
+        for row in rows:
+            for x in row:
+                if x not in entries:
+                    entries[x] = Fraction(x, d)
+        out.append(tuple(tuple([entries[x] for x in row]) for row in rows))
+    return out
 
 
 def is_symplectic(g: GroupElement, form: SymplecticForm) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 from skewpoisson import (
     GroupClosureError,
+    GroupElement,
     Polynomial,
     act_on_poly,
     generate_group,
@@ -19,10 +20,11 @@ from skewpoisson import (
     sigma_image_basis,
     substitute_linear,
 )
+from skewpoisson import groups, linalg
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
-from conftest import class_restriction, random_poly
+from conftest import class_restriction, coxeter_bn, on_h_plus_dual, random_poly
 
 B = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 C = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
@@ -63,9 +65,9 @@ class TestClosure:
         assert trivial.classes[0].members == (0,)
 
     def test_infinite_group_hits_the_cap(self):
-        doubling = [[["2"]]]
-        with pytest.raises(GroupClosureError, match="cap"):
-            generate_group(doubling, cap=100)
+        for scalar in ("2", "1/2"):
+            with pytest.raises(GroupClosureError, match="cap of 100"):
+                generate_group([[[scalar]]], cap=100)
 
     def test_singular_generator_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -115,6 +117,162 @@ class TestReferenceGroups:
         assert [(g.order, len(g.classes)) for g in (group, b3_group, s3_group)] == [
             (8, 5), (48, 10), (6, 3)
         ]
+
+
+def reference_enumeration(generators, names, dim):
+    """The breadth-first search over ``Fraction`` matrices, multiplied by
+    ``mat_mul``: the oracle for ``generate_group``.  Returns the matrices,
+    words and generator indices, and per class (lowest index first) its
+    members, centralizer and lowest conjugator of each member."""
+    gens = [matrix_from_rows(g) for g in generators]
+    mats = [identity_matrix(dim)]
+    words = ["1"]
+    index = {mats[0]: 0}
+    for i, a in enumerate(mats):  # grows while it is walked: breadth-first
+        for name, g in zip(names, gens):
+            prod = mat_mul(a, g)
+            if prod not in index:
+                index[prod] = len(mats)
+                mats.append(prod)
+                words.append(name if i == 0 else f"{words[i]}*{name}")
+    inverses = [inverse(m) for m in mats]
+    classes, seen = [], set()
+    for rep, r in enumerate(mats):
+        if rep in seen:
+            continue
+        first = {}
+        for k, (m, m_inv) in enumerate(zip(mats, inverses)):
+            first.setdefault(index[mat_mul(mat_mul(m_inv, r), m)], k)
+        members = tuple(sorted(first))
+        seen.update(members)
+        centralizer = tuple(k for k, m in enumerate(mats) if mat_mul(m, r) == mat_mul(r, m))
+        classes.append((members, centralizer, tuple((h, first[h]) for h in members)))
+    return mats, words, [index[g] for g in gens], classes
+
+
+def conjugated_s3():
+    """S3 on h + h*, conjugated on h by [[2, 1], [0, 1]]: entries in (1/2)Z,
+    so products carry denominators that a gcd must reduce."""
+    t = matrix_from_rows([["2", "1"], ["0", "1"]])
+    return [on_h_plus_dual(mat_mul(mat_mul(t, matrix_from_rows(m)), inverse(t)))
+            for m in ([["-1", "1"], ["0", "1"]], [["1", "0"], ["1", "-1"]])]
+
+
+MINUS = [["-1", "0"], ["0", "-1"]]
+SWAP = [["0", "1"], ["1", "0"]]
+ROTATION = [["1/2", "-3/2"], ["1/2", "1/2"]]  # order 6, trace 1 and determinant 1
+
+ENUMERATIONS = {
+    "S3": ([on_h_plus_dual([["-1", "1"], ["0", "1"]]),
+            on_h_plus_dual([["1", "0"], ["1", "-1"]])], 4, 6),
+    "B3 seed 1": (coxeter_bn(3, seed=1), 6, 48),
+    "B3 seed 2": (coxeter_bn(3, seed=2), 6, 48),
+    "B3 seed 3": (coxeter_bn(3, seed=3), 6, 48),
+    "repeated generator": ([MINUS, SWAP, MINUS], 2, 4),
+    "trivial": ([], 3, 1),
+    "conjugated S3": (conjugated_s3(), 4, 6),
+    "rotation": ([ROTATION], 2, 6),
+}
+
+
+class TestEnumeration:
+    """``generate_group`` against a search over ``Fraction`` matrices: the
+    same elements in the same order, words, generator indices and classes."""
+
+    def check(self, group, generators, names, dim):
+        mats, words, generator_indices, classes = reference_enumeration(
+            generators, names, dim)
+        assert [g.matrix for g in group.elements] == mats
+        assert [g.word for g in group.elements] == words
+        assert [g.index for g in group.elements] == list(range(len(mats)))
+        assert list(group.generator_indices) == generator_indices
+        assert [(c.members, c.centralizer, c.conjugators) for c in group.classes] == classes
+
+    @pytest.mark.parametrize("case", list(ENUMERATIONS))
+    def test_matches_the_fraction_search(self, case):
+        generators, dim, order = ENUMERATIONS[case]
+        names = [f"s{i}" for i in range(len(generators))]
+        group = generate_group(generators, names=names, dim=dim)
+        assert group.order == order
+        self.check(group, generators, names, dim)
+
+    def test_bundled_group(self, config, group):
+        self.check(group, config.generator_matrices, config.generator_names, config.nvars)
+
+    def test_entries_are_shared_fractions(self, b3_group, s3_group):
+        for group in (b3_group, s3_group, generate_group(conjugated_s3())):
+            entries = [x for g in group.elements for row in g.matrix for x in row]
+            assert all(type(x) is Fraction for x in entries)
+        # B3 is integral: one shared Fraction per distinct entry, 0, 1 and -1
+        entries = [x for g in b3_group.elements for row in g.matrix for x in row]
+        assert len({id(x) for x in entries}) == len(set(entries)) == 3
+
+    def test_makes_no_fraction_matrix_product(self, monkeypatch):
+        generators = coxeter_bn(3, seed=3)
+        products = []
+        original = linalg.mat_mul
+
+        def counting(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        assert generate_group(generators).order == 48
+        assert products == []
+
+
+class TestElementIndex:
+    """``element_index`` resolves a matrix by value, however its entries
+    were built."""
+
+    def test_separately_built_entries_resolve(self, reference_group):
+        for g in reference_group.elements:
+            copy = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row)
+                         for row in g.matrix)
+            assert reference_group.element_index(GroupElement(0, copy, "copy")) == g.index
+
+    def test_half_integer_entries_resolve(self):
+        group = generate_group(conjugated_s3())
+        for g in group.elements:
+            copy = tuple(tuple(Fraction(2 * x.numerator, 2 * x.denominator) for x in row)
+                         for row in g.matrix)
+            assert group.element_index(GroupElement(0, copy, "copy")) == g.index
+
+    @pytest.mark.parametrize("rows", [
+        [["1/2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]],
+        [["0", "-1"], ["1", "0"]],  # the wrong size
+    ])
+    def test_non_members_raise(self, group, rows):
+        # the selftest's stretch, diag(2, 1, 1, 1), is test_foreign_element_rejected's alien
+        stray = GroupElement(0, matrix_from_rows(rows), "stray")
+        with pytest.raises(ValueError, match="not a member"):
+            group.element_index(stray)
+
+
+class TestIdentityClassActions:
+    """On the identity class U == A == I, so each B_c is c^-1 and the
+    class's actions are the elements' own cached actions."""
+
+    def test_compiles_only_into_and_back(self, monkeypatch):
+        group = generate_group(coxeter_bn(3, seed=3))
+        for g in group.elements:
+            g.action
+        compiled = []
+
+        class Counting(LinearSubstitution):
+            __slots__ = ()
+
+            def __init__(self, matrix):
+                compiled.append(matrix)
+                super().__init__(matrix)
+
+        monkeypatch.setattr(groups, "LinearSubstitution", Counting)
+        identity_class = group.classes[group.class_of(0)]
+        coords = group.class_coordinates(identity_class.index)
+        assert len(compiled) == 2  # into and back
+        assert [id(a) for a in coords.actions] == [
+            id(group.elements[c].action) for c in identity_class.centralizer if c != 0]
+        assert len(coords.actions) == 47
 
 
 def bipartitions(n):
