@@ -10,9 +10,9 @@ The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
 the Cayley graph.  It runs on integers alone.  Each matrix is the key
 ``(d, rows)`` of its least common denominator ``d`` and the integer matrix
-``d * M``, and the group's index maps keys to element indices.  Row ``a``
-of a product is the sum of ``a[r]`` times row ``r`` of the generator, over
-the nonzero entries of both, reduced by a gcd only when the product's
+``d * M``, and the group's index maps keys to element indices.  A product
+is the integer product :func:`~skewpoisson.linalg.mat_mul_rows` of the
+two integer matrices, reduced by a gcd only when the product's
 denominator is not 1.  Each element's ``Fraction`` matrix is built once,
 after the search.  Every element but the identity is its parent times one
 generator, so a row of the multiplication table follows from those edges
@@ -265,8 +265,7 @@ class FiniteMatrixGroup:
             cls = self.classes[class_index]
             cached = ClassCoordinates.compile(
                 self.fixed_projection_matrix(cls.representative),
-                [(self.elements[c], self.elements[self.inverse_table[c]].matrix)
-                 for c in cls.centralizer])
+                [self.elements[self.inverse_table[c]].matrix for c in cls.centralizer])
             self._coordinates[class_index] = cached
         return cached
 
@@ -291,11 +290,9 @@ class ClassCoordinates:
     actions: tuple  # the distinct B_c other than the identity, compiled
 
     @classmethod
-    def compile(cls, projection, centralizer) -> "ClassCoordinates":
+    def compile(cls, projection, inverses) -> "ClassCoordinates":
         """The coordinates of the projection ``P``, acted on by the
-        centralizer, given as pairs of an element ``c`` and the matrix of
-        ``c^-1``.  Where ``B_c`` is ``c^-1`` itself (on the identity class,
-        ``U == A == I``) the element's cached ``action`` serves."""
+        centralizer elements whose inverse matrices are ``inverses``."""
         n = len(projection)
         space = linalg.RowSpace(track=True)
         basis, vectors = [], []
@@ -313,10 +310,10 @@ class ClassCoordinates:
         basis = tuple(basis)
         identity = linalg.identity_matrix(len(basis))
         actions = {}
-        for c, c_inv in centralizer:
+        for c_inv in inverses:
             b = linalg.mat_mul(linalg.mat_mul(basis, c_inv), weights)
             if b != identity and b not in actions:
-                actions[b] = c.action if b == c_inv else LinearSubstitution(b)
+                actions[b] = LinearSubstitution(b)
         return cls(len(basis), basis, weights, LinearSubstitution(weights),
                    LinearSubstitution(basis), tuple(actions.values()))
 
@@ -360,11 +357,11 @@ def generate_group(
         except ValueError:
             raise ValueError(f"generator {name!r} is singular") from None
 
-    # each generator as (denominator, the nonzero (column, value) entries of each row)
+    # each generator as its denominator and the sparse rows of its integer matrix
     sparse = []
     for g in gens:
         d, rows = _key(g)
-        sparse.append((d, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)))
+        sparse.append((d, linalg.sparse_rows(rows)))
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     keys, words = [ident], ["1"]
     index = {ident: 0}
@@ -377,16 +374,7 @@ def generate_group(
         d, rows = keys[i]
         row = []
         for k, (name, (gd, grows)) in enumerate(zip(names, sparse)):
-            # row a of the product: the sum of a[r] * (row r of the generator)
-            prod = []
-            for a in rows:
-                out = [0] * n
-                for r, x in enumerate(a):
-                    if x:
-                        for j, v in grows[r]:
-                            out[j] += x * v
-                prod.append(tuple(out))
-            prod = tuple(prod)
+            prod = linalg.mat_mul_rows(rows, grows, n)
             pd = d * gd
             if pd != 1:
                 common = gcd(pd, *chain.from_iterable(prod))

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of tuples of ``Fraction``; vectors used by the
-row-reduction machinery are sparse dicts mapping a column index to a nonzero
-``Fraction``.  Everything here is exact: no rounding, no tolerances.  Every
+Matrices are immutable tuples of tuples of ``Fraction``; the one product
+routine, :func:`mat_mul_rows`, also multiplies the integer matrices of the
+group search.  Vectors used by the row-reduction machinery are sparse dicts
+mapping a column index to a nonzero ``Fraction``.  Everything here is exact: no rounding, no tolerances.  Every
 elimination, inversion included, is :class:`RowSpace`'s.
 """
 
@@ -44,12 +45,31 @@ def identity_matrix(n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b or len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch in multiplication")
-    bt = tuple(zip(*b))
-    # zero products are skipped: group elements are mostly zeros
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
-        for row in a
-    )
+    return mat_mul_rows(a, sparse_rows(b), len(b[0]), Fraction(0))
+
+
+def sparse_rows(b: Matrix) -> tuple:
+    """The nonzero ``(column, value)`` entries of each row of ``b``: the form
+    in which :func:`mat_mul_rows` takes its right factor."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in b)
+
+
+def mat_mul_rows(a: Matrix, b_rows: tuple, ncols: int, zero=0) -> Matrix:
+    """The product ``a * b`` of ``b_rows = sparse_rows(b)`` with ``ncols``
+    columns.  Row ``i`` is the sum of ``a[i][r]`` times row ``r`` of ``b``
+    over the nonzero entries of both, so zeros cost nothing: group elements
+    are mostly zeros.  Any scalar type works, and every entry starts from
+    ``zero``; :func:`mat_mul` passes ``Fraction(0)``, the group search
+    multiplies integer matrices with the default ``0``."""
+    out_rows = []
+    for row in a:
+        out = [zero] * ncols
+        for r, x in enumerate(row):
+            if x:
+                for j, v in b_rows[r]:
+                    out[j] += x * v
+        out_rows.append(tuple(out))
+    return tuple(out_rows)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

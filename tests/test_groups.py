@@ -20,7 +20,7 @@ from skewpoisson import (
     sigma_image_basis,
     substitute_linear,
 )
-from skewpoisson import groups, linalg
+from skewpoisson import linalg
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
@@ -247,32 +247,6 @@ class TestElementIndex:
         stray = GroupElement(0, matrix_from_rows(rows), "stray")
         with pytest.raises(ValueError, match="not a member"):
             group.element_index(stray)
-
-
-class TestIdentityClassActions:
-    """On the identity class U == A == I, so each B_c is c^-1 and the
-    class's actions are the elements' own cached actions."""
-
-    def test_compiles_only_into_and_back(self, monkeypatch):
-        group = generate_group(coxeter_bn(3, seed=3))
-        for g in group.elements:
-            g.action
-        compiled = []
-
-        class Counting(LinearSubstitution):
-            __slots__ = ()
-
-            def __init__(self, matrix):
-                compiled.append(matrix)
-                super().__init__(matrix)
-
-        monkeypatch.setattr(groups, "LinearSubstitution", Counting)
-        identity_class = group.classes[group.class_of(0)]
-        coords = group.class_coordinates(identity_class.index)
-        assert len(compiled) == 2  # into and back
-        assert [id(a) for a in coords.actions] == [
-            id(group.elements[c].action) for c in identity_class.centralizer if c != 0]
-        assert len(coords.actions) == 47
 
 
 def bipartitions(n):

@@ -14,9 +14,11 @@ from skewpoisson.linalg import (
     inverse,
     mat_add,
     mat_mul,
+    mat_mul_rows,
     mat_scale,
     matrix_from_rows,
     parse_scalar,
+    sparse_rows,
     transpose,
 )
 
@@ -50,6 +52,17 @@ class TestScalarsAndMatrices:
         assert mat_add(m, mat_scale(Fraction(-1), m)) == matrix_from_rows(
             [["0", "0"], ["0", "0"]]
         )
+
+    def test_one_product_for_integers_and_fractions(self):
+        a = ((1, 0, -2), (0, 3, 0))
+        b = ((0, 1), (2, 0), (1, -1))
+        product = mat_mul_rows(a, sparse_rows(b), 2)
+        assert product == ((-2, 3), (6, 0))
+        assert all(type(x) is int for row in product for x in row)
+        # mat_mul returns Fraction entries, untouched zeros included
+        product = mat_mul(matrix_from_rows(a), matrix_from_rows(b))
+        assert product == ((-2, 3), (6, 0))
+        assert all(type(x) is Fraction for row in product for x in row)
 
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError, match="unequal"):
