@@ -1,9 +1,10 @@
 """Invariant theory for finite matrix groups acting on polynomials.
 
 Two independent routes to the dimensions of the invariant degree slices are
-kept side by side on purpose: the Molien series (exact power-series
-expansion of characteristic determinants, averaged over conjugacy classes
-weighted by class size) and the common kernel of the generators' actions
+kept side by side on purpose: the Molien series (each class's
+``1/det(I - t g)`` expanded on integers from the traces of the powers of
+``g`` by Newton's identities, averaged over conjugacy classes weighted by
+class size) and the common kernel of the generators' actions
 (the polynomials of a degree that every generator fixes, read off the
 row-reduced images of its monomials over the rationals).  Generator
 verification compares the span of generator products against those slices
@@ -69,34 +70,67 @@ def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
 
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` exactly to the requested order.
     The determinant is a class function, so the sum runs over conjugacy
-    classes, each representative weighted by its class size; det(I - t g)
-    is the reversed characteristic polynomial of g.  Coefficient 0 is
-    always 1.
+    classes, each representative weighted by its class size.  Each term is
+    :func:`_power_trace_series` of the traces ``tr(g^k)``, the powers read
+    off the multiplication table.  A trace is a class function too, so it
+    is summed once per class.  ``g`` has finite order, so its eigenvalues
+    are roots of unity: a trace is a rational sum of roots of unity, an
+    algebraic integer and hence an integer, and the arithmetic stays on
+    integers until the division by ``|G|``.  Coefficient 0 is always 1.
     """
     if up_to_degree < 0:
         raise ValueError("up_to_degree must be non-negative")
-    total = [Fraction(0)] * (up_to_degree + 1)
+    table = group.mul_table
+    traces = {}  # class index -> the trace of its members
+
+    def trace(i: int) -> int:
+        c = group.class_of(i)
+        if c not in traces:
+            matrix = group.elements[i].matrix
+            value = sum(row[j] for j, row in enumerate(matrix))
+            if value.denominator != 1:
+                raise RuntimeError(f"trace of {group.elements[i].word} is not an integer: {value}")
+            traces[c] = value.numerator
+        return traces[c]
+
+    total = [0] * (up_to_degree + 1)
     for cls in group.classes:
-        # det(I - t*g) = t^n * det(t^-1 * I - g): coefficient j is that of t^(n-j)
-        dets = linalg.char_poly(group.elements[cls.representative].matrix)[::-1]
-        # power-series inverse of the determinant; constant term is det(I) = 1
-        inv = [Fraction(1)]
-        for k in range(1, up_to_degree + 1):
-            acc = Fraction(0)
-            for j in range(1, min(k, len(dets) - 1) + 1):
-                acc += dets[j] * inv[k - j]
-            inv.append(-acc)
-        for k in range(up_to_degree + 1):
-            total[k] += cls.size * inv[k]
+        rep = power = cls.representative
+        power_traces = []
+        for _ in range(up_to_degree):
+            power_traces.append(trace(power))
+            power = table[power][rep]
+        for k, h in enumerate(_power_trace_series(power_traces)):
+            total[k] += cls.size * h
     coeffs = []
     for k, value in enumerate(total):
-        value = value / group.order
-        if value.denominator != 1:
-            raise RuntimeError(
-                f"Molien coefficient at degree {k} is not an integer: {value}"
-            )
-        coeffs.append(int(value))
+        quotient, remainder = divmod(value, group.order)
+        if remainder:
+            raise RuntimeError(f"Molien coefficient at degree {k} is not an integer: "
+                               f"{Fraction(value, group.order)}")
+        coeffs.append(quotient)
     return coeffs
+
+
+def _power_trace_series(traces: Sequence[int]) -> list:
+    """The coefficients ``h_0 .. h_D`` of ``1/det(I - t g)`` for a matrix
+    ``g`` of finite order, from its power traces ``traces[k - 1] = tr(g^k)``
+    for ``k = 1 .. D``.
+
+    The series is ``exp(sum_k tr(g^k) t^k / k)``, so Newton's identity
+    ``m h_m = sum_(k=1..m) tr(g^k) h_(m-k)`` with ``h_0 = 1`` gives it
+    term by term.  Each ``h_m`` is a complete homogeneous symmetric
+    polynomial in roots of unity, a rational algebraic integer, so every
+    division is exact; a remainder raises ``RuntimeError``.
+    """
+    series = [1]
+    for m in range(1, len(traces) + 1):
+        quotient, remainder = divmod(
+            sum(traces[k - 1] * series[m - k] for k in range(1, m + 1)), m)
+        if remainder:
+            raise RuntimeError(f"power-trace series coefficient {m} is not an integer")
+        series.append(quotient)
+    return series
 
 
 def _slice_axis(nvars: int, degree: int) -> dict:

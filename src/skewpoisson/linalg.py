@@ -105,26 +105,6 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in rows)
 
 
-def char_poly(a: Matrix) -> list:
-    """Coefficients of det(t*I - a), indexed by the power of t.
-
-    Faddeev-LeVerrier recursion: with M_0 = 0 and c_n = 1, each step sets
-    M_k = a*M_(k-1) + c_(n-k+1)*I and c_(n-k) = -trace(a*M_k)/k, the product
-    by :func:`mat_mul`.  Exact over the rationals in O(n^4) operations.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("characteristic polynomial requires a square matrix")
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    am = [[Fraction(0)] * n for _ in range(n)]  # a * M_(k-1)
-    for k in range(1, n + 1):
-        c = coeffs[n - k + 1]
-        m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
-        am = mat_mul(a, m)
-        coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
-    return coeffs
-
-
 class RowSpace:
     """Incremental sparse row reduction over the rationals.
 

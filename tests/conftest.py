@@ -43,6 +43,28 @@ def coxeter_bn(n, seed):
     return [on_h_plus_dual(s) for s in gens]
 
 
+def conjugated_s3():
+    """S3 on h + h*, conjugated on h by [[2, 1], [0, 1]]: entries in (1/2)Z,
+    so products carry denominators that a gcd must reduce."""
+    t = matrix_from_rows([["2", "1"], ["0", "1"]])
+    return [on_h_plus_dual(mat_mul(mat_mul(t, matrix_from_rows(m)), inverse(t)))
+            for m in ([["-1", "1"], ["0", "1"]], [["1", "0"], ["1", "-1"]])]
+
+
+ROTATION = [["1/2", "-3/2"], ["1/2", "1/2"]]  # order 6, trace 1 and determinant 1
+
+
+def cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row, skipping zero
+    entries; the entries may be numbers or polynomials."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0]) if x
+    )
+
+
 def random_poly(rng, nvars):
     """Up to four terms of degree at most 3 with small rational coefficients."""
     terms = {}

@@ -24,7 +24,14 @@ from skewpoisson import linalg
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
-from conftest import class_restriction, coxeter_bn, on_h_plus_dual, random_poly
+from conftest import (
+    ROTATION,
+    class_restriction,
+    conjugated_s3,
+    coxeter_bn,
+    on_h_plus_dual,
+    random_poly,
+)
 
 B = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 C = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
@@ -150,17 +157,8 @@ def reference_enumeration(generators, names, dim):
     return mats, words, [index[g] for g in gens], classes
 
 
-def conjugated_s3():
-    """S3 on h + h*, conjugated on h by [[2, 1], [0, 1]]: entries in (1/2)Z,
-    so products carry denominators that a gcd must reduce."""
-    t = matrix_from_rows([["2", "1"], ["0", "1"]])
-    return [on_h_plus_dual(mat_mul(mat_mul(t, matrix_from_rows(m)), inverse(t)))
-            for m in ([["-1", "1"], ["0", "1"]], [["1", "0"], ["1", "-1"]])]
-
-
 MINUS = [["-1", "0"], ["0", "-1"]]
 SWAP = [["0", "1"], ["1", "0"]]
-ROTATION = [["1/2", "-3/2"], ["1/2", "1/2"]]  # order 6, trace 1 and determinant 1
 
 ENUMERATIONS = {
     "S3": ([on_h_plus_dual([["-1", "1"], ["0", "1"]]),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from math import comb
 
@@ -20,11 +21,11 @@ from skewpoisson import (
     verify_generators,
     verify_relations,
 )
-from skewpoisson import invariants
-from skewpoisson.invariants import _slice_axis, _slice_vector
-from skewpoisson.linalg import RowSpace
+from skewpoisson import GroupElement, invariants, linalg
+from skewpoisson.invariants import _power_trace_series, _slice_axis, _slice_vector
+from skewpoisson.linalg import RowSpace, matrix_from_rows
 
-from conftest import fixed_by_every_element
+from conftest import ROTATION, cofactor_det, conjugated_s3, fixed_by_every_element
 
 
 def P(text, nvars=4):
@@ -88,6 +89,104 @@ class TestMolien:
         molien = molien_coefficients(reference_group, 6)
         for d in range(7):
             assert molien[d] == len(invariant_basis(reference_group, d))
+
+
+def inverse_determinant_series(matrix, top):
+    """The power series of 1/det(I - t*matrix) to t^top: the determinant
+    by cofactor expansion over polynomials in t, then inverted term by term
+    over the rationals."""
+    t = Polynomial.variable(1, 0)
+    shifted = [[int(i == j) - x * t for j, x in enumerate(row)]
+               for i, row in enumerate(matrix)]
+    det = cofactor_det(shifted)
+    dets = [det.coefficient((k,)) for k in range(len(matrix) + 1)]
+    assert dets[0] == 1
+    inv = [Fraction(1)]
+    for k in range(1, top + 1):
+        inv.append(-sum(dets[j] * inv[k - j] for j in range(1, min(k, len(matrix)) + 1)))
+    return inv
+
+
+def power_traces(matrix, top):
+    """tr(g^k) for k = 1 .. top, the powers by matrix products."""
+    traces, power = [], matrix
+    for _ in range(top):
+        traces.append(sum(row[i] for i, row in enumerate(power)))
+        power = linalg.mat_mul(power, matrix)
+    return traces
+
+
+FRACTIONAL_GROUPS = {
+    "conjugated S3": lambda: generate_group(conjugated_s3()),
+    "rotation": lambda: generate_group([ROTATION]),
+}
+
+
+def molien_group(request, name):
+    if name in FRACTIONAL_GROUPS:
+        return FRACTIONAL_GROUPS[name]()
+    return request.getfixturevalue(name)
+
+
+class TestMolienByPowerTraces:
+    """Each class's series 1/det(I - t g) comes from the traces of the powers
+    of g by Newton's identities, on integers."""
+
+    @pytest.mark.parametrize("name", [
+        "group", "s3_group", "b3_group", "b4_group", "conjugated S3", "rotation"])
+    def test_every_class_inverts_its_determinant(self, request, name):
+        group = molien_group(request, name)
+        top = 8
+        total = [0] * (top + 1)
+        for cls in group.classes:
+            matrix = group.elements[cls.representative].matrix
+            expected = inverse_determinant_series(matrix, top)
+            assert _power_trace_series(power_traces(matrix, top)) == expected
+            total = [acc + cls.size * h for acc, h in zip(total, expected)]
+        assert molien_coefficients(group, top) == [x / group.order for x in total]
+
+    @pytest.mark.parametrize("name", list(FRACTIONAL_GROUPS))
+    def test_fractional_entries_agree_with_the_slices(self, name):
+        group = FRACTIONAL_GROUPS[name]()
+        molien = molien_coefficients(group, 6)
+        assert molien == [len(invariant_basis(group, d)) for d in range(7)]
+
+    def test_multiplies_no_matrices(self, monkeypatch, b3_group):
+        products = []
+        original = linalg.mat_mul
+
+        def counting_products(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting_products)
+        assert molien_coefficients(b3_group, 8) == [1, 0, 3, 0, 11, 0, 32, 0, 75]
+        assert products == []
+
+    def test_degree_zero_alone(self, b3_group):
+        assert molien_coefficients(b3_group, 0) == [1]
+
+    def test_a_class_short_of_the_group_is_not_an_integer(self, group):
+        # the classes no longer partition the group: degree 0 sums to 6/8
+        short = copy.copy(group)
+        short.classes = group.classes[:-1]
+        with pytest.raises(RuntimeError,
+                           match="Molien coefficient at degree 0 is not an integer: 3/4"):
+            molien_coefficients(short, 4)
+
+    def test_a_fractional_trace_is_rejected(self, group):
+        halved = copy.copy(group)
+        stretch = matrix_from_rows([["1/2", "0", "0", "0"], ["0", "1", "0", "0"],
+                                    ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
+        halved.elements = (GroupElement(0, stretch, "1"),) + group.elements[1:]
+        with pytest.raises(RuntimeError, match="trace of 1 is not an integer: 7/2"):
+            molien_coefficients(halved, 2)
+
+    def test_traces_of_no_finite_order_matrix_are_rejected(self):
+        # tr(g) = 1 and tr(g^2) = 0 would give h_2 = 1/2
+        assert _power_trace_series([1, 1]) == [1, 1, 1]
+        with pytest.raises(RuntimeError, match="coefficient 2 is not an integer"):
+            _power_trace_series([1, 0])
 
 
 class TestInvariantBasis:

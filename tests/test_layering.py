@@ -8,6 +8,8 @@ from importlib import resources
 
 import pytest
 
+import skewpoisson
+
 CORE = ("poly", "linalg", "parse", "groups", "skew", "invariants", "obstruction")
 OUTER = {"config", "report", "cli", "_version"}
 
@@ -52,3 +54,44 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def unused_public_functions(sources: dict, exported) -> list:
+    """``module.function`` for each module-level function of ``sources``
+    (module name -> source text) whose name is public, not in ``exported``
+    and never referenced, as a name or an attribute, outside its own body."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if owner is not None and not owner.startswith("_"):
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defined
+            if name not in used and name not in exported]
+
+
+def test_unused_function_scan_sees_dead_code():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    return dead()\n\ndef _private():\n    pass\n",
+        "b": "from .a import used\n\ndef caller():\n    return used()\n",
+        "c": "import a\n\ndef exported():\n    return a.used\n",
+    }
+    assert unused_public_functions(sources, {"exported"}) == ["a.dead", "b.caller"]
+
+
+def test_every_public_function_is_used():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py")
+    }
+    assert unused_public_functions(sources, set(skewpoisson.__all__)) == []

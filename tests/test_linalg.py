@@ -9,7 +9,6 @@ import pytest
 
 from skewpoisson.linalg import (
     RowSpace,
-    char_poly,
     identity_matrix,
     inverse,
     mat_add,
@@ -22,15 +21,7 @@ from skewpoisson.linalg import (
     transpose,
 )
 
-
-def cofactor_det(rows):
-    """Determinant by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum(
-        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
-        for j, x in enumerate(rows[0])
-    )
+from conftest import cofactor_det
 
 
 class TestScalarsAndMatrices:
@@ -118,25 +109,6 @@ class TestScalarsAndMatrices:
         assert inverse(()) == ()
         with pytest.raises(ValueError, match="inverse requires a square matrix"):
             inverse(matrix_from_rows([["1", "2"]]))
-
-    def test_char_poly_matches_cofactor_expansion(self):
-        # det(t*I - a) has degree n, so agreeing at t = 0..n settles every coefficient
-        rng = random.Random(11)
-        for n in range(1, 7):
-            for _ in range(3):
-                a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-                     for _ in range(n)]
-                coeffs = char_poly(a)
-                assert len(coeffs) == n + 1 and coeffs[n] == 1
-                for t in range(n + 1):
-                    shifted = [[t * (i == j) - x for j, x in enumerate(row)]
-                               for i, row in enumerate(a)]
-                    assert sum(c * t ** k for k, c in enumerate(coeffs)) == cofactor_det(shifted)
-
-    def test_char_poly_of_small_matrices(self):
-        assert char_poly([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) == [1, -3, 1]
-        with pytest.raises(ValueError, match="square"):
-            char_poly([[Fraction(1), Fraction(2)]])
 
 
 class TestRowSpace:
