@@ -5,8 +5,8 @@ kept side by side on purpose: the Molien series (each class's
 ``1/det(I - t g)`` expanded on integers from the traces of the powers of
 ``g`` by Newton's identities, averaged over conjugacy classes weighted by
 class size) and the common kernel of the generators' actions
-(the polynomials of a degree that every generator fixes, read off the
-row-reduced images of its monomials over the rationals).  Generator
+(the polynomials of a degree that every generator fixes, the null space of
+one row reduction of its monomials' images over the rationals).  Generator
 verification compares the span of generator products against those slices
 degree by degree, counting each slice by rank-nullity, and relation
 verification substitutes the generators into candidate relations and
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
-from .poly import Polynomial, grlex_key, monomials_of_degree
+from .poly import Polynomial, monomials_of_degree
 
 __all__ = [
     "reynolds",
@@ -134,9 +134,14 @@ def _power_trace_series(traces: Sequence[int]) -> list:
 
 
 def _slice_axis(nvars: int, degree: int) -> dict:
-    """Column index per degree-``degree`` monomial, grlex-descending."""
-    monos = sorted(monomials_of_degree(nvars, degree), key=grlex_key, reverse=True)
-    return {m: i for i, m in enumerate(monos)}
+    """Column index per degree-``degree`` monomial, grlex-ascending.
+
+    Within one degree grlex is lex, the order :func:`monomials_of_degree`
+    yields.  Ascending, because :class:`linalg.RowSpace` pivots on the
+    lowest column: each null-space functional of :func:`invariant_basis`
+    then has its highest monomial at a free column.
+    """
+    return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
 def _slice_vector(p: Polynomial, axis: dict) -> dict:
@@ -174,25 +179,25 @@ def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
 
 
 def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
-    """A canonical basis of the degree-``degree`` invariant slice.
+    """A canonical basis of the degree-``degree`` invariant slice: its
+    reduced echelon form for grlex-descending monomials (leading coefficient
+    1, no other element with a term at a leading monomial), highest leading
+    monomial first.  A subspace has one such basis, so it is deterministic
+    and equals the row-reduced Reynolds images of the monomials, without
+    averaging over the group.
 
-    The returned polynomials are the fully reduced echelon rows of the null
-    space of :func:`_slice_constraints` (leading coefficient 1).  A subspace
-    has one reduced echelon form for a fixed column order, so the basis is
-    deterministic and equals the row-reduced Reynolds images of the
-    monomials, without averaging over the group.
+    It is the :meth:`~linalg.RowSpace.annihilator` of
+    :func:`_slice_constraints`, free columns highest first.  The constraint
+    rows pivot on their lowest column, so the functional of free column
+    ``c`` is 1 at ``c``, nonzero elsewhere only at lower pivots and 0 at
+    every other free column: already reduced, with no second elimination.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     axis = _slice_axis(group.dim, degree)
-    back = {i: m for m, i in axis.items()}
-    space = linalg.RowSpace()
-    for vec in _slice_constraints(group, axis).annihilator(range(len(axis))):
-        space.add(vec)
-    basis = []
-    for row in space.reduced_rows():
-        basis.append(Polynomial(group.dim, {back[i]: c for i, c in row.items()}))
-    return basis
+    monos = list(axis)
+    functionals = _slice_constraints(group, axis).annihilator(range(len(monos) - 1, -1, -1))
+    return [Polynomial(group.dim, {monos[i]: c for i, c in y.items()}) for y in functionals]
 
 
 @dataclass(frozen=True)

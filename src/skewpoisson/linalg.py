@@ -3,8 +3,10 @@
 Matrices are immutable tuples of tuples of ``Fraction``; the one product
 routine, :func:`mat_mul_rows`, also multiplies the integer matrices of the
 group search.  Vectors used by the row-reduction machinery are sparse dicts
-mapping a column index to a nonzero ``Fraction``.  Everything here is exact: no rounding, no tolerances.  Every
-elimination, inversion included, is :class:`RowSpace`'s.
+mapping a column index to a nonzero ``Fraction``.  Everything here is
+exact: no rounding, no tolerances.  Every elimination, inversion included,
+is :class:`RowSpace`'s, and :meth:`RowSpace.annihilator` is the one
+null-space routine.
 """
 
 from __future__ import annotations
@@ -204,18 +206,6 @@ class RowSpace:
         for tag, val in combo.items():
             coeffs[tag] = val
         return coeffs, rem
-
-    def separating(self, residual: SparseVec) -> SparseVec:
-        """A functional ``y`` with ``y . v == 0`` for every vector ``v`` of
-        the span and ``y . residual != 0``, for a nonzero ``residual`` left
-        by :meth:`reduce`.
-
-        That is the Fredholm alternative made explicit: ``y`` is the
-        :meth:`annihilator` functional of the residual's lead column ``c``,
-        never a pivot.  It vanishes on the span, while ``y`` applied to the
-        reduced target is the residual's entry at ``c``.
-        """
-        return self.annihilator([min(residual)])[0]
 
     def annihilator(self, columns) -> list[SparseVec]:
         """The functionals that vanish on the span, one for each

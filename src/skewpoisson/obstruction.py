@@ -304,7 +304,10 @@ def solve_ladder(problem: ObstructionProblem,
                 divisor_images=generators,
             )
             continue
-        separating = space.separating(residual)
+        # Fredholm alternative: the annihilator functional of the residual's
+        # lead column, never a pivot, vanishes on every image, while on the
+        # target it is the residual's entry there, which is nonzero.
+        separating = space.annihilator([min(residual)])[0]
         dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
         if not _separates(dual, tags, target):
             raise RuntimeError("degree-bounded infeasibility certificate failed to replay")

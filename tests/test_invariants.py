@@ -22,8 +22,9 @@ from skewpoisson import (
     verify_relations,
 )
 from skewpoisson import GroupElement, invariants, linalg
-from skewpoisson.invariants import _power_trace_series, _slice_axis, _slice_vector
+from skewpoisson.invariants import _power_trace_series, _slice_vector
 from skewpoisson.linalg import RowSpace, matrix_from_rows
+from skewpoisson.poly import grlex_key, monomials_of_degree
 
 from conftest import ROTATION, cofactor_det, conjugated_s3, fixed_by_every_element
 
@@ -213,9 +214,10 @@ class TestInvariantBasis:
 
 def reynolds_basis(group, degree):
     """The slice by definition: the Reynolds images of every monomial of the
-    degree, row-reduced on the same axis."""
-    axis = _slice_axis(group.dim, degree)
-    back = {i: m for m, i in axis.items()}
+    degree, row-reduced with the columns grlex-descending."""
+    monos = sorted(monomials_of_degree(group.dim, degree), key=grlex_key, reverse=True)
+    axis = {m: i for i, m in enumerate(monos)}
+    back = dict(enumerate(monos))
     space = RowSpace()
     for exps in axis:
         image = reynolds(group, Polynomial.monomial(group.dim, exps))
@@ -263,6 +265,24 @@ class TestCommonKernel:
         invariant_basis(b3_group, 4)
         assert averaged == []
         assert len(acted) == len(set(b3_group.generator_indices)) * comb(4 + 5, 5)
+
+    def test_reads_the_basis_off_one_row_reduction(self, monkeypatch, b3_group):
+        built, reduced = [], []
+
+        class Counting(RowSpace):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def reduced_rows(self):
+                reduced.append(self)
+                return super().reduced_rows()
+
+        expected = invariant_basis(b3_group, 4)  # builds the generators' actions
+        monkeypatch.setattr(linalg, "RowSpace", Counting)
+        assert invariant_basis(b3_group, 4) == expected
+        assert len(built) == 1
+        assert reduced == built
 
     def test_repeated_generator_is_applied_once(self, monkeypatch):
         minus = [["-1", "0"], ["0", "-1"]]

@@ -95,3 +95,67 @@ def test_every_public_function_is_used():
         if path.name.endswith(".py")
     }
     assert unused_public_functions(sources, set(skewpoisson.__all__)) == []
+
+
+def _annotation_names(node) -> set:
+    """The names an annotation uses, reading into string annotations such as
+    ``"GroupElement | int"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(sources: dict) -> list:
+    """``module.name`` for each name that a module of ``sources`` (module
+    name -> source text) imports, other than from ``__future__``, and that it
+    neither references, nor uses in a string annotation, nor lists in
+    ``__all__``."""
+    unused = []
+    for module, source in sources.items():
+        imported, used = [], set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                used |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                used |= _annotation_names(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                used |= _annotation_names(node.annotation)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{module}.{name}" for name in imported if name not in used]
+    return unused
+
+
+def test_unused_import_scan_sees_dead_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys as system\n"
+        "import os.path\n"
+        "from .b import Used, Dead, Quoted, Exported\n"
+        "__all__ = ['Exported']\n"
+        "\n"
+        "def f(x: 'Quoted | int') -> Used:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports({"a": source}) == ["a.system", "a.Dead"]
+
+
+def test_no_unused_imports():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "__init__.py"
+    }
+    assert unused_imports(sources) == []

@@ -165,7 +165,7 @@ class TestRowSpace:
         assert coeffs is None
         assert space.rank == 1
         assert residual == {1: Fraction(1)}
-        assert space.separating(residual) == {1: Fraction(1)}
+        assert space.annihilator([min(residual)])[0] == {1: Fraction(1)}
 
     def test_separating_functional(self):
         vectors = [
@@ -177,7 +177,7 @@ class TestRowSpace:
         space = self.tracked(vectors)
         coeffs, residual = space.solve(target)
         assert coeffs is None
-        y = space.separating(residual)
+        y = space.annihilator([min(residual)])[0]
         # column 2 is the target's first non-pivot column; the reduced rows
         # reach it from pivots 0 and 1
         assert y == {2: Fraction(1), 0: Fraction(-1), 1: Fraction(1, 2)}
@@ -207,6 +207,32 @@ class TestRowSpace:
                    for y in ys for v in vectors)
         # rank 2 in four columns: a two-dimensional null space
         assert space.rank + len(space.annihilator(range(4))) == 4
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_annihilator_highest_column_first_is_reduced_echelon(self, seed):
+        # The rows pivot on their lowest column, so the functional of free
+        # column c is 1 at c and nonzero elsewhere only at lower pivots: the
+        # reduced echelon form of the null space for the reversed columns.
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        count = (0, n, rng.randint(1, n + 2))[seed % 3]  # rank 0, full, any
+        dense = seed % 3 == 1
+        space, rows = RowSpace(), []
+        for _ in range(count):
+            rows.append({c: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                         for c in range(n) if dense or rng.random() < 0.5})
+            space.add(rows[-1])
+        if count == 0:
+            assert space.rank == 0
+        if dense:
+            assert space.rank == n
+        ys = space.annihilator(range(n - 1, -1, -1))
+        flipped = RowSpace()
+        for y in ys:
+            flipped.add({n - 1 - c: v for c, v in y.items()})
+        assert ys == [{n - 1 - c: v for c, v in row.items()} for row in flipped.reduced_rows()]
+        assert len(ys) == n - space.rank
+        assert all(sum(v * row.get(c, 0) for c, v in y.items()) == 0 for y in ys for row in rows)
 
     def test_no_separating_functional_inside_the_span(self):
         vectors = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]

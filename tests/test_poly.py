@@ -62,6 +62,11 @@ class TestRingOps:
         with pytest.raises(ValueError, match="mismatch"):
             P("x1", nvars=2) * P("x1", nvars=3)
 
+    @pytest.mark.parametrize("bad", [-1, "1", None, 1.0])
+    def test_exponents_must_be_non_negative_integers(self, bad):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            Polynomial(2, {(1, bad): Fraction(1)})
+
     def test_canonical_form_drops_zeros(self):
         p = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
         assert len(p) == 1
