@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"base seed for all suites (default {DEFAULT_SEED})")
     sp.add_argument("--corrupt", choices=("mul-table",), default=None,
-                    help="diagnostic hook: sabotage an internal table and watch "
+                    help="diagnostic hook: sabotage a group's Cayley edge and watch "
                          "the suites catch it")
     sp.add_argument("--suite", action="append", default=None, metavar="NAME",
                     help="run only the named suites (repeatable)")

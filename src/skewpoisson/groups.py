@@ -2,9 +2,9 @@
 
 A group is enumerated once, breadth-first from its generators, and is
 immutable afterwards: elements (with stable indices and generator words),
-the full multiplication table, inverses and conjugacy classes.  All
-structure is computed with exact arithmetic, so two runs always agree
-element for element.
+the Cayley edges, inverses and conjugacy classes.  All structure is
+computed with exact arithmetic, so two runs always agree element for
+element.
 
 The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
@@ -14,11 +14,11 @@ the Cayley graph.  It runs on integers alone.  Each matrix is the key
 is the integer product :func:`~skewpoisson.linalg.mat_mul_rows` of the
 two integer matrices, reduced by a gcd only when the product's
 denominator is not 1.  Each element's ``Fraction`` matrix is built once,
-after the search.  Every element but the identity is its parent times one
-generator, so a row of the multiplication table follows from those edges
-by integer lookups alone; inverses, element orders and classes are then
-read off the table.  One pass of ``k^-1 * rep * k`` over all ``k`` gives a
-class's members, centralizer and conjugators (:class:`ConjugacyClass`).
+after the search.  The edges are the only product structure: ``a * b``
+walks them from ``a`` along the generator path of ``b``, and an inverse
+is the last power before the identity.  One pass of ``k^-1 * rep * k``
+over all ``k`` gives a class's members, centralizer and conjugators
+(:class:`ConjugacyClass`).
 
 Actions on polynomials are compiled lazily and kept as long as the group,
 with the monomial memos of their non-monomial maps: each element's
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -117,30 +118,25 @@ class FiniteMatrixGroup:
 
     def __init__(self, elements: Sequence[GroupElement], generator_indices: Sequence[int],
                  generator_names: Sequence[str], right: Sequence[Sequence[int]],
-                 parents: Sequence[Optional[tuple]], index: dict):
-        """``right[i][k]`` is the index of ``elements[i] * generator k``,
-        ``parents[j] == (i, k)`` says element ``j`` was found as that product
-        (``parents[0]`` is ``None``: the identity has no parent) and
-        ``index`` maps each element's integer key (``_key`` of its matrix)
-        to its index."""
+                 paths: Sequence[tuple], index: dict):
+        """``right[i][k]`` is the index of ``elements[i] * generator k``, the
+        group's only product structure; ``paths[j]`` is the tuple of
+        generator positions whose product is element ``j`` (``()`` for the
+        identity) and ``index`` maps each element's integer key (``_key`` of
+        its matrix) to its index."""
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
         self.dim = self.elements[0].dim
         self.order = len(self.elements)
         self._index_by_key = index
-
-        # a * elements[j] == (a * elements[i]) * generator k, for parents[j] == (i, k)
-        table = []
-        for a in range(self.order):
-            row = [a]
-            for i, k in parents[1:]:
-                row.append(right[row[i]][k])
-            table.append(tuple(row))
-        self.mul_table = table = tuple(table)
-        self.inverse_table = inv = tuple(row.index(0) for row in table)
+        self._right = right
+        self._paths = paths
+        # len(p) - 2 is -1 for the identity, whose only power is itself
+        self._inverses = inv = tuple(p[len(p) - 2] for p in map(self.powers, range(self.order)))
 
         # one pass of k^-1 * rep * k over all k per class (see ConjugacyClass)
+        times = self._times
         self._class_of = [None] * self.order
         classes = []
         for rep in range(self.order):
@@ -148,7 +144,7 @@ class FiniteMatrixGroup:
                 continue
             first, centr = {}, []
             for k in range(self.order):
-                h = table[table[inv[k]][rep]][k]
+                h = times(times(inv[k], rep), k)
                 first.setdefault(h, k)
                 if h == rep:
                     centr.append(k)
@@ -179,33 +175,47 @@ class FiniteMatrixGroup:
             raise ValueError(f"element index {idx} out of range")
         return idx
 
+    def _times(self, a: int, b: int) -> int:
+        """Index of ``elements[a] * elements[b]``, walking from ``a`` along ``b``'s path."""
+        right = self._right
+        for k in self._paths[b]:
+            a = right[a][k]
+        return a
+
     def mul(self, a: "GroupElement | int", b: "GroupElement | int") -> GroupElement:
-        return self.elements[self.mul_table[self.element_index(a)][self.element_index(b)]]
+        return self.elements[self._times(self.element_index(a), self.element_index(b))]
 
     def inverse(self, g: "GroupElement | int") -> GroupElement:
-        return self.elements[self.inverse_table[self.element_index(g)]]
+        return self.elements[self._inverses[self.element_index(g)]]
+
+    def powers(self, g: "GroupElement | int") -> tuple:
+        """Indices of ``g, g^2, ...`` up to the identity, as many as the order
+        of ``g``.  Raises ``RuntimeError`` if ``|G|`` powers pass without the
+        identity, which only corrupted Cayley edges can cause."""
+        idx = self.element_index(g)
+        out = [idx]
+        while out[-1] != 0:
+            if len(out) == self.order:
+                raise RuntimeError(f"the powers of {self.elements[idx].word!r} do not reach "
+                                   f"the identity within the group order {self.order}")
+            out.append(self._times(out[-1], idx))
+        return tuple(out)
 
     def element_order(self, g: "GroupElement | int") -> int:
-        idx = self.element_index(g)
-        order = 1
-        cur = idx
-        while cur != 0:
-            cur = self.mul_table[cur][idx]
-            order += 1
-        return order
+        return len(self.powers(g))
 
     def element_from_word(self, word: str) -> GroupElement:
         """Resolve a generator word like ``"e*b"`` (or ``"1"``) to an element."""
         word = word.strip()
         if word == "1" or word == "":
             return self.identity
-        by_name = dict(zip(self.generator_names, self.generator_indices))
+        by_name = {name: k for k, name in enumerate(self.generator_names)}
         idx = 0
         for piece in word.split("*"):
             piece = piece.strip()
             if piece not in by_name:
                 raise ValueError(f"unknown generator name {piece!r} in word {word!r}")
-            idx = self.mul_table[idx][by_name[piece]]
+            idx = self._right[idx][by_name[piece]]
         return self.elements[idx]
 
     # ------------------------------------------------------------------
@@ -218,25 +228,19 @@ class FiniteMatrixGroup:
         idx = self.element_index(g)
         return tuple(
             self.elements[h] for h in range(self.order)
-            if self.mul_table[h][idx] == self.mul_table[idx][h]
+            if self._times(h, idx) == self._times(idx, h)
         )
 
     def fixed_projection_matrix(self, g: "GroupElement | int"):
         """Projection onto the fixed space of an element, computed afresh on
-        each call: the average of the matrices of its powers, which are read
-        off the multiplication table.
+        each call: the average of the matrices of its :meth:`powers`.
 
         The result is idempotent, has image ``ker(g - 1)``, and commutes with
         everything commuting with ``g``, and all of this stays inside the
         rationals, unlike an eigen-decomposition.
         """
-        idx = self.element_index(g)
-        acc, power, order = self.identity.matrix, idx, 1
-        while power != 0:
-            acc = linalg.mat_add(acc, self.elements[power].matrix)
-            power = self.mul_table[power][idx]
-            order += 1
-        return linalg.mat_scale(Fraction(1, order), acc)
+        matrices = [self.elements[p].matrix for p in self.powers(g)]
+        return linalg.mat_scale(Fraction(1, len(matrices)), reduce(linalg.mat_add, matrices))
 
     def class_coordinates(self, class_index: int) -> "ClassCoordinates":
         """Cached :class:`ClassCoordinates` of a conjugacy class, compiled on
@@ -265,7 +269,7 @@ class FiniteMatrixGroup:
             cls = self.classes[class_index]
             cached = ClassCoordinates.compile(
                 self.fixed_projection_matrix(cls.representative),
-                [self.elements[self.inverse_table[c]].matrix for c in cls.centralizer])
+                [self.elements[self._inverses[c]].matrix for c in cls.centralizer])
             self._coordinates[class_index] = cached
         return cached
 
@@ -363,17 +367,16 @@ def generate_group(
         d, rows = _key(g)
         sparse.append((d, linalg.sparse_rows(rows)))
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    keys, words = [ident], ["1"]
+    keys, paths = [ident], [()]  # paths[j]: the generator positions whose product is keys[j]
     index = {ident: 0}
     right = []  # right[i][k]: index of elements[i] * gens[k]
-    parents = [None]  # parents[j] == (i, k): elements[j] was found as elements[i] * gens[k]
     # elements are appended in the order they are found, so visiting them by
     # index is the breadth-first order
     while len(right) < len(keys):
         i = len(right)
         d, rows = keys[i]
         row = []
-        for k, (name, (gd, grows)) in enumerate(zip(names, sparse)):
+        for k, (gd, grows) in enumerate(sparse):
             prod = linalg.mat_mul_rows(rows, grows, n)
             pd = d * gd
             if pd != 1:
@@ -390,16 +393,15 @@ def generate_group(
                     )
                 j = len(keys)
                 keys.append(key)
-                words.append(name if i == 0 else f"{words[i]}*{name}")
+                paths.append(paths[i] + (k,))
                 index[key] = j
-                parents.append((i, k))
             row.append(j)
         right.append(row)
 
-    elements = [GroupElement(j, matrix, word)
-                for j, (matrix, word) in enumerate(zip(_matrices(keys), words))]
+    elements = [GroupElement(j, matrix, "*".join(names[k] for k in path) or "1")
+                for j, (matrix, path) in enumerate(zip(_matrices(keys), paths))]
     generator_indices = [index[_key(g)] for g in gens]
-    return FiniteMatrixGroup(elements, generator_indices, names, right, parents, index)
+    return FiniteMatrixGroup(elements, generator_indices, names, right, paths, index)
 
 
 def _key(matrix) -> tuple:

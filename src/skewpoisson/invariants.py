@@ -71,16 +71,16 @@ def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
     Expands ``(1/|G|) sum_g 1/det(I - t g)`` exactly to the requested order.
     The determinant is a class function, so the sum runs over conjugacy
     classes, each representative weighted by its class size.  Each term is
-    :func:`_power_trace_series` of the traces ``tr(g^k)``, the powers read
-    off the multiplication table.  A trace is a class function too, so it
-    is summed once per class.  ``g`` has finite order, so its eigenvalues
-    are roots of unity: a trace is a rational sum of roots of unity, an
-    algebraic integer and hence an integer, and the arithmetic stays on
-    integers until the division by ``|G|``.  Coefficient 0 is always 1.
+    :func:`_power_trace_series` of the traces ``tr(g^k)``, each power read
+    off :meth:`~skewpoisson.groups.FiniteMatrixGroup.powers`.  A trace is a
+    class function too, so it is summed once per class.  ``g`` has finite
+    order, so its eigenvalues are roots of unity: a trace is a rational sum
+    of roots of unity, an algebraic integer and hence an integer, and the
+    arithmetic stays on integers until the division by ``|G|``.
+    Coefficient 0 is always 1.
     """
     if up_to_degree < 0:
         raise ValueError("up_to_degree must be non-negative")
-    table = group.mul_table
     traces = {}  # class index -> the trace of its members
 
     def trace(i: int) -> int:
@@ -95,11 +95,8 @@ def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
 
     total = [0] * (up_to_degree + 1)
     for cls in group.classes:
-        rep = power = cls.representative
-        power_traces = []
-        for _ in range(up_to_degree):
-            power_traces.append(trace(power))
-            power = table[power][rep]
+        powers = group.powers(cls.representative)
+        power_traces = [trace(powers[k % len(powers)]) for k in range(up_to_degree)]
         for k, h in enumerate(_power_trace_series(power_traces)):
             total[k] += cls.size * h
     coeffs = []

@@ -339,12 +339,10 @@ def collapse_to_sigma(d_of_g: SkewElement, g: "GroupElement | int") -> Polynomia
     idx = group.element_index(g)
     if idx == 0:
         raise ValueError("the identity element is excluded here")
-    table = group.mul_table
-    inv = group.inverse_table
     total = Polynomial.zero(group.dim)
     for h in range(group.order):
-        conj = table[table[h][idx]][inv[h]]  # h g h^-1
-        part = d_of_g.g_part(conj)
+        conj = group.mul(group.mul(h, idx), group.inverse(h))  # h g h^-1
+        part = d_of_g.g_part(conj.index)
         if part.is_zero:
             continue
         total = total + act_on_poly(group.elements[h], part)

@@ -168,8 +168,8 @@ class SkewElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        table = self.group.mul_table
-        elements = self.group.elements
+        group = self.group
+        elements = group.elements
         parts: dict = {}
         for ia, pa in self._parts.items():
             ga = elements[ia]
@@ -178,7 +178,7 @@ class SkewElement:
                 prod = pa * moved
                 if prod.is_zero:
                     continue
-                target = table[ia][ib]
+                target = group.mul(ia, ib).index
                 acc = parts.get(target)
                 acc = prod if acc is None else acc + prod
                 if acc.is_zero:

@@ -127,6 +127,12 @@ def b4_group():
 
 
 @pytest.fixture(scope="session")
+def b5_group():
+    """B5 on h + h* (order 3840, dimension 10), from seeded Coxeter generators."""
+    return generate_group(coxeter_bn(5, seed=5))
+
+
+@pytest.fixture(scope="session")
 def s3_group():
     """S3 in its reflection representation on h + h* (order 6, dimension 4);
     not monomial, so products take the general path."""

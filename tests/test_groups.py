@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -82,9 +83,19 @@ class TestClosure:
 
     def test_mul_table_closed_and_invertible(self, group):
         for i in range(group.order):
-            assert sorted(group.mul_table[i]) == list(range(group.order))
-            j = group.inverse_table[i]
-            assert group.mul_table[i][j] == 0
+            row = [group.mul(i, j).index for j in range(group.order)]
+            assert sorted(row) == list(range(group.order))
+            assert group.mul(i, group.inverse(i)) is group.identity
+
+    def test_corrupted_powers_raise(self, group):
+        # b * b redirected to b: the powers of b never reach the identity
+        b = group.generator_indices[0]
+        broken = copy.copy(group)
+        broken._right = [list(row) for row in group._right]
+        broken._right[b][0] = b
+        for query in (broken.powers, broken.element_order, broken.fixed_projection_matrix):
+            with pytest.raises(RuntimeError, match="do not reach the identity"):
+                query(b)
 
     def test_words_resolve_to_their_elements(self, group):
         for g in group.elements:
@@ -107,7 +118,20 @@ class TestReferenceGroups:
         index = {m: i for i, m in enumerate(mats)}
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                assert reference_group.mul_table[i][j] == index[mat_mul(a, b)]
+                assert reference_group.mul(i, j).index == index[mat_mul(a, b)]
+
+    def test_powers_and_inverses_match_matrices(self, reference_group):
+        ident = reference_group.identity.matrix
+        for g in reference_group.elements:
+            expected, power = [], g.matrix
+            while True:
+                expected.append(power)
+                if power == ident:
+                    break
+                power = mat_mul(power, g.matrix)
+            got = [reference_group.elements[p].matrix for p in reference_group.powers(g)]
+            assert got == expected
+            assert reference_group.inverse(g).matrix == inverse(g.matrix)
 
     def test_mat_mul_matches_definition(self, s3_group):
         # S3 is not monomial: its products have entries summing several terms
@@ -313,12 +337,30 @@ class TestB4Scale:
         index = {m: i for i, m in enumerate(mats)}
         for _ in range(2000):
             i, j = rng.randrange(384), rng.randrange(384)
-            assert b4_group.mul_table[i][j] == index[mat_mul(mats[i], mats[j])]
+            assert b4_group.mul(i, j).index == index[mat_mul(mats[i], mats[j])]
 
     def test_molien_counts_signed_monomial_orbits(self, b4_group):
         generators = [b4_group.elements[i].matrix for i in b4_group.generator_indices]
         expected = [signed_monomial_invariants(generators, d) for d in range(5)]
         assert molien_coefficients(b4_group, 4) == expected == [1, 0, 3, 0, 11]
+
+
+class TestB5Scale:
+    """B5 on h + h*: order 3840 in dimension 10."""
+
+    def test_order_and_classes(self, b5_group):
+        assert b5_group.order == 3840
+        assert len(b5_group.classes) == bipartitions(5) == 36
+        for cls in b5_group.classes:
+            assert cls.size * len(cls.centralizer) == 3840
+
+    def test_sampled_products(self, b5_group):
+        rng = random.Random(2025)
+        mats = [g.matrix for g in b5_group.elements]
+        index = {m: i for i, m in enumerate(mats)}
+        for _ in range(2000):
+            i, j = rng.randrange(3840), rng.randrange(3840)
+            assert b5_group.mul(i, j).index == index[mat_mul(mats[i], mats[j])]
 
 
 class TestConjugacyClasses:

@@ -159,3 +159,41 @@ def test_no_unused_imports():
         if path.name.endswith(".py") and path.name != "__init__.py"
     }
     assert unused_imports(sources) == []
+
+
+# FiniteMatrixGroup's product storage: the Cayley edges, the element paths
+# and the inverses, and the multiplication and inverse tables they replaced
+PRODUCT_STORAGE = {"_right", "_paths", "_inverses", "mul_table", "inverse_table"}
+
+
+def product_storage_readers(sources: dict) -> list:
+    """``module.owner`` for each top-level function or class (``owner``, or
+    ``<module>`` for module-level code) of ``sources`` (module name ->
+    source text) that reads an attribute named in ``PRODUCT_STORAGE``."""
+    readers = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", "<module>")
+            if any(isinstance(node, ast.Attribute) and node.attr in PRODUCT_STORAGE
+                   for node in ast.walk(stmt)):
+                readers.add(f"{module}.{owner}")
+    return sorted(readers)
+
+
+def test_product_storage_scan_sees_readers():
+    sources = {
+        "a": "def f(g):\n    return g.mul_table[0]\n\ndef ok(g):\n    return g.mul(0, 1).index\n",
+        "b": ("X = group._inverses\n\nclass C:\n    def m(self, g):\n"
+              "        return g._paths, node.right\n"),
+    }
+    assert product_storage_readers(sources) == ["a.f", "b.<module>", "b.C"]
+
+
+def test_only_groups_reads_the_product_storage():
+    # the selftest corruption hook sabotages a copy's Cayley edges on purpose
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "groups.py"
+    }
+    assert product_storage_readers(sources) == ["selftest._corrupt_mul_table"]

@@ -207,10 +207,9 @@ def two_step_projection(a, class_index):
     cls = group.classes[class_index]
     rep = cls.representative
     proj = group.fixed_projection_matrix(rep)
-    table, inv = group.mul_table, group.inverse_table
     total = Polynomial.zero(group.dim)
     for k, g in enumerate(group.elements):
-        part = a.g_part(table[table[inv[k]][rep]][k])  # k^-1 * rep * k
+        part = a.g_part(group.mul(group.mul(group.inverse(k), rep), k))  # k^-1 * rep * k
         moved = substitute_linear(part, inverse(g.matrix))
         total = total + substitute_linear(moved, proj)
     return total * Fraction(1, len(cls.centralizer))
