@@ -39,11 +39,12 @@ from .obstruction import (
     solve_ladder,
     solve_sigma,
 )
-from .parse import PolyParseError, format_poly, parse_poly
+from .parse import PolyParseError, parse_poly
 from .poly import (
     LinearSubstitution,
     Polynomial,
     SymplecticForm,
+    format_poly,
     partial_derivative,
     poisson_bracket,
     substitute_linear,

@@ -121,7 +121,7 @@ def cmd_group(config: ScenarioConfig) -> Report:
     return report
 
 
-def cmd_invariants(config: ScenarioConfig, up_to_degree: int = 8) -> Report:
+def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
     report = Report(command="invariants", version=__version__)
     group = config.build_group()
     gens = config.build_generator_set()
@@ -208,11 +208,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
         word, sep, text = item.partition(":")
         if not sep:
             raise ConfigError("--part", f"expected WORD:POLY, got {item!r}")
-        word = word.strip()
-        if word.isdigit() and int(word) != 1:
-            idx = group.element_index(int(word))
-        else:
-            idx = group.element_from_word(word).index
+        idx = group.element_from_word(word).index
         poly = config.polynomial_or_inline(text.strip(), "--part")
         assembled[idx] = assembled.get(idx, poly * 0) + poly
     element = SkewElement(group, assembled)
@@ -228,7 +224,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
         {
             "class": i,
             "representative": group.elements[group.classes[i].representative].word,
-            "projection": format_poly(vector.component(i)),
+            "projection": format_poly(vector.components[i]),
         }
         for i in wanted
     ]

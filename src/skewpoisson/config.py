@@ -193,11 +193,11 @@ class ScenarioConfig:
         return cls.from_mapping(data, source=str(path))
 
     @classmethod
-    def bundled(cls, name: str = BUNDLED_SCENARIO) -> "ScenarioConfig":
+    def bundled(cls) -> "ScenarioConfig":
         """The scenario shipped with the package (the counterexample instance)."""
-        ref = resources.files("skewpoisson").joinpath(f"data/{name}.json")
+        ref = resources.files("skewpoisson").joinpath(f"data/{BUNDLED_SCENARIO}.json")
         data = json.loads(ref.read_text(encoding="utf-8"))
-        return cls.from_mapping(data, source=f"bundled:{name}")
+        return cls.from_mapping(data, source=f"bundled:{BUNDLED_SCENARIO}")
 
     # ------------------------------------------------------------------
     # realization

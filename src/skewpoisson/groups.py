@@ -189,9 +189,10 @@ class FiniteMatrixGroup:
         return self.elements[self._inverses[self.element_index(g)]]
 
     def powers(self, g: "GroupElement | int") -> tuple:
-        """Indices of ``g, g^2, ...`` up to the identity, as many as the order
-        of ``g``.  Raises ``RuntimeError`` if ``|G|`` powers pass without the
-        identity, which only corrupted Cayley edges can cause."""
+        """Indices of ``g, g^2, ...`` up to the identity: the order of ``g``
+        is their number and its inverse the power before the identity.
+        Raises ``RuntimeError`` if ``|G|`` powers pass without the identity,
+        which only corrupted Cayley edges can cause."""
         idx = self.element_index(g)
         out = [idx]
         while out[-1] != 0:
@@ -200,9 +201,6 @@ class FiniteMatrixGroup:
                                    f"the identity within the group order {self.order}")
             out.append(self._times(out[-1], idx))
         return tuple(out)
-
-    def element_order(self, g: "GroupElement | int") -> int:
-        return len(self.powers(g))
 
     def element_from_word(self, word: str) -> GroupElement:
         """Resolve a generator word like ``"e*b"`` (or ``"1"``) to an element."""

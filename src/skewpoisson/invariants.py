@@ -210,16 +210,13 @@ class GeneratorSet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("generator names must be unique")
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True)
 class RelationSet:
     """Candidate relations, as polynomials in the abstract generator names."""
 
     names: tuple
-    polys: tuple  # Polynomial instances with nvars == len(GeneratorSet)
+    polys: tuple  # Polynomial instances with nvars == len(GeneratorSet.names)
 
     def __post_init__(self):
         if len(self.names) != len(self.polys):
@@ -344,7 +341,7 @@ def verify_generators(
 
 def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
     """Substitute the generators into each relation and report residuals."""
-    k = len(gens)
+    k = len(gens.names)
     residuals = []
     times_powers = _power_products(gens)
     nvars = gens.polys[0].nvars if gens.polys else 1

@@ -114,7 +114,7 @@ class RowSpace:
     with a nonzero entry).  Pivot choice is purely positional, so results are
     deterministic for a fixed insertion order.  With ``track=True`` every
     stored row carries the combination of original inputs that produced it,
-    which lets :meth:`reduce` express a target vector in terms of the inputs.
+    which lets :meth:`solve` express a target vector in terms of the inputs.
     """
 
     def __init__(self, track: bool = False):
@@ -172,34 +172,26 @@ class RowSpace:
             self._combos[lead] = {t: v * inv_lead for t, v in stored.items()}
         return True
 
-    def reduce(self, vec: SparseVec):
-        """Reduce a vector against the basis.
-
-        Returns ``(remainder, combo)``: the remainder after elimination and,
-        when tracking, the coefficients over input tags such that
-        ``vec = remainder + sum(combo[t] * input_t)``.
-        """
-        combo: Optional[SparseVec] = {} if self._track else None
-        rem = self._reduce_vec(vec, combo)
-        return rem, combo
-
     def contains(self, vec: SparseVec) -> bool:
-        rem, _ = self.reduce(vec)
-        return not rem
+        return not self._reduce_vec(vec, None)
 
     def solve(self, target: SparseVec):
         """Express ``target`` through the inputs of a tracked space.
 
-        Returns ``(coeffs, residual)``.  When ``target`` lies in the span,
-        ``coeffs`` holds one Fraction per input added so far, in insertion
-        order, with ``sum(coeffs[t] * input_t) == target``, and ``residual``
-        is empty.  Otherwise ``coeffs`` is ``None`` and ``residual`` is the
-        part of ``target`` outside the span.  The space is not changed, so
-        it can take more inputs and be solved again.
+        Reducing ``target`` against the basis leaves a remainder and the
+        coefficients ``combo`` over input tags with
+        ``target == remainder + sum(combo[t] * input_t)``.  Returns
+        ``(coeffs, residual)``.  When the remainder is empty, ``target`` lies
+        in the span: ``coeffs`` spreads ``combo`` over one Fraction per
+        input added so far, in insertion order, and ``residual`` is empty.
+        Otherwise ``coeffs`` is ``None`` and ``residual`` is the remainder,
+        the part of ``target`` outside the span.  The space is not changed,
+        so it can take more inputs and be solved again.
         """
         if not self._track:
             raise ValueError("solve needs a RowSpace built with track=True")
-        rem, combo = self.reduce(target)
+        combo: SparseVec = {}
+        rem = self._reduce_vec(target, combo)
         if rem:
             return None, rem
         coeffs = [Fraction(0)] * self._added

@@ -81,6 +81,7 @@ class Certificate:
 
     verdict: Verdict
     target: Polynomial
+    degree: int  # the degree bound the verdict was decided at
     sigma: Optional[Polynomial] = None
     rank_data: Optional[RankData] = None
     divisor_witness: Optional[int] = None  # 0-based variable index
@@ -229,9 +230,10 @@ def solve_ladder(problem: ObstructionProblem,
     increasing ladder, in order, stopping after the first feasible rung.
 
     The certificate yielded at bound ``d`` is the one a solve of the problem
-    at degree bound ``d`` gives; the problem's own ``degree_bound`` is not
-    read.  Feasible outcomes carry a multiplier (deterministic support, from
-    graded-lex pivoting) that replays to exact zero.  Infeasible outcomes
+    at degree bound ``d`` gives, and records ``d`` as its ``degree``; the
+    problem's own ``degree_bound`` is not read.  Feasible outcomes carry a
+    multiplier (deterministic support, from graded-lex pivoting) that
+    replays to exact zero.  Infeasible outcomes
     record the rank data of the linear system; when the divisor argument
     applies, the verdict is upgraded to all degrees, and otherwise it stays
     at the rung's bound with a dual witness checked against the rung's
@@ -282,7 +284,7 @@ def solve_ladder(problem: ObstructionProblem,
                 group.dim,
                 {exps: c for exps, c in zip(tags.values(), coeffs) if c},
             )
-            cert = Certificate(Verdict.FEASIBLE, target=target, sigma=sigma)
+            cert = Certificate(Verdict.FEASIBLE, target=target, degree=bound, sigma=sigma)
             if not replay_certificate(problem, cert):
                 raise RuntimeError("feasible certificate failed to replay")
             yield cert
@@ -299,6 +301,7 @@ def solve_ladder(problem: ObstructionProblem,
             yield Certificate(
                 Verdict.INFEASIBLE_ALL_DEGREES,
                 target=target,
+                degree=bound,
                 rank_data=rank_data,
                 divisor_witness=witness,
                 divisor_images=generators,
@@ -311,7 +314,7 @@ def solve_ladder(problem: ObstructionProblem,
         dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
         if not _separates(dual, tags, target):
             raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
-        yield Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target,
+        yield Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target, degree=bound,
                           rank_data=rank_data, dual_witness=dual)
 
 
@@ -353,19 +356,22 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
     """Re-verify a certificate against its problem from first principles.
 
     The certificate's target must equal the one the problem computed on
-    construction.  Feasible: substitute the multiplier back and demand exact
-    zero.  All-degrees: recompute the degree-independent image generators
-    and rescan them and the target for the divisor property.
-    Degree-bounded: recompute the candidate images and demand that the dual
-    witness vanishes on each of them but not on the target, which takes dot
-    products only, no row reduction.
+    construction; the problem's own ``degree_bound`` is not read, so every
+    rung of a :func:`solve_ladder` replays against the ladder's problem.
+    Feasible: the multiplier's degree must not exceed ``cert.degree``, and
+    substituting it back must give exact zero.  All-degrees: recompute the
+    degree-independent image generators and rescan them and the target for
+    the divisor property.  Degree-bounded: recompute the candidate images up
+    to ``cert.degree`` and demand that the dual witness vanishes on each of
+    them but not on the target, which takes dot products only, no row
+    reduction.
     """
     target = problem.target
     if cert.target != target:
         return False
     group = problem.group
     if cert.verdict is Verdict.FEASIBLE:
-        if cert.sigma is None:
+        if cert.sigma is None or cert.sigma.total_degree() > cert.degree:
             return False
         image = project_term(group, problem.psi * cert.sigma, problem.class_index)
         return (target + image).is_zero
@@ -376,8 +382,7 @@ def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:
         generators = multiplier_image_generators(group, problem.psi,
                                                  problem.class_index)
         return _divides(v, generators, target)
-    if cert.rank_data is None or cert.dual_witness is None:
+    if cert.rank_data is None or cert.dual_witness is None or cert.degree < 0:
         return False
-    images = sigma_image_basis(group, problem.psi, problem.class_index,
-                               problem.degree_bound)
+    images = sigma_image_basis(group, problem.psi, problem.class_index, cert.degree)
     return _separates(cert.dual_witness, {img for _, img in images}, target)

@@ -1,4 +1,5 @@
-"""Parsing and printing of polynomial expressions.
+"""Parsing of polynomial expressions; :func:`~skewpoisson.poly.format_poly`
+prints them back.
 
 Grammar (whitespace insignificant)::
 
@@ -20,9 +21,9 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .poly import Polynomial, format_poly
+from .poly import Polynomial
 
-__all__ = ["PolyParseError", "parse_poly", "format_poly", "DEGREE_CAP"]
+__all__ = ["PolyParseError", "parse_poly", "DEGREE_CAP"]
 
 DEGREE_CAP = 64
 TERM_PRODUCT_BUDGET = 50_000  # (x1+x2+x3+x4)^16 takes 15504

@@ -246,16 +246,12 @@ class Polynomial:
         return f"Polynomial({format_poly(self)!r}, nvars={self.nvars})"
 
 
-def format_poly(p: Polynomial, names: Optional[list] = None) -> str:
-    """Canonical text form, terms in grlex-descending order.
-
-    Uses ``x1 .. x<n>`` unless explicit variable names are supplied.  The
-    output round-trips through :func:`skewpoisson.parse.parse_poly`.
+def format_poly(p: Polynomial) -> str:
+    """Canonical text form in the variables ``x1 .. x<n>``, terms in
+    grlex-descending order.  The output round-trips through
+    :func:`skewpoisson.parse.parse_poly`.
     """
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.nvars)]
-    if len(names) != p.nvars:
-        raise ValueError("wrong number of variable names")
+    names = [f"x{i + 1}" for i in range(p.nvars)]
     if p.is_zero:
         return "0"
     pieces = []
@@ -313,6 +309,12 @@ class LinearSubstitution:
     variable in ``m``.  The memo lives as long as the object, so a map kept
     for repeated use trades memory for never expanding a monomial twice.
     Calling the object composes a polynomial with the change of variables.
+
+    The monomial path gives the same polynomials as the general one; it
+    stays for speed.  With every substitution forced onto the general path,
+    the order-48 group invariants benchmark (``b3-group-invariants``) took
+    11.5-20.1 ms per operation against 8.0-9.7 ms (six alternating pairs of
+    8-second runs, Python 3.11.7, shared 2-core machine).
     """
 
     __slots__ = ("nvars", "target_nvars", "_simple", "_forms", "_images")
@@ -453,17 +455,6 @@ class SymplecticForm:
     @property
     def nvars(self) -> int:
         return len(self.matrix)
-
-    @classmethod
-    def standard(cls, nvars: int) -> "SymplecticForm":
-        """Block-Darboux form pairing (x1,x2), (x3,x4), ..."""
-        if nvars % 2 != 0:
-            raise ValueError("standard symplectic form needs even dimension")
-        rows = [[Fraction(0)] * nvars for _ in range(nvars)]
-        for k in range(0, nvars, 2):
-            rows[k][k + 1] = Fraction(1)
-            rows[k + 1][k] = Fraction(-1)
-        return cls(rows)
 
     def __eq__(self, other):
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix

@@ -41,9 +41,10 @@ from .obstruction import (
     solve_ladder,
     solve_sigma,
 )
-from .parse import format_poly, parse_poly
+from .parse import parse_poly
 from .poly import (
     Polynomial,
+    format_poly,
     partial_derivative,
     poisson_bracket,
     substitute_linear,
@@ -144,11 +145,10 @@ def _matrix(rng: random.Random, n: int):
     )
 
 
-def _skew(rng: random.Random, group: FiniteMatrixGroup, max_degree: int = 3,
-          max_parts: int = 2) -> SkewElement:
+def _skew(rng: random.Random, group: FiniteMatrixGroup, max_parts: int = 2) -> SkewElement:
     parts = {}
     for _ in range(rng.randint(1, max_parts)):
-        parts[rng.randrange(group.order)] = _poly(rng, group.dim, max_degree)
+        parts[rng.randrange(group.order)] = _poly(rng, group.dim, 3)
     return SkewElement(group, parts)
 
 
@@ -489,12 +489,8 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
                      lambda: f"bundled instance became feasible at degree {bound}")
         if cert.verdict is Verdict.INFEASIBLE_ALL_DEGREES:
             witnessed = True
-            check.record(
-                replay_certificate(
-                    ObstructionProblem(group, phi, psi, class_index, bound, form), cert
-                ),
-                lambda: "divisor certificate failed to replay",
-            )
+            check.record(replay_certificate(top, cert),
+                         lambda: "divisor certificate failed to replay")
         ranks.append(cert.rank_data.rank if cert.rank_data else 0)
     check.record(witnessed, lambda: "no divisor witness on the bundled instance")
     check.record(all(a <= b for a, b in zip(ranks, ranks[1:])),

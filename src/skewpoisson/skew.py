@@ -80,10 +80,6 @@ class SkewElement:
     # constructors
 
     @classmethod
-    def zero(cls, group: FiniteMatrixGroup) -> "SkewElement":
-        return cls(group, {})
-
-    @classmethod
     def one(cls, group: FiniteMatrixGroup) -> "SkewElement":
         return cls(group, {0: Polynomial.one(group.dim)})
 
@@ -103,9 +99,6 @@ class SkewElement:
     def parts(self):
         """Iterate ``(element index, polynomial)`` pairs, index ascending."""
         return iter(sorted(self._parts.items()))
-
-    def support(self) -> tuple:
-        return tuple(sorted(self._parts))
 
     @property
     def is_zero(self) -> bool:
@@ -275,7 +268,7 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     for h, k in group.classes[class_index].conjugators:
         part = a._parts.get(h)
         if part is not None:
-            moved = moved + (group.elements[k].action(part) if k else part)
+            moved = moved + group.elements[k].action(part)
     return project_term(group, moved, class_index)
 
 
@@ -285,9 +278,6 @@ class TraceVector:
 
     group: FiniteMatrixGroup
     components: tuple  # tuple[Polynomial, ...], one per conjugacy class
-
-    def component(self, class_index: int) -> Polynomial:
-        return self.components[class_index]
 
     def validate(self) -> bool:
         """Each component must live on the representative's fixed space and

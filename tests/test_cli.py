@@ -214,6 +214,11 @@ class TestProjectCommand:
         code, out = run(capsys, "project", "--part", "b=x1")
         assert code == 2
 
+    def test_part_takes_a_word_not_an_element_index(self, capsys):
+        code, out = run(capsys, "project", "--part", "2:x1")
+        assert code == 2
+        assert "unknown generator name '2'" in out
+
     def test_bad_class_index(self, capsys):
         code, out = run(capsys, "project", "--part", "b:x1",
                         "--class-index", "9")

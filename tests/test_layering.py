@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,56 @@ def test_every_public_function_is_used():
         if path.name.endswith(".py")
     }
     assert unused_public_functions(sources, set(skewpoisson.__all__)) == []
+
+
+def _referenced_names(node) -> Counter:
+    """How often each name is referenced under ``node``, as a name or an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def unused_public_methods(sources: dict, callers=()) -> list:
+    """``module.Class.method`` for each public, non-dunder function in a
+    class body of ``sources`` (module name -> source text) whose name is
+    never referenced, as a name or an attribute, outside its own body, in
+    ``sources`` or in the extra ``callers`` (source texts)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    for source in callers:
+        referenced += _referenced_names(ast.parse(source))
+    return [f"{module}.{cls.name}.{stmt.name}"
+            for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("_")
+            and referenced[stmt.name] == _referenced_names(stmt)[stmt.name]]
+
+
+def test_unused_method_scan_sees_dead_methods():
+    sources = {
+        "a": ("class A:\n"
+              "    def used(self):\n        return self.helper()\n\n"
+              "    def dead(self):\n        return self.dead()\n\n"
+              "    def helper(self):\n        pass\n\n"
+              "    def spec(self):\n        pass\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "    def __len__(self):\n        return 0\n"),
+        "b": "from .a import A\n\ndef f():\n    return A().used()\n",
+    }
+    assert unused_public_methods(sources, ["A().spec()\n"]) == ["a.A.dead"]
+    assert unused_public_methods(sources) == ["a.A.dead", "a.A.spec"]
+
+
+def test_every_public_method_is_used():
+    # the acceptance criteria are the product's spec, so they count as callers
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py")
+    }
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    assert unused_public_methods(sources, [acceptance]) == []
 
 
 def _annotation_names(node) -> set:

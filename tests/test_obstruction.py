@@ -301,12 +301,16 @@ class TestDegreeBoundedReplay:
         assert genuine.verdict is Verdict.FEASIBLE
         rank_data = RankData(rows=1, cols=70, rank=0, residual=genuine.target)
         fabricated = Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=genuine.target,
-                                 rank_data=rank_data)
+                                 degree=4, rank_data=rank_data)
         assert not replay_certificate(problem, fabricated)
         # no functional separates a target that lies in the span of the images
         for exps, _ in genuine.target.items():
             witness = Polynomial.monomial(4, exps)
             assert not replay_certificate(problem, replace(fabricated, dual_witness=witness))
+
+    def test_negative_degree_fails(self, swap_class):
+        problem, cert = swap_class
+        assert not replay_certificate(problem, replace(cert, degree=-1))
 
     def test_changed_witness_entry_fails(self, swap_class):
         problem, cert = swap_class
@@ -329,7 +333,7 @@ class TestReplayRecomputes:
     def test_feasible_certificate_with_a_wrong_target_fails(self, group, form, named,
                                                             class_of_b):
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 4, form)
-        fabricated = Certificate(Verdict.FEASIBLE, target=P("0"), sigma=P("x1"))
+        fabricated = Certificate(Verdict.FEASIBLE, target=P("0"), degree=4, sigma=P("x1"))
         assert not replay_certificate(problem, fabricated)
 
     def test_divisor_certificate_without_images_fails(self, group, form, named):
@@ -338,7 +342,7 @@ class TestReplayRecomputes:
         genuine = solve_sigma(problem)
         assert genuine.verdict is Verdict.FEASIBLE
         fabricated = Certificate(Verdict.INFEASIBLE_ALL_DEGREES, target=genuine.target,
-                                 divisor_witness=3)
+                                 degree=3, divisor_witness=3)
         assert not replay_certificate(problem, fabricated)
 
     def test_out_of_range_divisor_witness_fails(self, group, form, named, class_of_b):
@@ -359,6 +363,26 @@ class TestReplayRecomputes:
                         assert replay_certificate(problem, cert)
                         verdicts.add(cert.verdict)
         assert verdicts == set(Verdict)
+
+    def ladder(self, group, form, named):
+        """A ladder 0..3 on the class of ``e`` that is infeasible at degrees
+        0 and 1 and feasible at 2, with the problem's bound at 3."""
+        i = group.class_of(group.element_from_word("e"))
+        top = ObstructionProblem(group, named["h2"], P("x1^2 + x1*x2 - x3*x2"), i, 3, form)
+        return top, list(solve_ladder(top, range(4)))
+
+    def test_ladder_certificates_replay_against_the_ladder_problem(self, group, form, named):
+        top, certs = self.ladder(group, form, named)
+        infeasible, feasible = Verdict.INFEASIBLE_AT_DEGREE, Verdict.FEASIBLE
+        assert [c.verdict for c in certs] == [infeasible, infeasible, feasible]
+        assert [c.degree for c in certs] == [0, 1, 2]
+        assert all(replay_certificate(top, c) for c in certs)
+
+    def test_feasible_multiplier_above_the_certificate_degree_fails(self, group, form, named):
+        top, certs = self.ladder(group, form, named)
+        feasible = certs[-1]
+        assert feasible.sigma.total_degree() == feasible.degree == 2
+        assert not replay_certificate(top, replace(feasible, degree=1))
 
 
 class TestInvarianceCheckedOnce:
@@ -556,7 +580,7 @@ class TestCollapse:
 
     def test_collapse_of_zero(self, group):
         b = group.element_from_word("b")
-        assert collapse_to_sigma(SkewElement.zero(group), b).is_zero
+        assert collapse_to_sigma(SkewElement(group, {}), b).is_zero
 
     def test_support_off_the_class_contributes_nothing(self, group):
         b = group.element_from_word("b")

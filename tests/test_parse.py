@@ -162,7 +162,3 @@ class TestRoundTrip:
     def test_format_is_grlex_descending(self):
         p = parse_poly("x3^2 + x1^2*x2^2 + 1 + x1", nvars=4)
         assert format_poly(p) == "x1^2*x2^2 + x3^2 + x1 + 1"
-
-    def test_custom_names(self):
-        p = parse_poly("f1*h4 - 1/2", names=GEN_NAMES)
-        assert format_poly(p, names=GEN_NAMES) == "f1*h4 - 1/2"
