@@ -99,7 +99,7 @@ def cmd_group(config: ScenarioConfig) -> Report:
         "order": group.order,
         "dimension": group.dim,
         "generators": list(group.generator_names),
-        "elements": [{"index": g.index, "word": g.word} for g in group.elements],
+        "elements": [{"index": i, "word": g.word} for i, g in enumerate(group.elements)],
     })
     class_rows = [
         {
@@ -208,7 +208,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
         word, sep, text = item.partition(":")
         if not sep:
             raise ConfigError("--part", f"expected WORD:POLY, got {item!r}")
-        idx = group.element_from_word(word).index
+        idx = group.element_from_word(word)
         poly = config.polynomial_or_inline(text.strip(), "--part")
         assembled[idx] = assembled.get(idx, poly * 0) + poly
     element = SkewElement(group, assembled)
@@ -339,8 +339,7 @@ def run_counterexample(
             raise ConfigError("obstruction.class_rep",
                               "no non-identity class exists in the trivial group")
         phi = config.polynomial_or_inline(spec.phi)
-        rep_element = group.element_from_word(spec.class_rep)
-        class_index = group.class_of(rep_element)
+        class_index = group.class_of(group.element_from_word(spec.class_rep))
         if class_index == 0:
             raise ConfigError("obstruction.class_rep",
                               "the word resolves to the identity class")

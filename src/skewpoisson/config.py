@@ -84,7 +84,8 @@ class ScenarioConfig:
             _require(key in data, source, f"missing required key {key!r}")
 
         nvars = data["nvars"]
-        _require(isinstance(nvars, int) and nvars >= 1, "nvars",
+        # type(), not isinstance(): bool is a subclass of int, and JSON true is no integer
+        _require(type(nvars) is int and nvars >= 1, "nvars",
                  "must be a positive integer")
 
         form = data["symplectic_form"]
@@ -161,7 +162,7 @@ class ScenarioConfig:
             _require(isinstance(ladder, list) and ladder,
                      f"{path}.degree_ladder", "must be a non-empty list of integers")
             for k, d in enumerate(ladder):
-                _require(isinstance(d, int) and d >= 0,
+                _require(type(d) is int and d >= 0,
                          f"{path}.degree_ladder[{k}]", "must be a non-negative integer")
             _require(all(a < b for a, b in zip(ladder, ladder[1:])),
                      f"{path}.degree_ladder", "must be strictly increasing")

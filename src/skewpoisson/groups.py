@@ -4,13 +4,15 @@ A group is enumerated once, breadth-first from its generators, and is
 immutable afterwards: elements (with stable indices and generator words),
 the Cayley edges, inverses and conjugacy classes.  All structure is
 computed with exact arithmetic, so two runs always agree element for
-element.
+element.  An element is its index, ``0`` the identity: every method takes
+and returns indices, and ``elements[i]`` is the record of element ``i``'s
+matrix, word and action.
 
 The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
 the Cayley graph.  It runs on integers alone.  Each matrix is the key
 ``(d, rows)`` of its least common denominator ``d`` and the integer matrix
-``d * M``, and the group's index maps keys to element indices.  A product
+``d * M``, and the search's index maps keys to element indices.  A product
 is the integer product :func:`~skewpoisson.linalg.mat_mul_rows` of the
 two integer matrices, reduced by a gcd only when the product's
 denominator is not 1.  Each element's ``Fraction`` matrix is built once,
@@ -63,12 +65,12 @@ class GroupClosureError(ValueError):
 
 
 class GroupElement:
-    """One matrix of a finite group, with its discovery index and word."""
+    """The record of one element of a finite group: its matrix and word.  The
+    element itself is named by its index ``i`` in ``group.elements``."""
 
-    __slots__ = ("index", "matrix", "word", "_action")
+    __slots__ = ("matrix", "word", "_action")
 
-    def __init__(self, index: int, matrix, word: str):
-        self.index = index
+    def __init__(self, matrix, word: str):
         self.matrix = matrix
         self.word = word
         self._action = None
@@ -84,12 +86,6 @@ class GroupElement:
         if self._action is None:
             self._action = LinearSubstitution(linalg.inverse(self.matrix))
         return self._action
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"GroupElement({self.word!r})"
@@ -118,18 +114,16 @@ class FiniteMatrixGroup:
 
     def __init__(self, elements: Sequence[GroupElement], generator_indices: Sequence[int],
                  generator_names: Sequence[str], right: Sequence[Sequence[int]],
-                 paths: Sequence[tuple], index: dict):
+                 paths: Sequence[tuple]):
         """``right[i][k]`` is the index of ``elements[i] * generator k``, the
-        group's only product structure; ``paths[j]`` is the tuple of
+        group's only product structure, and ``paths[j]`` is the tuple of
         generator positions whose product is element ``j`` (``()`` for the
-        identity) and ``index`` maps each element's integer key (``_key`` of
-        its matrix) to its index."""
+        identity)."""
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
         self.dim = self.elements[0].dim
         self.order = len(self.elements)
-        self._index_by_key = index
         self._right = right
         self._paths = paths
         # len(p) - 2 is -1 for the identity, whose only power is itself
@@ -157,23 +151,13 @@ class FiniteMatrixGroup:
         self._coordinates = {}
 
     # ------------------------------------------------------------------
-    # element access
+    # element access; an element is its index, 0 the identity
 
-    @property
-    def identity(self) -> GroupElement:
-        return self.elements[0]
-
-    def element_index(self, g: "GroupElement | int") -> int:
-        """Index of an element; raises for matrices outside the group."""
-        if isinstance(g, GroupElement):
-            idx = self._index_by_key.get(_key(g.matrix))
-            if idx is None:
-                raise ValueError(f"element {g.word!r} is not a member of this group")
-            return idx
-        idx = int(g)
-        if not 0 <= idx < self.order:
-            raise ValueError(f"element index {idx} out of range")
-        return idx
+    def element_index(self, g: int) -> int:
+        """``g`` itself; raises ``ValueError`` outside ``0..order - 1``."""
+        if not 0 <= g < self.order:
+            raise ValueError(f"element index {g} out of range")
+        return g
 
     def _times(self, a: int, b: int) -> int:
         """Index of ``elements[a] * elements[b]``, walking from ``a`` along ``b``'s path."""
@@ -182,13 +166,13 @@ class FiniteMatrixGroup:
             a = right[a][k]
         return a
 
-    def mul(self, a: "GroupElement | int", b: "GroupElement | int") -> GroupElement:
-        return self.elements[self._times(self.element_index(a), self.element_index(b))]
+    def mul(self, a: int, b: int) -> int:
+        return self._times(self.element_index(a), self.element_index(b))
 
-    def inverse(self, g: "GroupElement | int") -> GroupElement:
-        return self.elements[self._inverses[self.element_index(g)]]
+    def inverse(self, g: int) -> int:
+        return self._inverses[self.element_index(g)]
 
-    def powers(self, g: "GroupElement | int") -> tuple:
+    def powers(self, g: int) -> tuple:
         """Indices of ``g, g^2, ...`` up to the identity: the order of ``g``
         is their number and its inverse the power before the identity.
         Raises ``RuntimeError`` if ``|G|`` powers pass without the identity,
@@ -202,11 +186,14 @@ class FiniteMatrixGroup:
             out.append(self._times(out[-1], idx))
         return tuple(out)
 
-    def element_from_word(self, word: str) -> GroupElement:
-        """Resolve a generator word like ``"e*b"`` (or ``"1"``) to an element."""
+    def element_from_word(self, word: str) -> int:
+        """Resolve a generator word like ``"e*b"`` (or ``"1"``) to an element.
+        The empty word raises ``ValueError``: the identity is spelled ``"1"``."""
         word = word.strip()
-        if word == "1" or word == "":
-            return self.identity
+        if word == "1":
+            return 0
+        if not word:
+            raise ValueError(f"empty group word {word!r}; the identity is written '1'")
         by_name = {name: k for k, name in enumerate(self.generator_names)}
         idx = 0
         for piece in word.split("*"):
@@ -214,22 +201,20 @@ class FiniteMatrixGroup:
             if piece not in by_name:
                 raise ValueError(f"unknown generator name {piece!r} in word {word!r}")
             idx = self._right[idx][by_name[piece]]
-        return self.elements[idx]
+        return idx
 
     # ------------------------------------------------------------------
     # structure queries
 
-    def class_of(self, g: "GroupElement | int") -> int:
+    def class_of(self, g: int) -> int:
         return self._class_of[self.element_index(g)]
 
-    def centralizer_of(self, g: "GroupElement | int") -> tuple:
+    def centralizer_of(self, g: int) -> tuple:
+        """Indices of the elements commuting with ``g``, ascending."""
         idx = self.element_index(g)
-        return tuple(
-            self.elements[h] for h in range(self.order)
-            if self._times(h, idx) == self._times(idx, h)
-        )
+        return tuple(h for h in range(self.order) if self._times(h, idx) == self._times(idx, h))
 
-    def fixed_projection_matrix(self, g: "GroupElement | int"):
+    def fixed_projection_matrix(self, g: int):
         """Projection onto the fixed space of an element, computed afresh on
         each call: the average of the matrices of its :meth:`powers`.
 
@@ -396,10 +381,10 @@ def generate_group(
             row.append(j)
         right.append(row)
 
-    elements = [GroupElement(j, matrix, "*".join(names[k] for k in path) or "1")
-                for j, (matrix, path) in enumerate(zip(_matrices(keys), paths))]
+    elements = [GroupElement(matrix, "*".join(names[k] for k in path) or "1")
+                for matrix, path in zip(_matrices(keys), paths)]
     generator_indices = [index[_key(g)] for g in gens]
-    return FiniteMatrixGroup(elements, generator_indices, names, right, paths, index)
+    return FiniteMatrixGroup(elements, generator_indices, names, right, paths)
 
 
 def _key(matrix) -> tuple:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
-from .groups import FiniteMatrixGroup, GroupElement, act_on_poly
+from .groups import FiniteMatrixGroup, act_on_poly
 from .invariants import is_invariant
 from .poly import Polynomial, SymplecticForm, monomials_of_degree, poisson_bracket
 from .skew import SkewElement, project_fixed, project_term
@@ -329,7 +329,7 @@ def _separates(witness: Polynomial, images: Iterable[Polynomial],
     return all(pair(img) == 0 for img in images) and pair(target) != 0
 
 
-def collapse_to_sigma(d_of_g: SkewElement, g: "GroupElement | int") -> Polynomial:
+def collapse_to_sigma(d_of_g: SkewElement, g: int) -> Polynomial:
     """Collapse a candidate derivation value at ``g`` to a single multiplier.
 
     Sums, over the whole group, the translates of the parts of the input
@@ -345,7 +345,7 @@ def collapse_to_sigma(d_of_g: SkewElement, g: "GroupElement | int") -> Polynomia
     total = Polynomial.zero(group.dim)
     for h in range(group.order):
         conj = group.mul(group.mul(h, idx), group.inverse(h))  # h g h^-1
-        part = d_of_g.g_part(conj.index)
+        part = d_of_g.g_part(conj)
         if part.is_zero:
             continue
         total = total + act_on_poly(group.elements[h], part)

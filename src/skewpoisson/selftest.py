@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .config import ScenarioConfig
-from .groups import FiniteMatrixGroup, act_on_poly, generate_group, is_symplectic
+from .groups import FiniteMatrixGroup, GroupElement, act_on_poly, generate_group, is_symplectic
 from .invariants import (
     invariant_basis,
     is_invariant,
@@ -273,7 +273,7 @@ def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
         check.record(mul(mul(i, j), k) == mul(i, mul(j, k)),
                      lambda: f"associativity broke at ({i},{j},{k})")
     for i in range(order):
-        has_inverse = any(mul(i, j).index == 0 and mul(j, i).index == 0 for j in range(order))
+        has_inverse = any(mul(i, j) == 0 and mul(j, i) == 0 for j in range(order))
         check.record(has_inverse, lambda: f"element {i} lacks an inverse")
     sizes = sum(cls.size for cls in group.classes)
     check.record(sizes == order, lambda: "class sizes do not add up")
@@ -288,13 +288,14 @@ def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
 def _suite_fixed_projections(rng: random.Random, env: _Env) -> SuiteResult:
     check = _Check("fixed-projections")
     group = env.group
-    for g in group.elements:
-        proj = group.fixed_projection_matrix(g)
+    for i, g in enumerate(group.elements):
+        proj = group.fixed_projection_matrix(i)
         check.record(linalg.mat_mul(proj, proj) == proj,
                      lambda: f"projection for {g.word!r} not idempotent")
         check.record(linalg.mat_mul(g.matrix, proj) == proj,
                      lambda: f"projection image for {g.word!r} not fixed")
-        for u in group.centralizer_of(g):
+        for k in group.centralizer_of(i):
+            u = group.elements[k]
             check.record(
                 linalg.mat_mul(u.matrix, proj) == linalg.mat_mul(proj, u.matrix),
                 lambda: f"projection for {g.word!r} fails to commute with {u.word!r}",
@@ -306,9 +307,10 @@ def _suite_action_homomorphism(rng: random.Random, env: _Env) -> SuiteResult:
     check = _Check("action-homomorphism")
     group = env.group
     polys = [_poly(rng, 4, 4) for _ in range(4)]
-    for g in group.elements:
-        for h in group.elements:
-            gh = group.mul(g, h)
+    elements = group.elements
+    for i, g in enumerate(elements):
+        for j, h in enumerate(elements):
+            gh = elements[group.mul(i, j)]
             for p in polys:
                 check.record(
                     act_on_poly(gh, p) == act_on_poly(g, act_on_poly(h, p)),
@@ -330,9 +332,7 @@ def _suite_symplectic_closure(rng: random.Random, env: _Env) -> SuiteResult:
                      lambda: f"element {g.word!r} is not symplectic")
     scaled = [[str(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)]
               for i in range(4)]
-    from .groups import GroupElement
-
-    stretch = GroupElement(0, linalg.matrix_from_rows(scaled), "stretch")
+    stretch = GroupElement(linalg.matrix_from_rows(scaled), "stretch")
     check.record(not is_symplectic(stretch, form),
                  lambda: "a stretching matrix passed the symplectic test")
     return check.result()
@@ -388,7 +388,7 @@ def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
         h = rng.choice(cls.members)
         k = next(
             k for k in range(group.order)
-            if mul(mul(k, h), group.inverse(k)).index == cls.representative
+            if mul(mul(k, h), group.inverse(k)) == cls.representative
         )
         lhs = hh0_project(SkewElement.term(group, psi, h), cls.index)
         rhs = project_term(group, act_on_poly(group.elements[k], psi), cls.index)
@@ -423,7 +423,7 @@ def _suite_inner_derivation(rng: random.Random, env: _Env) -> SuiteResult:
             if fixed.is_zero:
                 fixed = Polynomial.one(group.dim)
             check.record(
-                inner_derivation_g_part(a, fixed, g) == zero,
+                inner_derivation_g_part(a, fixed, idx) == zero,
                 lambda: f"inner derivation left a part at {g.word!r}",
             )
     return check.result()
@@ -473,8 +473,7 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
     form = env.form
     phi = env.by_name["f1"]
     psi = env.by_name["h1"]
-    rep_elem = group.element_from_word("b")
-    class_index = group.class_of(rep_elem)
+    class_index = group.class_of(group.element_from_word("b"))
     rep = group.classes[class_index].representative
 
     # ladder monotonicity and divisor soundness on the bundled instance

@@ -1,7 +1,8 @@
 """The skew group algebra of a polynomial ring and a finite matrix group.
 
-Elements are finitely supported maps from group elements to polynomials,
-written ``sum_g psi_g . g``.  The product twists by the group action,
+Elements are finitely supported maps from group elements, named by their
+indices, to polynomials, written ``sum_g psi_g . g``.  The product twists
+by the group action,
 
     (psi . g)(phi . h) = (psi * (g . phi)) . (g h),
 
@@ -25,11 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .groups import (
-    FiniteMatrixGroup,
-    GroupElement,
-    act_on_poly,
-)
+from .groups import FiniteMatrixGroup, act_on_poly
 from .poly import Polynomial, format_poly
 
 __all__ = [
@@ -52,8 +49,8 @@ class NotFixedError(ValueError):
 class SkewElement:
     """An element of the skew group algebra, ``sum_g psi_g . g``.
 
-    Immutable; zero polynomial parts are never stored.  Arithmetic mixes
-    with plain polynomials and scalars, which embed at the identity.
+    Immutable; zero polynomial parts are never stored.  Parts are keyed by
+    element index, and arithmetic is between elements of the same group.
     """
 
     __slots__ = ("group", "_parts")
@@ -84,14 +81,9 @@ class SkewElement:
         return cls(group, {0: Polynomial.one(group.dim)})
 
     @classmethod
-    def term(cls, group: FiniteMatrixGroup, poly: Polynomial,
-             g: "GroupElement | int") -> "SkewElement":
+    def term(cls, group: FiniteMatrixGroup, poly: Polynomial, g: int) -> "SkewElement":
         """The single-term element ``poly . g``."""
-        return cls(group, {group.element_index(g): poly})
-
-    @classmethod
-    def from_polynomial(cls, group: FiniteMatrixGroup, poly: Polynomial) -> "SkewElement":
-        return cls.term(group, poly, 0)
+        return cls(group, {g: poly})
 
     # ------------------------------------------------------------------
     # inspection
@@ -104,7 +96,7 @@ class SkewElement:
     def is_zero(self) -> bool:
         return not self._parts
 
-    def g_part(self, g: "GroupElement | int") -> Polynomial:
+    def g_part(self, g: int) -> Polynomial:
         """Coefficient polynomial of a group element (zero if absent)."""
         idx = self.group.element_index(g)
         return self._parts.get(idx, Polynomial.zero(self.group.dim))
@@ -112,22 +104,16 @@ class SkewElement:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce(self, other):
-        if isinstance(other, SkewElement):
-            if other.group is not self.group:
-                raise ValueError("skew elements belong to different groups")
-            return other
-        if isinstance(other, Polynomial):
-            return SkewElement.from_polynomial(self.group, other)
-        if isinstance(other, (int, Fraction)):
-            return SkewElement.from_polynomial(
-                self.group, Polynomial.constant(self.group.dim, other)
-            )
-        return None
+    def _operand(self, other) -> bool:
+        """Whether ``other`` is a skew element; one of another group raises."""
+        if not isinstance(other, SkewElement):
+            return False
+        if other.group is not self.group:
+            raise ValueError("skew elements belong to different groups")
+        return True
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not self._operand(other):
             return NotImplemented
         parts = dict(self._parts)
         for idx, p in other._parts.items():
@@ -138,28 +124,16 @@ class SkewElement:
                 parts[idx] = acc
         return SkewElement(self.group, parts)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SkewElement(self.group, {i: -p for i, p in self._parts.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not self._operand(other):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SkewElement(self.group, {i: p * other for i, p in self._parts.items()})
-        other = self._coerce(other)
-        if other is None:
+        if not self._operand(other):
             return NotImplemented
         group = self.group
         elements = group.elements
@@ -171,7 +145,7 @@ class SkewElement:
                 prod = pa * moved
                 if prod.is_zero:
                     continue
-                target = group.mul(ia, ib).index
+                target = group.mul(ia, ib)
                 acc = parts.get(target)
                 acc = prod if acc is None else acc + prod
                 if acc.is_zero:
@@ -180,19 +154,10 @@ class SkewElement:
                     parts[target] = acc
         return SkewElement(self.group, parts)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced.__mul__(self)
-
     def __eq__(self, other):
-        coerced = self._coerce(other) if not isinstance(other, SkewElement) else other
-        if coerced is None:
+        if not isinstance(other, SkewElement):
             return NotImplemented
-        return self.group is coerced.group and self._parts == coerced._parts
+        return self.group is other.group and self._parts == other._parts
 
     def __hash__(self):
         return hash((id(self.group), frozenset(self._parts.items())))
@@ -293,7 +258,7 @@ def trace_vector(a: SkewElement) -> TraceVector:
     return TraceVector(a.group, comps)
 
 
-def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: "GroupElement | int") -> Polynomial:
+def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: int) -> Polynomial:
     """Part at ``g`` of the inner derivation ``[a, x]`` for a ``g``-fixed ``x``.
 
     Preconditions: ``g`` is not the identity and ``g . x == x`` (violations
@@ -310,5 +275,5 @@ def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: "GroupElement | in
         raise NotFixedError(
             f"polynomial is not fixed by {elem.word!r}"
         )
-    lifted = SkewElement.from_polynomial(group, x)
+    lifted = SkewElement.term(group, x, 0)
     return commutator(a, lifted).g_part(idx)

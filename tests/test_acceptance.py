@@ -71,7 +71,7 @@ def test_criterion_1_group_structure(config, form):
         b = group.element_from_word("b")
         c = group.element_from_word("c")
         cls = group.classes[group.class_of(b)]
-        assert cls.members == tuple(sorted((b.index, c.index)))
+        assert cls.members == tuple(sorted((b, c)))
         assert len(cls.centralizer) == 4
         assert all(is_symplectic(g, form) for g in group.elements)
 

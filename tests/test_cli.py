@@ -219,6 +219,13 @@ class TestProjectCommand:
         assert code == 2
         assert "unknown generator name '2'" in out
 
+    @pytest.mark.parametrize("word", ["", " "])
+    def test_empty_word_is_rejected(self, capsys, word):
+        # the identity is spelled "1"; an empty word is a mistake, not a second spelling
+        code, out = run(capsys, "project", "--part", f"{word}:x1")
+        assert code == 2
+        assert "empty group word" in out
+
     def test_bad_class_index(self, capsys):
         code, out = run(capsys, "project", "--part", "b:x1",
                         "--class-index", "9")
@@ -345,7 +352,14 @@ GOLDEN_EXIT_CODES = {
     "project_multi_part.text": 0,
     "obstruction_psi_sweep_degree3.machine.json": 0,
     "obstruction_psi_parse_error.machine.json": 2,
+    "selftest_corrupt_mul_table.machine.json": 3,
 }
+
+# the suites whose reports a corrupted Cayley edge changes, about 0.6 s in all
+CORRUPTED_SUITES = [arg for name in ("group-structure", "fixed-projections",
+                                     "action-homomorphism", "hh0-conjugation",
+                                     "inner-derivation-vanishing", "obstruction-consistency")
+                    for arg in ("--suite", name)]
 
 # parts on b and c (one class, so c is moved onto b by a non-identity
 # conjugator), on e and on b*c*e (the class whose restriction has 1/2 entries)
@@ -378,6 +392,8 @@ PROJECT_PARTS = ["--part", "b:x1^2*x2 + x3*x4 - 2*x1",
       "--format", "machine"], "obstruction_psi_sweep_degree3.machine.json"),
     (["obstruction", "--degree", "2", "--psi", "f1", "--psi", "(x1",
       "--format", "machine"], "obstruction_psi_parse_error.machine.json"),
+    (["selftest", "--corrupt", "mul-table", *CORRUPTED_SUITES, "--format", "machine"],
+     "selftest_corrupt_mul_table.machine.json"),
 ])
 def test_machine_reports_match_golden_files(capsys, argv, golden):
     """Reports stay byte for byte what the files under tests/data record,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from skewpoisson import ConfigError, ScenarioConfig
+from skewpoisson.cli import main
 from skewpoisson.report import Report, STATUS_OK
 
 
@@ -54,6 +55,22 @@ class TestStructuralValidation:
         data["obstruction"]["degree_ladder"] = [2, 2]
         with pytest.raises(ConfigError, match="strictly increasing"):
             ScenarioConfig.from_mapping(data)
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda data: data.update(nvars=True), "nvars"),
+        (lambda data: data["obstruction"].update(degree_ladder=[0, True]),
+         "obstruction.degree_ladder[1]"),
+    ], ids=["nvars", "degree_ladder"])
+    def test_json_booleans_are_not_integers(self, tmp_path, capsys, edit, path):
+        # bool subclasses int, so JSON true would otherwise pass as the integer 1
+        data = bundled_dict()
+        edit(data)
+        config = tmp_path / "booleans.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["obstruction", "--config", str(config), "--format", "machine"]) == 2
+        message = json.loads(capsys.readouterr().out)["stages"][0]["payload"]["message"]
+        assert message.startswith(f"{path}: must be a ")
+        assert message.endswith(" integer")
 
     def test_generator_set_names_must_exist(self):
         data = bundled_dict()

@@ -12,7 +12,9 @@ from skewpoisson import (
     GroupClosureError,
     GroupElement,
     Polynomial,
+    SkewElement,
     act_on_poly,
+    collapse_to_sigma,
     generate_group,
     is_symplectic,
     molien_coefficients,
@@ -63,8 +65,7 @@ class TestClosure:
     def test_bundled_group_has_order_eight(self, group):
         assert group.order == 8
         assert group.dim == 4
-        assert group.identity.matrix == identity_matrix(4)
-        assert group.elements[0] is group.identity
+        assert group.elements[0].matrix == identity_matrix(4)
 
     def test_empty_generators_give_trivial_group(self):
         trivial = generate_group([], dim=4)
@@ -83,9 +84,9 @@ class TestClosure:
 
     def test_mul_table_closed_and_invertible(self, group):
         for i in range(group.order):
-            row = [group.mul(i, j).index for j in range(group.order)]
+            row = [group.mul(i, j) for j in range(group.order)]
             assert sorted(row) == list(range(group.order))
-            assert group.mul(i, group.inverse(i)) is group.identity
+            assert group.mul(i, group.inverse(i)) == 0
 
     def test_corrupted_powers_raise(self, group):
         # b * b redirected to b: the powers of b never reach the identity
@@ -98,10 +99,16 @@ class TestClosure:
                 query(b)
 
     def test_words_resolve_to_their_elements(self, group):
-        for g in group.elements:
-            assert group.element_from_word(g.word) is g
+        for i, g in enumerate(group.elements):
+            assert group.element_from_word(g.word) == i
         with pytest.raises(ValueError, match="unknown generator"):
             group.element_from_word("z")
+
+    @pytest.mark.parametrize("word", ["", "  "])
+    def test_empty_word_raises(self, group, word):
+        # the identity is spelled "1"; the empty word is no second spelling of it
+        with pytest.raises(ValueError, match="empty group word"):
+            group.element_from_word(word)
 
 
 def product_by_definition(a, b):
@@ -118,20 +125,20 @@ class TestReferenceGroups:
         index = {m: i for i, m in enumerate(mats)}
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                assert reference_group.mul(i, j).index == index[mat_mul(a, b)]
+                assert reference_group.mul(i, j) == index[mat_mul(a, b)]
 
     def test_powers_and_inverses_match_matrices(self, reference_group):
-        ident = reference_group.identity.matrix
-        for g in reference_group.elements:
+        ident = reference_group.elements[0].matrix
+        for i, g in enumerate(reference_group.elements):
             expected, power = [], g.matrix
             while True:
                 expected.append(power)
                 if power == ident:
                     break
                 power = mat_mul(power, g.matrix)
-            got = [reference_group.elements[p].matrix for p in reference_group.powers(g)]
+            got = [reference_group.elements[p].matrix for p in reference_group.powers(i)]
             assert got == expected
-            assert reference_group.inverse(g).matrix == inverse(g.matrix)
+            assert reference_group.elements[reference_group.inverse(i)].matrix == inverse(g.matrix)
 
     def test_mat_mul_matches_definition(self, s3_group):
         # S3 is not monomial: its products have entries summing several terms
@@ -206,7 +213,6 @@ class TestEnumeration:
             generators, names, dim)
         assert [g.matrix for g in group.elements] == mats
         assert [g.word for g in group.elements] == words
-        assert [g.index for g in group.elements] == list(range(len(mats)))
         assert list(group.generator_indices) == generator_indices
         assert [(c.members, c.centralizer, c.conjugators) for c in group.classes] == classes
 
@@ -243,32 +249,28 @@ class TestEnumeration:
         assert products == []
 
 
-class TestElementIndex:
-    """``element_index`` resolves a matrix by value, however its entries
-    were built."""
+class TestIndexRange:
+    """An element is its index, so the range check is the only guard: a
+    negative index would otherwise wrap round silently."""
 
-    def test_separately_built_entries_resolve(self, reference_group):
-        for g in reference_group.elements:
-            copy = tuple(tuple(Fraction(x.numerator, x.denominator) for x in row)
-                         for row in g.matrix)
-            assert reference_group.element_index(GroupElement(0, copy, "copy")) == g.index
-
-    def test_half_integer_entries_resolve(self):
-        group = generate_group(conjugated_s3())
-        for g in group.elements:
-            copy = tuple(tuple(Fraction(2 * x.numerator, 2 * x.denominator) for x in row)
-                         for row in g.matrix)
-            assert group.element_index(GroupElement(0, copy, "copy")) == g.index
-
-    @pytest.mark.parametrize("rows", [
-        [["1/2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]],
-        [["0", "-1"], ["1", "0"]],  # the wrong size
-    ])
-    def test_non_members_raise(self, group, rows):
-        # the selftest's stretch, diag(2, 1, 1, 1), is test_foreign_element_rejected's alien
-        stray = GroupElement(0, matrix_from_rows(rows), "stray")
-        with pytest.raises(ValueError, match="not a member"):
-            group.element_index(stray)
+    @pytest.mark.parametrize("query", [
+        lambda group, g: group.mul(g, 0),
+        lambda group, g: group.mul(0, g),
+        lambda group, g: group.inverse(g),
+        lambda group, g: group.powers(g),
+        lambda group, g: group.class_of(g),
+        lambda group, g: group.centralizer_of(g),
+        lambda group, g: group.fixed_projection_matrix(g),
+        lambda group, g: SkewElement(group, {g: P("x1")}),
+        lambda group, g: SkewElement.term(group, P("x1"), g),
+        lambda group, g: SkewElement.one(group).g_part(g),
+        lambda group, g: collapse_to_sigma(SkewElement.one(group), g),
+    ], ids=["mul-left", "mul-right", "inverse", "powers", "class_of", "centralizer_of",
+            "fixed_projection_matrix", "SkewElement", "term", "g_part", "collapse_to_sigma"])
+    def test_out_of_range_raises(self, group, query):
+        for g in (-1, group.order):
+            with pytest.raises(ValueError, match="out of range"):
+                query(group, g)
 
 
 def bipartitions(n):
@@ -337,7 +339,7 @@ class TestB4Scale:
         index = {m: i for i, m in enumerate(mats)}
         for _ in range(2000):
             i, j = rng.randrange(384), rng.randrange(384)
-            assert b4_group.mul(i, j).index == index[mat_mul(mats[i], mats[j])]
+            assert b4_group.mul(i, j) == index[mat_mul(mats[i], mats[j])]
 
     def test_molien_counts_signed_monomial_orbits(self, b4_group):
         generators = [b4_group.elements[i].matrix for i in b4_group.generator_indices]
@@ -360,7 +362,7 @@ class TestB5Scale:
         index = {m: i for i, m in enumerate(mats)}
         for _ in range(2000):
             i, j = rng.randrange(3840), rng.randrange(3840)
-            assert b5_group.mul(i, j).index == index[mat_mul(mats[i], mats[j])]
+            assert b5_group.mul(i, j) == index[mat_mul(mats[i], mats[j])]
 
 
 class TestConjugacyClasses:
@@ -374,8 +376,8 @@ class TestConjugacyClasses:
         b = group.element_from_word("b")
         c = group.element_from_word("c")
         cls = group.classes[group.class_of(b)]
-        assert cls.members == tuple(sorted((b.index, c.index)))
-        assert cls.representative == b.index
+        assert cls.members == tuple(sorted((b, c)))
+        assert cls.representative == b
 
     def test_trivial_group_single_class(self):
         trivial = generate_group([], dim=2)
@@ -392,36 +394,23 @@ class TestCentralizer:
         b = group.element_from_word("b")
         members = group.centralizer_of(b)
         # brute force: everything whose matrix commutes with b
+        mb = group.elements[b].matrix
         expected = [
-            g for g in group.elements
-            if mat_mul(g.matrix, b.matrix) == mat_mul(b.matrix, g.matrix)
+            i for i, g in enumerate(group.elements)
+            if mat_mul(g.matrix, mb) == mat_mul(mb, g.matrix)
         ]
         assert list(members) == expected
         assert len(members) == 4
 
     def test_centralizer_of_identity_is_everything(self, group):
-        assert len(group.centralizer_of(group.identity)) == group.order
+        assert len(group.centralizer_of(0)) == group.order
 
     def test_central_element(self, group):
         minus_one = group.element_from_word("b*c")
-        assert minus_one.matrix == tuple(
+        assert group.elements[minus_one].matrix == tuple(
             tuple(-x for x in row) for row in identity_matrix(4)
         )
         assert len(group.centralizer_of(minus_one)) == group.order
-
-    def test_foreign_element_rejected(self, group):
-        stray = generate_group([], dim=4)
-        foreign = stray.identity
-        # same matrix is fine; a matrix outside the group is not
-        from skewpoisson import GroupElement
-
-        alien = GroupElement(0, matrix_from_rows([["2", "0", "0", "0"],
-                                                  ["0", "1", "0", "0"],
-                                                  ["0", "0", "1", "0"],
-                                                  ["0", "0", "0", "1"]]), "alien")
-        assert group.element_index(foreign) == 0
-        with pytest.raises(ValueError, match="not a member"):
-            group.centralizer_of(alien)
 
 
 class TestFixedProjection:
@@ -434,7 +423,7 @@ class TestFixedProjection:
         assert group.fixed_projection_matrix(b) == expected
 
     def test_projection_of_identity(self, group):
-        assert group.fixed_projection_matrix(group.identity) == identity_matrix(4)
+        assert group.fixed_projection_matrix(0) == identity_matrix(4)
 
     def test_projection_of_swap(self, group):
         e = group.element_from_word("e")
@@ -448,12 +437,13 @@ class TestFixedProjection:
         assert group.fixed_projection_matrix(e) == expected
 
     def test_idempotent_and_equivariant(self, group):
-        for g in group.elements:
-            proj = group.fixed_projection_matrix(g)
+        for i, g in enumerate(group.elements):
+            proj = group.fixed_projection_matrix(i)
             assert mat_mul(proj, proj) == proj
             assert mat_mul(g.matrix, proj) == proj
-            for u in group.centralizer_of(g):
-                assert mat_mul(u.matrix, proj) == mat_mul(proj, u.matrix)
+            for u in group.centralizer_of(i):
+                u = group.elements[u].matrix
+                assert mat_mul(u, proj) == mat_mul(proj, u)
 
 
 class TestClassRestriction:
@@ -549,18 +539,16 @@ class TestClassCoordinates:
 class TestSymplectic:
     def test_generators_preserve_the_form(self, group, form):
         for word in ("b", "e"):
-            assert is_symplectic(group.element_from_word(word), form)
+            assert is_symplectic(group.elements[group.element_from_word(word)], form)
 
     def test_every_element_preserves_the_form(self, group, form):
         assert all(is_symplectic(g, form) for g in group.elements)
 
     def test_stretch_fails(self, form):
-        from skewpoisson import GroupElement
-
-        stretch = GroupElement(0, matrix_from_rows([["2", "0", "0", "0"],
-                                                    ["0", "1", "0", "0"],
-                                                    ["0", "0", "1", "0"],
-                                                    ["0", "0", "0", "1"]]), "s")
+        stretch = GroupElement(matrix_from_rows([["2", "0", "0", "0"],
+                                                 ["0", "1", "0", "0"],
+                                                 ["0", "0", "1", "0"],
+                                                 ["0", "0", "0", "1"]]), "s")
         assert not is_symplectic(stretch, form)
 
     def test_dimension_mismatch(self, group):
@@ -568,31 +556,32 @@ class TestSymplectic:
 
         small = SymplecticForm([["0", "1"], ["-1", "0"]])
         with pytest.raises(ValueError, match="mismatch"):
-            is_symplectic(group.identity, small)
+            is_symplectic(group.elements[0], small)
 
 
 class TestAction:
     def test_swap_moves_x1_squared(self, group):
-        e = group.element_from_word("e")
+        e = group.elements[group.element_from_word("e")]
         assert act_on_poly(e, P("x1^2")) == P("x3^2")
 
     def test_identity_acts_trivially(self, group):
         p = P("x1^3*x4 - x2")
-        assert act_on_poly(group.identity, p) == p
+        assert act_on_poly(group.elements[0], p) == p
 
     def test_b_fixes_h1(self, group):
-        b = group.element_from_word("b")
+        b = group.elements[group.element_from_word("b")]
         h1 = P("x1*x2 + x3*x4")
         assert act_on_poly(b, h1) == h1
 
     def test_action_is_a_left_action(self, group):
         p = P("x1^2*x2 - x3*x4 + x4^3")
-        for g in group.elements:
-            for h in group.elements:
-                assert act_on_poly(group.mul(g, h), p) == act_on_poly(
+        elements = group.elements
+        for i, g in enumerate(elements):
+            for j, h in enumerate(elements):
+                assert act_on_poly(elements[group.mul(i, j)], p) == act_on_poly(
                     g, act_on_poly(h, p)
                 )
 
     def test_dimension_mismatch(self, group):
         with pytest.raises(ValueError, match="mismatch"):
-            act_on_poly(group.identity, parse_poly("x1", nvars=2))
+            act_on_poly(group.elements[0], parse_poly("x1", nvars=2))

@@ -213,6 +213,51 @@ def test_no_unused_imports():
     assert unused_imports(sources) == []
 
 
+def second_element_spellings(sources: dict) -> list:
+    """``module.function`` for each signature in ``sources`` (module name ->
+    source text) with an annotation naming both ``GroupElement`` and
+    ``int``, and ``module.isinstance`` for each ``isinstance`` test against
+    ``GroupElement`` in a ``CORE`` module of them.  A group element is its
+    index; these are the ways a second spelling of it would come back."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations = [a.annotation for a in ast.walk(node.args)
+                               if isinstance(a, ast.arg) and a.annotation is not None]
+                annotations += [node.returns] if node.returns is not None else []
+                if any({"GroupElement", "int"} <= _annotation_names(a) for a in annotations):
+                    found.append(f"{module}.{node.name}")
+            elif (module in CORE and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                  and len(node.args) == 2 and "GroupElement" in _annotation_names(node.args[1])):
+                found.append(f"{module}.isinstance")
+    return found
+
+
+def test_second_element_spelling_scan_sees_both_forms():
+    source = (
+        "def mixed(g: 'GroupElement | int'): pass\n"
+        "def union(g: Union[GroupElement, int]): pass\n"
+        "def back(g: int) -> 'GroupElement | int': pass\n"
+        "def record(g: GroupElement) -> int: pass\n"
+        "def check(g):\n    return isinstance(g, (int, GroupElement))\n"
+    )
+    spelled = ["mixed", "union", "back"]
+    assert second_element_spellings({"groups": source}) == (
+        [f"groups.{name}" for name in spelled] + ["groups.isinstance"])
+    assert second_element_spellings({"cli": source}) == [f"cli.{name}" for name in spelled]
+
+
+def test_group_elements_have_one_spelling():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py")
+    }
+    assert second_element_spellings(sources) == []
+
+
 # FiniteMatrixGroup's product storage: the Cayley edges, the element paths
 # and the inverses, and the multiplication and inverse tables they replaced
 PRODUCT_STORAGE = {"_right", "_paths", "_inverses", "mul_table", "inverse_table"}
@@ -234,7 +279,7 @@ def product_storage_readers(sources: dict) -> list:
 
 def test_product_storage_scan_sees_readers():
     sources = {
-        "a": "def f(g):\n    return g.mul_table[0]\n\ndef ok(g):\n    return g.mul(0, 1).index\n",
+        "a": "def f(g):\n    return g.mul_table[0]\n\ndef ok(g):\n    return g.mul(0, 1)\n",
         "b": ("X = group._inverses\n\nclass C:\n    def m(self, g):\n"
               "        return g._paths, node.right\n"),
     }

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from skewpoisson.selftest import run_selftest, suite_names
@@ -16,6 +19,14 @@ def test_suite_passes(full_selftest, name):
     (result,) = [r for r in results if r.name == name]
     assert result.failures == 0, f"{name}: {result.detail}"
     assert result.cases > 0
+
+
+def test_case_counts_are_pinned(full_selftest):
+    """The default-seed run draws the same cases as the recorded run: each
+    suite's name, case count and failure count, in suite order."""
+    results, _ = full_selftest
+    pinned = json.loads((Path(__file__).parent / "data" / "selftest_cases.json").read_text())
+    assert [[r.name, r.cases, r.failures] for r in results] == pinned
 
 
 def test_seed_changes_cases_but_not_verdicts():

@@ -38,12 +38,12 @@ class TestProduct:
     def test_square_of_fixed_variable_term(self, group):
         # (x3 . b)^2 = x3^2 . 1 because b fixes x3 and b^2 = 1
         a = T(group, "x3", "b")
-        assert a * a == SkewElement.from_polynomial(group, P("x3^2"))
+        assert a * a == T(group, "x3^2", "1")
 
     def test_square_of_swapped_variable_term(self, group):
         # (x1 . e)^2 = x1*x3 . 1 because e moves x1 to x3
         a = T(group, "x1", "e")
-        assert a * a == SkewElement.from_polynomial(group, P("x1*x3"))
+        assert a * a == T(group, "x1*x3", "1")
 
     def test_multiplicative_identity(self, group):
         a = T(group, "x1*x2", "b") + T(group, "x4", "e")
@@ -66,21 +66,26 @@ class TestProduct:
 
     def test_polynomial_and_scalar_mixing(self, group):
         a = T(group, "x3", "e")
-        # left multiplication by a polynomial embeds at the identity
-        assert P("x1") * a == T(group, "x1*x3", "e")
-        # right multiplication twists through the action of e
-        assert a * P("x1") == T(group, "x3^2", "e")
-        assert a * 2 == T(group, "2*x3", "e")
+        # a polynomial enters only as a term at the identity; on the left it
+        # multiplies the part, on the right it twists through the action of e
+        assert T(group, "x1", "1") * a == T(group, "x1*x3", "e")
+        assert a * T(group, "x1", "1") == T(group, "x3^2", "e")
+        assert a * T(group, "2", "1") == T(group, "2*x3", "e")
+        # bare polynomials and scalars are not skew elements
+        for other in (P("x1"), 2, Fraction(1, 2)):
+            for op in (lambda: a * other, lambda: other * a, lambda: a + other,
+                       lambda: other + a, lambda: a - other, lambda: other - a):
+                with pytest.raises(TypeError):
+                    op()
+            assert a != other
 
 
 class TestCommutatorAndParts:
     def test_commutator_with_fixed_polynomial_vanishes(self, group):
-        assert commutator(T(group, "x1", "b"),
-                          SkewElement.from_polynomial(group, P("x3"))).is_zero
+        assert commutator(T(group, "x1", "b"), T(group, "x3", "1")).is_zero
 
     def test_commutator_with_moved_polynomial(self, group):
-        got = commutator(T(group, "x3", "e"),
-                         SkewElement.from_polynomial(group, P("x3")))
+        got = commutator(T(group, "x3", "e"), T(group, "x3", "1"))
         assert got == T(group, "x1*x3 - x3^2", "e")
 
     def test_self_commutator_vanishes(self, group):
@@ -97,23 +102,12 @@ class TestCommutatorAndParts:
         bc = group.element_from_word("b*c")
         assert prod.g_part(bc) == P("-x1*x2")
 
-    def test_foreign_element_rejected(self, group):
-        from skewpoisson import GroupElement
-        from skewpoisson.linalg import matrix_from_rows
-
-        alien = GroupElement(0, matrix_from_rows(
-            [["3", "0", "0", "0"], ["0", "1", "0", "0"],
-             ["0", "0", "1", "0"], ["0", "0", "0", "1"]]), "alien")
-        a = SkewElement.one(group)
-        with pytest.raises(ValueError, match="not a member"):
-            a.g_part(alien)
-
 
 def restriction(group, word):
     """The cached restriction of the class that ``word`` represents."""
     g = group.element_from_word(word)
     i = group.class_of(g)
-    assert group.classes[i].representative == g.index
+    assert group.classes[i].representative == g
     return class_restriction(group, i)
 
 
@@ -178,7 +172,7 @@ class TestProjection:
         lhs = hh0_project(SkewElement.term(group, psi, c), i)
         from skewpoisson import act_on_poly
 
-        rhs = hh0_project(SkewElement.term(group, act_on_poly(e, psi), b), i)
+        rhs = hh0_project(SkewElement.term(group, act_on_poly(group.elements[e], psi), b), i)
         assert lhs == rhs
 
     def test_trace_vector_components_validate(self, group):
@@ -262,10 +256,10 @@ class TestCompiledProjection:
             assert dict(conjugators)[cls.representative] == 0
             for h, k in conjugators:
                 conj = group.mul(group.mul(group.inverse(k), cls.representative), k)
-                assert conj.index == h
+                assert conj == h
                 assert k == min(j for j in range(group.order)
                                 if group.mul(group.mul(group.inverse(j),
-                                                       cls.representative), j).index == h)
+                                                       cls.representative), j) == h)
             p = random_poly(random.Random(f"restrict:{cls.index}"), group.dim)
             proj = group.fixed_projection_matrix(cls.representative)
             assert class_restriction(group, cls.index)(p) == substitute_linear(p, proj)
@@ -327,7 +321,7 @@ class TestInnerDerivation:
     def test_identity_rejected(self, group):
         a = SkewElement.one(group)
         with pytest.raises(ValueError, match="identity"):
-            inner_derivation_g_part(a, P("x1"), group.identity)
+            inner_derivation_g_part(a, P("x1"), 0)
 
 
 class TestConstruction:
@@ -343,10 +337,3 @@ class TestConstruction:
         a = T(group, "x1", "b")
         assert (a - a).is_zero
         assert (a + (-a)).is_zero
-
-    def test_scalar_coercion(self, group):
-        one = SkewElement.one(group)
-        assert one + 1 == SkewElement.from_polynomial(group, Polynomial.constant(4, 2))
-        assert Fraction(1, 2) * one == SkewElement.from_polynomial(
-            group, Polynomial.constant(4, Fraction(1, 2))
-        )
