@@ -80,7 +80,7 @@ def _add_symplectic_stage(report: Report, group: FiniteMatrixGroup,
     """Add the per-element symplecticity stage; True when every element
     preserves the form."""
     flags = [
-        {"element": g.word, "symplectic": is_symplectic(g, form)}
+        {"element": g.word, "symplectic": is_symplectic(g.matrix, form)}
         for g in group.elements
     ]
     all_symp = all(f["symplectic"] for f in flags)
@@ -92,7 +92,7 @@ def _add_symplectic_stage(report: Report, group: FiniteMatrixGroup,
 
 
 def cmd_group(config: ScenarioConfig) -> Report:
-    report = Report(command="group", version=__version__)
+    report = Report(command="group")
     form = config.build_form()
     group = config.build_group()
     report.add("group", STATUS_OK, {
@@ -122,7 +122,7 @@ def cmd_group(config: ScenarioConfig) -> Report:
 
 
 def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
-    report = Report(command="invariants", version=__version__)
+    report = Report(command="invariants")
     group = config.build_group()
     gens = config.build_generator_set()
     rows = [
@@ -185,7 +185,7 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
 
 
 def cmd_bracket(config: ScenarioConfig, first: str, second: str) -> Report:
-    report = Report(command="bracket", version=__version__)
+    report = Report(command="bracket")
     form = config.build_form()
     p = config.polynomial_or_inline(first, "first")
     q = config.polynomial_or_inline(second, "second")
@@ -201,7 +201,7 @@ def cmd_bracket(config: ScenarioConfig, first: str, second: str) -> Report:
 
 def cmd_project(config: ScenarioConfig, parts: list,
                 class_index: Optional[int] = None) -> Report:
-    report = Report(command="project", version=__version__)
+    report = Report(command="project")
     group = config.build_group()
     assembled = {}
     for item in parts:
@@ -278,7 +278,7 @@ def run_counterexample(
     linear solves, and the divisor certificate.  Any failure is attributed
     to its stage; nothing after a failed stage runs.
     """
-    report = Report(command="obstruction", version=__version__)
+    report = Report(command="obstruction")
 
     def fail(stage: str, exc: Exception) -> Report:
         kind = "internal" if isinstance(exc, RuntimeError) else "config"
@@ -386,7 +386,7 @@ def run_counterexample(
 
 def cmd_selftest(seed: int, corrupt: Optional[str] = None,
                  only: Optional[list] = None) -> Report:
-    report = Report(command="selftest", version=__version__)
+    report = Report(command="selftest")
     if only:
         unknown = sorted(set(only) - set(suite_names()))
         if unknown:
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_report(command: str, message: str, kind: str) -> Report:
-    report = Report(command=command, version=__version__)
+    report = Report(command=command)
     report.add("config", STATUS_ERROR, {"message": message, "kind": kind})
     report.verdict = f"error: {message}"
     return report

@@ -336,6 +336,8 @@ def generate_group(
         if dim is None:
             raise ValueError("an empty generator list needs an explicit dim")
         n = dim
+    if n < 1:
+        raise ValueError("a group must act on at least one variable")
     for name, g in zip(names, gens):
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError(f"generator {name!r} is not {n}x{n}")
@@ -411,14 +413,14 @@ def _matrices(keys) -> list:
     return out
 
 
-def is_symplectic(g: GroupElement, form: SymplecticForm) -> bool:
-    """True if the element preserves the form: g^T J g == J."""
-    if g.dim != form.nvars:
-        raise ValueError(
-            f"dimension mismatch: element is {g.dim}x{g.dim}, form is {form.nvars}-dimensional"
-        )
-    gt = linalg.transpose(g.matrix)
-    return linalg.mat_mul(linalg.mat_mul(gt, form.matrix), g.matrix) == form.matrix
+def is_symplectic(matrix, form: SymplecticForm) -> bool:
+    """True if the matrix ``g`` preserves the form: g^T J g == J."""
+    n = form.nvars
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"dimension mismatch: the form is {n}-dimensional, so the "
+                         f"matrix must be {n}x{n}")
+    gt = linalg.transpose(matrix)
+    return linalg.mat_mul(linalg.mat_mul(gt, form.matrix), matrix) == form.matrix
 
 
 def act_on_poly(g: GroupElement, p: Polynomial) -> Polynomial:

@@ -141,13 +141,6 @@ def _slice_axis(nvars: int, degree: int) -> dict:
     return {m: i for i, m in enumerate(monomials_of_degree(nvars, degree))}
 
 
-def _slice_vector(p: Polynomial, axis: dict) -> dict:
-    vec = {}
-    for exps, coeff in p._terms.items():
-        vec[axis[exps]] = coeff
-    return vec
-
-
 def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
     """The row-reduced constraints whose null space is the invariant slice
     on ``axis``.
@@ -163,11 +156,11 @@ def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
         element = group.elements[g]
         rows = {}  # monomial m' -> {column of m: coefficient of m' in g.m - m}
         for (exps, col), mono in zip(axis.items(), monomials):
-            image = act_on_poly(element, mono)._terms
+            image = act_on_poly(element, mono)
             for out, coeff in image.items():
                 if out != exps:
                     rows.setdefault(out, {})[col] = coeff
-            stays = image.get(exps, Fraction(0)) - 1
+            stays = image.coefficient(exps) - 1
             if stays:
                 rows.setdefault(exps, {})[col] = stays
         for row in rows.values():
@@ -334,7 +327,7 @@ def verify_generators(
         for exps in _weighted_exponents(weights, d):
             prod = times_powers(Polynomial.one(group.dim), exps)
             if not prod.is_zero:
-                space.add(_slice_vector(prod, axis))
+                space.add(prod.to_vector())
         rows.append(DegreeRow(d, molien[d], slice_dim, space.rank))
     return GeneratorSpanReport(tuple(rows))
 
@@ -351,7 +344,7 @@ def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
                 f"relation {name!r} uses {rel.nvars} abstract variables, expected {k}"
             )
         total = Polynomial.zero(nvars)
-        for exps, coeff in rel._terms.items():
+        for exps, coeff in rel.items():
             total = total + times_powers(Polynomial.constant(nvars, coeff), exps)
         residuals.append(total)
     return RelationReport(tuple(rels.names), tuple(residuals))

@@ -7,9 +7,9 @@ is always canonical (no zero coefficients, every exponent tuple has length
 ``nvars``).  Coefficients live in the rationals; nothing in this module ever
 rounds.
 
-Terms are ordered graded-lexicographically (total degree first, then the
-exponent tuple, ``x1`` most significant) wherever a deterministic ordering
-is needed, e.g. for printing and for pivoting in linear solves.
+Terms are stored in no particular order.  Where one is needed, for printing
+and for pivoting in linear solves, it is graded-lexicographic (total degree
+first, then the exponent tuple, ``x1`` most significant).
 
 Linear changes of variables, square or between polynomial rings of
 different sizes, are compiled once into a :class:`LinearSubstitution`: a
@@ -29,6 +29,7 @@ from . import linalg
 
 Exponents = tuple  # tuple[int, ...], one entry per variable
 Scalar = Union[Fraction, int]
+_ZERO = Fraction(0)  # the coefficient of every absent monomial
 
 
 def grlex_key(exps: Exponents):
@@ -38,10 +39,6 @@ def grlex_key(exps: Exponents):
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
     """Yield all exponent tuples of the given total degree, lex ascending."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
     if nvars == 1:
         yield (degree,)
         return
@@ -51,7 +48,9 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the rationals."""
+    """Immutable sparse polynomial over the rationals, a value of the ring:
+    it adds to and equals polynomials only, a scalar only multiplies it, and
+    :attr:`is_zero` is the zero test."""
 
     __slots__ = ("nvars", "_terms", "_hash")
 
@@ -70,11 +69,7 @@ class Polynomial:
                     raise ValueError(f"exponents must be non-negative integers: {exps}")
                 coeff = Fraction(coeff)
                 if coeff:
-                    acc = clean.get(exps, Fraction(0)) + coeff
-                    if acc:
-                        clean[exps] = acc
-                    else:
-                        clean.pop(exps, None)
+                    clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -113,12 +108,14 @@ class Polynomial:
     # ------------------------------------------------------------------
     # inspection
 
-    def items(self):
-        """Iterate ``(exponents, coefficient)`` pairs in grlex-descending order."""
-        return iter(sorted(self._terms.items(), key=lambda t: grlex_key(t[0]), reverse=True))
+    def items(self) -> Iterator:
+        """Iterate the ``(exponents, coefficient)`` pairs in storage order,
+        which is no particular order; :func:`format_poly` sorts."""
+        return iter(self._terms.items())
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        """The coefficient of the monomial ``exps``; 0 when it is absent."""
+        return self._terms.get(tuple(exps), _ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -151,34 +148,25 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
+            acc = terms.get(exps, _ZERO) + coeff
             if acc:
                 terms[exps] = acc
             else:
                 terms.pop(exps, None)
         return self._wrap(terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -193,7 +181,7 @@ class Polynomial:
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exps, Fraction(0)) + ca * cb
+                acc = terms.get(exps, _ZERO) + ca * cb
                 if acc:
                     terms[exps] = acc
                 else:
@@ -226,8 +214,6 @@ class Polynomial:
     # comparison
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
@@ -238,9 +224,6 @@ class Polynomial:
             h = hash((self.nvars, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r}, nvars={self.nvars})"
@@ -255,7 +238,7 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     pieces = []
-    for exps, coeff in p.items():
+    for exps, coeff in sorted(p.items(), key=lambda t: grlex_key(t[0]), reverse=True):
         factors = []
         for name, e in zip(names, exps):
             if e == 1:
@@ -286,7 +269,7 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
         if e == 0:
             continue
         lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-        acc = terms.get(lowered, Fraction(0)) + coeff * e
+        acc = terms.get(lowered, _ZERO) + coeff * e
         if acc:
             terms[lowered] = acc
         else:

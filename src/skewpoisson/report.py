@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ._version import __version__
+
 STATUS_OK = "ok"
 STATUS_FINDING = "finding"
 STATUS_ERROR = "error"
@@ -27,7 +29,6 @@ class Stage:
 @dataclass
 class Report:
     command: str
-    version: str
     stages: list = field(default_factory=list)
     verdict: str = ""
 
@@ -48,7 +49,7 @@ class Report:
     def to_machine(self) -> str:
         doc = {
             "command": self.command,
-            "version": self.version,
+            "version": __version__,
             "verdict": self.verdict,
             "stages": [
                 {"name": s.name, "status": s.status, "payload": s.payload}
@@ -58,7 +59,7 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"== {self.command} (skewpoisson {self.version}) =="]
+        lines = [f"== {self.command} (skewpoisson {__version__}) =="]
         for stage in self.stages:
             lines.append("")
             lines.append(f"[{stage.status}] {stage.name}")

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .config import ScenarioConfig
-from .groups import FiniteMatrixGroup, GroupElement, act_on_poly, generate_group, is_symplectic
+from .groups import FiniteMatrixGroup, act_on_poly, generate_group, is_symplectic
 from .invariants import (
     invariant_basis,
     is_invariant,
@@ -64,14 +64,25 @@ __all__ = ["DEFAULT_SEED", "SuiteResult", "suite_names", "run_selftest"]
 
 @dataclass
 class SuiteResult:
+    """One suite's case and failure counts and the description of its first
+    failure.  A suite starts from ``SuiteResult(name)``, passes each case to
+    :meth:`record` and returns it."""
+
     name: str
-    cases: int
-    failures: int
+    cases: int = 0
+    failures: int = 0
     detail: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def record(self, ok: bool, describe: Callable[[], str]):
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+            if not self.detail:
+                self.detail = describe()
 
 
 class _Env:
@@ -95,26 +106,6 @@ def _corrupt_mul_table(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     right[1][1] = 0 if right[1][1] != 0 else 1
     clone._right = right
     return clone
-
-
-class _Check:
-    """Accumulates case/failure counts and the first failure description."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures = 0
-        self.detail = ""
-
-    def record(self, ok: bool, describe: Callable[[], str]):
-        self.cases += 1
-        if not ok:
-            self.failures += 1
-            if not self.detail:
-                self.detail = describe()
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.cases, self.failures, self.detail)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +167,7 @@ def _small_signed_perm_group(rng: random.Random, n: int = 4,
 
 
 def _suite_ring_axioms(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("ring-axioms")
+    check = SuiteResult("ring-axioms")
     zero = Polynomial.zero(4)
     for _ in range(200):
         a = _poly(rng, 4, 6)
@@ -193,11 +184,11 @@ def _suite_ring_axioms(rng: random.Random, env: _Env) -> SuiteResult:
         canonical = all(v != 0 for _, v in (a * b + c - a).items())
         check.record(ok and canonical,
                      lambda: f"ring axiom failed for a={format_poly(a)}")
-    return check.result()
+    return check
 
 
 def _suite_poisson_axioms(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("poisson-axioms")
+    check = SuiteResult("poisson-axioms")
     form = env.form
     zero = Polynomial.zero(4)
     for _ in range(200):
@@ -216,13 +207,13 @@ def _suite_poisson_axioms(rng: random.Random, env: _Env) -> SuiteResult:
         ) == zero
         check.record(anti and self_zero and leibniz and jacobi,
                      lambda: f"bracket axiom failed for p={format_poly(p)}")
-    return check.result()
+    return check
 
 
 def _suite_bracket_darboux(rng: random.Random, env: _Env) -> SuiteResult:
     """The general tensor reduces to the four-term Darboux formula on the
     bundled form."""
-    check = _Check("bracket-darboux")
+    check = SuiteResult("bracket-darboux")
     form = env.form
 
     def darboux(p, q):
@@ -238,11 +229,11 @@ def _suite_bracket_darboux(rng: random.Random, env: _Env) -> SuiteResult:
         q = _poly(rng, 4, 5)
         check.record(poisson_bracket(p, q, form) == darboux(p, q),
                      lambda: f"tensor bracket disagrees for p={format_poly(p)}")
-    return check.result()
+    return check
 
 
 def _suite_substitution(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("substitution-composition")
+    check = SuiteResult("substitution-composition")
     for _ in range(200):
         p = _poly(rng, 4, 4)
         m = _matrix(rng, 4)
@@ -251,20 +242,20 @@ def _suite_substitution(rng: random.Random, env: _Env) -> SuiteResult:
         rhs = substitute_linear(p, linalg.mat_mul(m, n))
         check.record(lhs == rhs,
                      lambda: f"composition law failed for p={format_poly(p)}")
-    return check.result()
+    return check
 
 
 def _suite_parser_roundtrip(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("parser-roundtrip")
+    check = SuiteResult("parser-roundtrip")
     for _ in range(200):
         p = _poly(rng, rng.randint(1, 6), 5, max_terms=6)
         check.record(parse_poly(format_poly(p), nvars=p.nvars) == p,
                      lambda: f"round trip failed for {format_poly(p)!r}")
-    return check.result()
+    return check
 
 
 def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("group-structure")
+    check = SuiteResult("group-structure")
     group = env.group
     mul = group.mul
     order = group.order
@@ -282,11 +273,11 @@ def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
     for cls in group.classes:
         check.record(cls.size * len(cls.centralizer) == order,
                      lambda: f"orbit-stabilizer failed for class {cls.index}")
-    return check.result()
+    return check
 
 
 def _suite_fixed_projections(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("fixed-projections")
+    check = SuiteResult("fixed-projections")
     group = env.group
     for i, g in enumerate(group.elements):
         proj = group.fixed_projection_matrix(i)
@@ -300,11 +291,11 @@ def _suite_fixed_projections(rng: random.Random, env: _Env) -> SuiteResult:
                 linalg.mat_mul(u.matrix, proj) == linalg.mat_mul(proj, u.matrix),
                 lambda: f"projection for {g.word!r} fails to commute with {u.word!r}",
             )
-    return check.result()
+    return check
 
 
 def _suite_action_homomorphism(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("action-homomorphism")
+    check = SuiteResult("action-homomorphism")
     group = env.group
     polys = [_poly(rng, 4, 4) for _ in range(4)]
     elements = group.elements
@@ -316,30 +307,29 @@ def _suite_action_homomorphism(rng: random.Random, env: _Env) -> SuiteResult:
                     act_on_poly(gh, p) == act_on_poly(g, act_on_poly(h, p)),
                     lambda: f"action failed for ({g.word!r},{h.word!r})",
                 )
-    return check.result()
+    return check
 
 
 def _suite_symplectic_closure(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("symplectic-closure")
+    check = SuiteResult("symplectic-closure")
     group = env.group
     form = env.form
     gens_ok = all(
-        is_symplectic(group.elements[i], form) for i in group.generator_indices
+        is_symplectic(group.elements[i].matrix, form) for i in group.generator_indices
     )
     check.record(gens_ok, lambda: "a generator is not symplectic")
     for g in group.elements:
-        check.record(is_symplectic(g, form),
+        check.record(is_symplectic(g.matrix, form),
                      lambda: f"element {g.word!r} is not symplectic")
     scaled = [[str(2 if i == j == 0 else (1 if i == j else 0)) for j in range(4)]
               for i in range(4)]
-    stretch = GroupElement(linalg.matrix_from_rows(scaled), "stretch")
-    check.record(not is_symplectic(stretch, form),
+    check.record(not is_symplectic(linalg.matrix_from_rows(scaled), form),
                  lambda: "a stretching matrix passed the symplectic test")
-    return check.result()
+    return check
 
 
 def _suite_skew_associativity(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("skew-associativity")
+    check = SuiteResult("skew-associativity")
     group = env.group
     one = SkewElement.one(group)
     for _ in range(200):
@@ -348,11 +338,11 @@ def _suite_skew_associativity(rng: random.Random, env: _Env) -> SuiteResult:
         c = _skew(rng, group)
         check.record((a * b) * c == a * (b * c) and a * one == a and one * a == a,
                      lambda: "skew product associativity failed")
-    return check.result()
+    return check
 
 
 def _suite_hh0_trace(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("hh0-trace")
+    check = SuiteResult("hh0-trace")
     group = env.group
     zero = Polynomial.zero(group.dim)
     for _ in range(200):
@@ -363,11 +353,11 @@ def _suite_hh0_trace(rng: random.Random, env: _Env) -> SuiteResult:
             hh0_project(com, i) == zero for i in range(len(group.classes))
         )
         check.record(ok, lambda: "a commutator projected to something nonzero")
-    return check.result()
+    return check
 
 
 def _suite_hh0_idempotence(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("hh0-idempotence")
+    check = SuiteResult("hh0-idempotence")
     group = env.group
     for _ in range(200):
         a = _skew(rng, group)
@@ -375,11 +365,11 @@ def _suite_hh0_idempotence(rng: random.Random, env: _Env) -> SuiteResult:
         once = hh0_project(a, i)
         twice = project_term(group, once, i)
         check.record(twice == once, lambda: f"projection onto class {i} not idempotent")
-    return check.result()
+    return check
 
 
 def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("hh0-conjugation")
+    check = SuiteResult("hh0-conjugation")
     group = env.group
     mul = group.mul
     for _ in range(200):
@@ -394,22 +384,22 @@ def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
         rhs = project_term(group, act_on_poly(group.elements[k], psi), cls.index)
         check.record(lhs == rhs,
                      lambda: f"conjugation invariance failed on class {cls.index}")
-    return check.result()
+    return check
 
 
 def _suite_hh0_invariant_summand(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("hh0-invariant-summand")
+    check = SuiteResult("hh0-invariant-summand")
     group = env.group
     for _ in range(200):
         psi = reynolds(group, _poly(rng, group.dim, 4))
         projected = project_term(group, psi, 0)
         check.record(projected == psi,
                      lambda: "identity-class projection moved an invariant")
-    return check.result()
+    return check
 
 
 def _suite_inner_derivation(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("inner-derivation-vanishing")
+    check = SuiteResult("inner-derivation-vanishing")
     group = env.group
     zero = Polynomial.zero(group.dim)
     for _ in range(200):
@@ -426,11 +416,11 @@ def _suite_inner_derivation(rng: random.Random, env: _Env) -> SuiteResult:
                 inner_derivation_g_part(a, fixed, idx) == zero,
                 lambda: f"inner derivation left a part at {g.word!r}",
             )
-    return check.result()
+    return check
 
 
 def _suite_reynolds(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("reynolds-operator")
+    check = SuiteResult("reynolds-operator")
     group = env.group
     for _ in range(200):
         p = _poly(rng, group.dim, 5)
@@ -442,11 +432,11 @@ def _suite_reynolds(rng: random.Random, env: _Env) -> SuiteResult:
             and is_invariant(group, p) == all(act_on_poly(g, p) == p for g in group.elements)
         )
         check.record(ok, lambda: f"Reynolds misbehaved on {format_poly(p)}")
-    return check.result()
+    return check
 
 
 def _suite_molien(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("molien-brute-force")
+    check = SuiteResult("molien-brute-force")
     groups = [env.group] + [_small_signed_perm_group(rng) for _ in range(3)]
     for group in groups:
         molien = molien_coefficients(group, 8)
@@ -464,11 +454,11 @@ def _suite_molien(rng: random.Random, env: _Env) -> SuiteResult:
                     lambda: f"brute-force basis element is not invariant "
                             f"(degree {d}, order {group.order})",
                 )
-    return check.result()
+    return check
 
 
 def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
-    check = _Check("obstruction-consistency")
+    check = SuiteResult("obstruction-consistency")
     group = env.group
     form = env.form
     phi = env.by_name["f1"]
@@ -530,7 +520,7 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
     witness = divisor_certificate(generators, top.target)
     check.record(witness is not None,
                  lambda: "the bundled instance lost its divisor witness")
-    return check.result()
+    return check
 
 
 _SUITES = (

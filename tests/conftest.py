@@ -55,8 +55,8 @@ ROTATION = [["1/2", "-3/2"], ["1/2", "1/2"]]  # order 6, trace 1 and determinant
 
 
 def cofactor_det(rows):
-    """Determinant by cofactor expansion along the first row, skipping zero
-    entries; the entries may be numbers or polynomials."""
+    """Determinant of a matrix of numbers by cofactor expansion along the
+    first row, skipping zero entries."""
     if len(rows) == 1:
         return rows[0][0]
     return sum(

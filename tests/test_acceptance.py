@@ -73,7 +73,7 @@ def test_criterion_1_group_structure(config, form):
         cls = group.classes[group.class_of(b)]
         assert cls.members == tuple(sorted((b, c)))
         assert len(cls.centralizer) == 4
-        assert all(is_symplectic(g, form) for g in group.elements)
+        assert all(is_symplectic(g.matrix, form) for g in group.elements)
 
 
 def test_criterion_2_bracket_reproduction(form, named):

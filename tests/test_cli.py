@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,38 @@ class TestObstructionCommand:
         code, out = run(capsys, "obstruction", "--config", str(path))
         assert code == 2
         assert "non-identity" in out
+
+
+    # a change to the bundled config, the stage that fails (None: no stage
+    # fails), the exit code and a piece of the verdict or the error message
+    @pytest.mark.parametrize("change, stage, code, message", [
+        (lambda d: d.pop("obstruction"), None, 0, "no obstruction instance configured"),
+        (lambda d: d["obstruction"].update(class_rep="1"), "target", 2,
+         "resolves to the identity class"),
+        (lambda d: d["group_generators"][0].update(matrix=[["0"] * 4] * 4), "group", 2,
+         "generator 'b' is singular"),
+        (lambda d: d["named_polynomials"].update(f1="x1^2 +"), "generators", 2,
+         "named_polynomials.f1"),
+        (lambda d: d["named_polynomials"].update(r1="f1 +"), "relations", 2,
+         "named_polynomials.r1"),
+    ], ids=["no-instance", "identity-class", "singular-generator",
+            "unparseable-generator", "unparseable-relation"])
+    def test_stage_outcomes(self, capsys, tmp_path, change, stage, code, message):
+        data = json.loads(resources.files("skewpoisson")
+                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        change(data)
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        got, out = run(capsys, "obstruction", "--config", str(path), "--format", "machine")
+        assert got == code
+        doc = json.loads(out)
+        failed = [s for s in doc["stages"] if s["status"] == "error"]
+        if stage is None:
+            assert failed == [] and doc["verdict"] == message
+        else:
+            assert [s["name"] for s in failed] == [stage]
+            assert doc["verdict"] == f"error in stage {stage!r}"
+            assert message in failed[0]["payload"]["message"]
 
 
 class TestSelftestCommand:

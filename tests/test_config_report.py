@@ -7,6 +7,7 @@ import json
 import pytest
 
 from skewpoisson import ConfigError, ScenarioConfig
+from skewpoisson._version import __version__
 from skewpoisson.cli import main
 from skewpoisson.report import Report, STATUS_OK
 
@@ -133,7 +134,7 @@ class TestSemanticRealization:
 
 class TestReportRendering:
     def make_report(self) -> Report:
-        report = Report(command="demo", version="0.0-test")
+        report = Report(command="demo")
         report.add("alpha", STATUS_OK, {"value": 3, "items": [
             {"name": "one", "flag": True},
             {"name": "two", "flag": False},
@@ -145,6 +146,7 @@ class TestReportRendering:
         text = self.make_report().to_machine()
         parsed = json.loads(text)
         assert parsed["command"] == "demo"
+        assert parsed["version"] == __version__
         assert parsed["stages"][0]["name"] == "alpha"
         # canonical: re-serializing with sorted keys reproduces the bytes
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
@@ -154,6 +156,7 @@ class TestReportRendering:
 
     def test_text_format_contains_tables_and_verdict(self):
         text = self.make_report().to_text()
+        assert text.startswith(f"== demo (skewpoisson {__version__}) ==\n")
         assert "verdict: fine" in text
         assert "name" in text and "flag" in text
         assert "one" in text and "yes" in text

@@ -10,7 +10,6 @@ import pytest
 
 from skewpoisson import (
     GroupClosureError,
-    GroupElement,
     Polynomial,
     SkewElement,
     act_on_poly,
@@ -81,6 +80,19 @@ class TestClosure:
     def test_singular_generator_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             generate_group([[["1", "0"], ["0", "0"]]])
+
+    @pytest.mark.parametrize("generators, options, match", [
+        ([[["-1"]]], {"names": ["a", "b"]}, "name count"),
+        ([[["-1"]], [["1"]]], {"names": ["a", "a"]}, "unique"),
+        ([[["-1"]]], {"dim": 2}, "dim disagrees"),
+        ([], {}, "needs an explicit dim"),
+        ([], {"dim": 0}, "at least one variable"),
+        ([[]], {}, "at least one variable"),
+        ([[["0", "1"]]], {}, "is not 1x1"),
+    ])
+    def test_guards(self, generators, options, match):
+        with pytest.raises(ValueError, match=match):
+            generate_group(generators, **options)
 
     def test_mul_table_closed_and_invertible(self, group):
         for i in range(group.order):
@@ -539,16 +551,16 @@ class TestClassCoordinates:
 class TestSymplectic:
     def test_generators_preserve_the_form(self, group, form):
         for word in ("b", "e"):
-            assert is_symplectic(group.elements[group.element_from_word(word)], form)
+            assert is_symplectic(group.elements[group.element_from_word(word)].matrix, form)
 
     def test_every_element_preserves_the_form(self, group, form):
-        assert all(is_symplectic(g, form) for g in group.elements)
+        assert all(is_symplectic(g.matrix, form) for g in group.elements)
 
     def test_stretch_fails(self, form):
-        stretch = GroupElement(matrix_from_rows([["2", "0", "0", "0"],
-                                                 ["0", "1", "0", "0"],
-                                                 ["0", "0", "1", "0"],
-                                                 ["0", "0", "0", "1"]]), "s")
+        stretch = matrix_from_rows([["2", "0", "0", "0"],
+                                    ["0", "1", "0", "0"],
+                                    ["0", "0", "1", "0"],
+                                    ["0", "0", "0", "1"]])
         assert not is_symplectic(stretch, form)
 
     def test_dimension_mismatch(self, group):
@@ -556,7 +568,9 @@ class TestSymplectic:
 
         small = SymplecticForm([["0", "1"], ["-1", "0"]])
         with pytest.raises(ValueError, match="mismatch"):
-            is_symplectic(group.elements[0], small)
+            is_symplectic(group.elements[0].matrix, small)
+        with pytest.raises(ValueError, match="must be 2x2"):
+            is_symplectic(((1, 0), (0, 1, 0)), small)
 
 
 class TestAction:

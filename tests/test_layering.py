@@ -263,18 +263,22 @@ def test_group_elements_have_one_spelling():
 PRODUCT_STORAGE = {"_right", "_paths", "_inverses", "mul_table", "inverse_table"}
 
 
-def product_storage_readers(sources: dict) -> list:
+def attribute_readers(sources: dict, attributes: set) -> list:
     """``module.owner`` for each top-level function or class (``owner``, or
     ``<module>`` for module-level code) of ``sources`` (module name ->
-    source text) that reads an attribute named in ``PRODUCT_STORAGE``."""
+    source text) that reads an attribute named in ``attributes``."""
     readers = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             owner = getattr(stmt, "name", "<module>")
-            if any(isinstance(node, ast.Attribute) and node.attr in PRODUCT_STORAGE
+            if any(isinstance(node, ast.Attribute) and node.attr in attributes
                    for node in ast.walk(stmt)):
                 readers.add(f"{module}.{owner}")
     return sorted(readers)
+
+
+def product_storage_readers(sources: dict) -> list:
+    return attribute_readers(sources, PRODUCT_STORAGE)
 
 
 def test_product_storage_scan_sees_readers():
@@ -294,3 +298,30 @@ def test_only_groups_reads_the_product_storage():
         if path.name.endswith(".py") and path.name != "groups.py"
     }
     assert product_storage_readers(sources) == ["selftest._corrupt_mul_table"]
+
+
+# Polynomial's term map and its unchecked constructor; every other module
+# goes through items(), coefficient() and the arithmetic
+POLYNOMIAL_INTERNALS = {"_terms", "_wrap"}
+
+
+def polynomial_internals_readers(sources: dict) -> list:
+    return attribute_readers(sources, POLYNOMIAL_INTERNALS)
+
+
+def test_polynomial_internals_scan_sees_readers():
+    sources = {
+        "a": ("def f(p):\n    return p._terms.items()\n\n"
+              "def ok(p):\n    return p.items(), p.coefficient((0,))\n"),
+        "b": "Z = zero._wrap({})\n\nclass C:\n    def m(self, p):\n        return p._terms\n",
+    }
+    assert polynomial_internals_readers(sources) == ["a.f", "b.<module>", "b.C"]
+
+
+def test_only_poly_reads_the_polynomial_internals():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "poly.py"
+    }
+    assert polynomial_internals_readers(sources) == []

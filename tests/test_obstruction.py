@@ -17,6 +17,7 @@ from skewpoisson import (
     RankData,
     ScenarioConfig,
     SkewElement,
+    SymplecticForm,
     Verdict,
     collapse_to_sigma,
     divisor_certificate,
@@ -77,6 +78,28 @@ class TestTarget:
     def test_class_index_out_of_range(self, group, form, named, index):
         with pytest.raises(ValueError, match=f"class index {index} out of range$"):
             target_of(group, named["f1"], named["h1"], index, form)
+
+
+# each guard, given (group, form, named polynomials, class of b)
+GUARDS = {
+    "problem nvars": (lambda group, form, named, k: ObstructionProblem(
+        group, named["f1"], parse_poly("x1", nvars=2), k, 0, form), "variable count"),
+    "problem form": (lambda group, form, named, k: ObstructionProblem(
+        group, named["f1"], named["h1"], k, 0, SymplecticForm([["0", "1"], ["-1", "0"]])),
+        "form dimension"),
+    "image bound": (lambda group, form, named, k: sigma_image_basis(
+        group, named["h1"], k, -1), "non-negative"),
+    "ladder bound": (lambda group, form, named, k: list(solve_ladder(
+        ObstructionProblem(group, named["f1"], named["h1"], k, 0, form), [-1, 0])),
+        "non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDS))
+def test_guards(group, form, named, class_of_b, name):
+    call, match = GUARDS[name]
+    with pytest.raises(ValueError, match=match):
+        call(group, form, named, class_of_b)
 
 
 class TestImageBasis:

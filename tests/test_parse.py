@@ -139,6 +139,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             parse_poly("x1")
 
+    @pytest.mark.parametrize("text, alphabet, match", [
+        ("x1^x2", {"nvars": 2}, "integer exponent"),
+        ("1/x1", {"nvars": 2}, "integer denominator"),
+        ("a", {"nvars": 2, "names": ["a"]}, "disagrees with the number of names"),
+        ("a", {"names": ["a", "a"]}, "unique"),
+    ])
+    def test_guards(self, text, alphabet, match):
+        with pytest.raises(ValueError, match=match):
+            parse_poly(text, **alphabet)
+
 
 class TestRoundTrip:
     CASES = [

@@ -329,6 +329,11 @@ class TestConstruction:
         a = SkewElement(group, {0: Polynomial.zero(4), 1: P("x1")})
         assert [idx for idx, _ in a.parts()] == [1]
 
+    @pytest.mark.parametrize("part", [1, Fraction(1, 2), "x1"])
+    def test_non_polynomial_part_rejected(self, group, part):
+        with pytest.raises(TypeError, match="Polynomial instances"):
+            SkewElement(group, {0: part})
+
     def test_wrong_arity_poly_rejected(self, group):
         with pytest.raises(ValueError, match="variables"):
             SkewElement(group, {0: parse_poly("x1", nvars=2)})
