@@ -34,7 +34,7 @@ from .config import ConfigError, ScenarioConfig
 from .groups import FiniteMatrixGroup, is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
 from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
-from .poly import SymplecticForm, format_poly, poisson_bracket
+from .poly import SymplecticForm, format_poly, poisson_bracket, variable_name
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest, suite_names
 from .skew import SkewElement, trace_vector
@@ -242,10 +242,6 @@ def cmd_project(config: ScenarioConfig, parts: list,
     return report
 
 
-def _variable_name(index: int) -> str:
-    return f"x{index + 1}"
-
-
 def _certificate_payload(cert: Certificate) -> dict:
     payload = {
         "verdict": cert.verdict.value,
@@ -261,9 +257,15 @@ def _certificate_payload(cert: Certificate) -> dict:
             "residual": format_poly(cert.rank_data.residual),
         }
     if cert.divisor_witness is not None:
-        payload["divisor_witness"] = _variable_name(cert.divisor_witness)
+        payload["divisor_witness"] = variable_name(cert.divisor_witness)
         payload["image_generators"] = [format_poly(p) for p in cert.divisor_images]
     return payload
+
+
+def _error_payload(exc: Exception) -> dict:
+    """A failed stage's payload: a ``RuntimeError`` is internal, all else config."""
+    kind = "internal" if isinstance(exc, RuntimeError) else "config"
+    return {"message": str(exc), "kind": kind}
 
 
 def run_counterexample(
@@ -281,8 +283,7 @@ def run_counterexample(
     report = Report(command="obstruction")
 
     def fail(stage: str, exc: Exception) -> Report:
-        kind = "internal" if isinstance(exc, RuntimeError) else "config"
-        report.add(stage, STATUS_ERROR, {"message": str(exc), "kind": kind})
+        report.add(stage, STATUS_ERROR, _error_payload(exc))
         report.verdict = f"error in stage {stage!r}"
         return report
 
@@ -377,7 +378,7 @@ def run_counterexample(
 
     report.verdict = "; ".join(
         f"{name}: {cert.verdict.value}"
-        + (f" (witness {_variable_name(cert.divisor_witness)})"
+        + (f" (witness {variable_name(cert.divisor_witness)})"
            if cert.divisor_witness is not None else "")
         for name, cert in final_verdicts
     )
@@ -467,13 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(command: str, message: str, kind: str) -> Report:
-    report = Report(command=command)
-    report.add("config", STATUS_ERROR, {"message": message, "kind": kind})
-    report.verdict = f"error: {message}"
-    return report
-
-
 def _write(report: Report, fmt: str) -> None:
     sys.stdout.write(report.to_machine() if fmt == "machine" else report.to_text())
 
@@ -507,10 +501,10 @@ def main(argv: Optional[list] = None) -> int:
                                             psi_names=args.psi)
             else:  # pragma: no cover - argparse enforces the choices
                 raise RuntimeError(f"unhandled command {command!r}")
-    except ValueError as exc:  # ConfigError and PolyParseError included
-        report = _error_report(command, str(exc), "config")
-    except RuntimeError as exc:
-        report = _error_report(command, str(exc), "internal")
+    except (ValueError, RuntimeError) as exc:  # ConfigError and PolyParseError included
+        report = Report(command=command)
+        report.add("config", STATUS_ERROR, _error_payload(exc))
+        report.verdict = f"error: {exc}"
 
     _write(report, args.format)
 

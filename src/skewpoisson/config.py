@@ -52,6 +52,19 @@ def _require(condition: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _rational_matrix(value, path: str, n: int) -> tuple:
+    """Check that ``value`` is an n x n list of strings; return its rows as tuples."""
+    _require(isinstance(value, list) and len(value) == n, path,
+             f"must be a list of {n} rows")
+    for i, row in enumerate(value):
+        _require(isinstance(row, list) and len(row) == n,
+                 f"{path}[{i}]", f"must be a list of {n} entries")
+        for j, entry in enumerate(row):
+            _require(isinstance(entry, str), f"{path}[{i}][{j}]",
+                     "entries must be rational strings")
+    return tuple(tuple(row) for row in value)
+
+
 @dataclass(frozen=True)
 class ObstructionSpec:
     phi: str
@@ -88,15 +101,7 @@ class ScenarioConfig:
         _require(type(nvars) is int and nvars >= 1, "nvars",
                  "must be a positive integer")
 
-        form = data["symplectic_form"]
-        _require(isinstance(form, list) and len(form) == nvars, "symplectic_form",
-                 f"must be a list of {nvars} rows")
-        for i, row in enumerate(form):
-            _require(isinstance(row, list) and len(row) == nvars,
-                     f"symplectic_form[{i}]", f"must be a list of {nvars} entries")
-            for j, entry in enumerate(row):
-                _require(isinstance(entry, str), f"symplectic_form[{i}][{j}]",
-                         "entries must be rational strings")
+        form_rows = _rational_matrix(data["symplectic_form"], "symplectic_form", nvars)
 
         gens = data["group_generators"]
         _require(isinstance(gens, list), "group_generators", "must be a list")
@@ -111,17 +116,8 @@ class ScenarioConfig:
                      "needs 'name' and 'matrix'")
             _require(isinstance(item["name"], str) and item["name"], f"{path}.name",
                      "must be a non-empty string")
-            mat = item["matrix"]
-            _require(isinstance(mat, list) and len(mat) == nvars, f"{path}.matrix",
-                     f"must be a list of {nvars} rows")
-            for r, row in enumerate(mat):
-                _require(isinstance(row, list) and len(row) == nvars,
-                         f"{path}.matrix[{r}]", f"must be a list of {nvars} entries")
-                for c, entry in enumerate(row):
-                    _require(isinstance(entry, str), f"{path}.matrix[{r}][{c}]",
-                             "entries must be rational strings")
             names.append(item["name"])
-            matrices.append(tuple(tuple(row) for row in mat))
+            matrices.append(_rational_matrix(item["matrix"], f"{path}.matrix", nvars))
         _require(len(set(names)) == len(names), "group_generators",
                  "generator names must be unique")
 
@@ -173,7 +169,7 @@ class ScenarioConfig:
         return cls(
             source=source,
             nvars=nvars,
-            form_rows=tuple(tuple(row) for row in form),
+            form_rows=form_rows,
             generator_names=tuple(names),
             generator_matrices=tuple(matrices),
             named_polynomials=dict(polys),

@@ -319,6 +319,8 @@ def generate_group(
     :class:`GroupClosureError` once more than ``cap`` elements appear, which
     signals an infinite or unexpectedly large group.  An empty generator
     list yields the trivial group and requires ``dim``.
+    Every name must read back from a word, so it is non-empty, not ``"1"``,
+    free of ``*`` and without surrounding whitespace.
     """
     gens = [linalg.matrix_from_rows(g) for g in generators]
     if names is None:
@@ -328,6 +330,10 @@ def generate_group(
         raise ValueError("generator name count does not match generator count")
     if len(set(names)) != len(names):
         raise ValueError("generator names must be unique")
+    for name in names:
+        if not name or name == "1" or "*" in name or name != name.strip():
+            raise ValueError(f"generator name {name!r} cannot be read back from a word: "
+                             "it is empty, '1', has a '*' or surrounding whitespace")
     if gens:
         n = len(gens[0])
         if dim is not None and dim != n:

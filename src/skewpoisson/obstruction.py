@@ -290,7 +290,7 @@ def solve_ladder(problem: ObstructionProblem,
             yield cert
             return
 
-        residual_poly = Polynomial(group.dim, {key[1]: c for key, c in residual.items()})
+        residual_poly = Polynomial.from_vector(group.dim, residual)
         rank_data = RankData(rows=len(support), cols=cols, rank=space.rank,
                              residual=residual_poly)
         if divisor is None:
@@ -311,7 +311,7 @@ def solve_ladder(problem: ObstructionProblem,
         # lead column, never a pivot, vanishes on every image, while on the
         # target it is the residual's entry there, which is nonzero.
         separating = space.annihilator([min(residual)])[0]
-        dual = Polynomial(group.dim, {key[1]: c for key, c in separating.items()})
+        dual = Polynomial.from_vector(group.dim, separating)
         if not _separates(dual, tags, target):
             raise RuntimeError("degree-bounded infeasibility certificate failed to replay")
         yield Certificate(Verdict.INFEASIBLE_AT_DEGREE, target=target, degree=bound,

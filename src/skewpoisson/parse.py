@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .poly import Polynomial
+from .poly import Polynomial, variable_name
 
 __all__ = ["PolyParseError", "parse_poly", "DEGREE_CAP"]
 
@@ -32,6 +32,7 @@ _NUMBER = "number"
 _NAME = "name"
 _OP = "op"
 _END = "end"
+_OPS = "+-*/^()"
 
 
 class PolyParseError(ValueError):
@@ -64,7 +65,7 @@ def _tokenize(text: str, names: Sequence[str]):
             tokens.append((_NUMBER, int(text[i:j]), i + 1))
             i = j
             continue
-        if ch in "+-*/^()":
+        if ch in _OPS:
             tokens.append((_OP, ch, i + 1))
             i += 1
             continue
@@ -199,7 +200,9 @@ def parse_poly(
 
     Exactly one of ``nvars`` (variables ``x1 .. x<nvars>``) or ``names``
     (explicit variable names, defining ``nvars`` by their count) selects the
-    variable alphabet.  The fixed :data:`DEGREE_CAP` bounds the total degree
+    variable alphabet.  An explicit name must not be empty or start with what
+    the tokenizer reads as something else: a digit, whitespace, or one of
+    ``+-*/^()−``.  The fixed :data:`DEGREE_CAP` bounds the total degree
     of every power and product, checked from the degrees of the operands
     before the power or product is expanded, so a nested power such as
     ``(x1^64)^64`` or a product such as ``x1^40*x1^40`` is rejected without
@@ -211,7 +214,7 @@ def parse_poly(
     if names is None:
         if nvars is None:
             raise ValueError("parse_poly needs nvars or an explicit name list")
-        names = [f"x{i + 1}" for i in range(nvars)]
+        names = [variable_name(i) for i in range(nvars)]
     else:
         names = list(names)
         if nvars is not None and nvars != len(names):
@@ -220,6 +223,10 @@ def parse_poly(
             raise ValueError("the variable name list must not be empty")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        for name in names:
+            if not name or name[0].isdigit() or name[0].isspace() or name[0] in _OPS + "−":
+                raise ValueError(f"variable name {name!r} cannot be read: it is empty "
+                                 "or starts with a digit, whitespace or an operator")
     text = text.replace("−", "-")
     parser = _Parser(_tokenize(text, names), len(names))
     result = parser.parse_expr()

@@ -32,6 +32,12 @@ Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)  # the coefficient of every absent monomial
 
 
+def variable_name(index: int) -> str:
+    """The printed name ``x<index+1>`` of the variable with 0-based ``index``,
+    the one spelling :func:`format_poly` writes and ``parse_poly`` reads."""
+    return f"x{index + 1}"
+
+
 def grlex_key(exps: Exponents):
     """Sort key for graded-lexicographic monomial order (ascending)."""
     return (sum(exps), exps)
@@ -104,6 +110,12 @@ class Polynomial:
     @classmethod
     def monomial(cls, nvars: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         return cls(nvars, {tuple(exps): Fraction(coeff)})
+
+    @classmethod
+    def from_vector(cls, nvars: int, vec: Mapping) -> "Polynomial":
+        """The inverse of :meth:`to_vector`: the polynomial whose coefficient
+        vector, keyed by grlex key, is ``vec``."""
+        return cls(nvars, {exps: c for (_, exps), c in vec.items()})
 
     # ------------------------------------------------------------------
     # inspection
@@ -234,7 +246,7 @@ def format_poly(p: Polynomial) -> str:
     grlex-descending order.  The output round-trips through
     :func:`skewpoisson.parse.parse_poly`.
     """
-    names = [f"x{i + 1}" for i in range(p.nvars)]
+    names = [variable_name(i) for i in range(p.nvars)]
     if p.is_zero:
         return "0"
     pieces = []
@@ -438,12 +450,6 @@ class SymplecticForm:
     @property
     def nvars(self) -> int:
         return len(self.matrix)
-
-    def __eq__(self, other):
-        return isinstance(other, SymplecticForm) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"SymplecticForm({[list(map(str, r)) for r in self.matrix]})"

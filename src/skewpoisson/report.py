@@ -32,10 +32,8 @@ class Report:
     stages: list = field(default_factory=list)
     verdict: str = ""
 
-    def add(self, name: str, status: str, payload: dict) -> Stage:
-        stage = Stage(name, status, payload)
-        self.stages.append(stage)
-        return stage
+    def add(self, name: str, status: str, payload: dict) -> None:
+        self.stages.append(Stage(name, status, payload))
 
     def has_errors(self) -> bool:
         return any(s.status == STATUS_ERROR for s in self.stages)

@@ -8,6 +8,10 @@ the class projections, the vanishing of inner derivations on fixed
 polynomials, Reynolds and Molien facts, and the internal consistency of the
 obstruction solver.  All checks are exact equalities.
 
+A suite is named once, in ``_SUITES``; called as ``suite(rng, env, check)``
+it fills the :class:`SuiteResult` it is handed.  A suite that raises is
+reported as one failure with no cases.
+
 ``corrupt="mul-table"`` sabotages a copy of the bundled group: one of its
 Cayley edges, the right-multiplication edges that every product walks, is
 redirected, so that a failure path can be exercised end to end.
@@ -65,8 +69,8 @@ __all__ = ["DEFAULT_SEED", "SuiteResult", "suite_names", "run_selftest"]
 @dataclass
 class SuiteResult:
     """One suite's case and failure counts and the description of its first
-    failure.  A suite starts from ``SuiteResult(name)``, passes each case to
-    :meth:`record` and returns it."""
+    failure.  :func:`run_selftest` hands each suite a fresh
+    ``SuiteResult(name)``, and the suite passes each case to :meth:`record`."""
 
     name: str
     cases: int = 0
@@ -152,12 +156,11 @@ def _signed_permutation(rng: random.Random, n: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _small_signed_perm_group(rng: random.Random, n: int = 4,
-                             cap: int = 48) -> FiniteMatrixGroup:
+def _small_signed_perm_group(rng: random.Random) -> FiniteMatrixGroup:
     while True:
-        gens = [_signed_permutation(rng, n) for _ in range(2)]
+        gens = [_signed_permutation(rng, 4) for _ in range(2)]
         try:
-            return generate_group(gens, cap=cap)
+            return generate_group(gens, cap=48)
         except ValueError:
             continue
 
@@ -166,8 +169,7 @@ def _small_signed_perm_group(rng: random.Random, n: int = 4,
 # suites
 
 
-def _suite_ring_axioms(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("ring-axioms")
+def _suite_ring_axioms(rng: random.Random, env: _Env, check: SuiteResult):
     zero = Polynomial.zero(4)
     for _ in range(200):
         a = _poly(rng, 4, 6)
@@ -184,11 +186,9 @@ def _suite_ring_axioms(rng: random.Random, env: _Env) -> SuiteResult:
         canonical = all(v != 0 for _, v in (a * b + c - a).items())
         check.record(ok and canonical,
                      lambda: f"ring axiom failed for a={format_poly(a)}")
-    return check
 
 
-def _suite_poisson_axioms(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("poisson-axioms")
+def _suite_poisson_axioms(rng: random.Random, env: _Env, check: SuiteResult):
     form = env.form
     zero = Polynomial.zero(4)
     for _ in range(200):
@@ -207,13 +207,11 @@ def _suite_poisson_axioms(rng: random.Random, env: _Env) -> SuiteResult:
         ) == zero
         check.record(anti and self_zero and leibniz and jacobi,
                      lambda: f"bracket axiom failed for p={format_poly(p)}")
-    return check
 
 
-def _suite_bracket_darboux(rng: random.Random, env: _Env) -> SuiteResult:
+def _suite_bracket_darboux(rng: random.Random, env: _Env, check: SuiteResult):
     """The general tensor reduces to the four-term Darboux formula on the
     bundled form."""
-    check = SuiteResult("bracket-darboux")
     form = env.form
 
     def darboux(p, q):
@@ -229,11 +227,9 @@ def _suite_bracket_darboux(rng: random.Random, env: _Env) -> SuiteResult:
         q = _poly(rng, 4, 5)
         check.record(poisson_bracket(p, q, form) == darboux(p, q),
                      lambda: f"tensor bracket disagrees for p={format_poly(p)}")
-    return check
 
 
-def _suite_substitution(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("substitution-composition")
+def _suite_substitution(rng: random.Random, env: _Env, check: SuiteResult):
     for _ in range(200):
         p = _poly(rng, 4, 4)
         m = _matrix(rng, 4)
@@ -242,20 +238,16 @@ def _suite_substitution(rng: random.Random, env: _Env) -> SuiteResult:
         rhs = substitute_linear(p, linalg.mat_mul(m, n))
         check.record(lhs == rhs,
                      lambda: f"composition law failed for p={format_poly(p)}")
-    return check
 
 
-def _suite_parser_roundtrip(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("parser-roundtrip")
+def _suite_parser_roundtrip(rng: random.Random, env: _Env, check: SuiteResult):
     for _ in range(200):
         p = _poly(rng, rng.randint(1, 6), 5, max_terms=6)
         check.record(parse_poly(format_poly(p), nvars=p.nvars) == p,
                      lambda: f"round trip failed for {format_poly(p)!r}")
-    return check
 
 
-def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("group-structure")
+def _suite_group_structure(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     mul = group.mul
     order = group.order
@@ -273,11 +265,9 @@ def _suite_group_structure(rng: random.Random, env: _Env) -> SuiteResult:
     for cls in group.classes:
         check.record(cls.size * len(cls.centralizer) == order,
                      lambda: f"orbit-stabilizer failed for class {cls.index}")
-    return check
 
 
-def _suite_fixed_projections(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("fixed-projections")
+def _suite_fixed_projections(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     for i, g in enumerate(group.elements):
         proj = group.fixed_projection_matrix(i)
@@ -291,11 +281,9 @@ def _suite_fixed_projections(rng: random.Random, env: _Env) -> SuiteResult:
                 linalg.mat_mul(u.matrix, proj) == linalg.mat_mul(proj, u.matrix),
                 lambda: f"projection for {g.word!r} fails to commute with {u.word!r}",
             )
-    return check
 
 
-def _suite_action_homomorphism(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("action-homomorphism")
+def _suite_action_homomorphism(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     polys = [_poly(rng, 4, 4) for _ in range(4)]
     elements = group.elements
@@ -307,11 +295,9 @@ def _suite_action_homomorphism(rng: random.Random, env: _Env) -> SuiteResult:
                     act_on_poly(gh, p) == act_on_poly(g, act_on_poly(h, p)),
                     lambda: f"action failed for ({g.word!r},{h.word!r})",
                 )
-    return check
 
 
-def _suite_symplectic_closure(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("symplectic-closure")
+def _suite_symplectic_closure(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     form = env.form
     gens_ok = all(
@@ -325,11 +311,9 @@ def _suite_symplectic_closure(rng: random.Random, env: _Env) -> SuiteResult:
               for i in range(4)]
     check.record(not is_symplectic(linalg.matrix_from_rows(scaled), form),
                  lambda: "a stretching matrix passed the symplectic test")
-    return check
 
 
-def _suite_skew_associativity(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("skew-associativity")
+def _suite_skew_associativity(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     one = SkewElement.one(group)
     for _ in range(200):
@@ -338,11 +322,9 @@ def _suite_skew_associativity(rng: random.Random, env: _Env) -> SuiteResult:
         c = _skew(rng, group)
         check.record((a * b) * c == a * (b * c) and a * one == a and one * a == a,
                      lambda: "skew product associativity failed")
-    return check
 
 
-def _suite_hh0_trace(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("hh0-trace")
+def _suite_hh0_trace(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     zero = Polynomial.zero(group.dim)
     for _ in range(200):
@@ -353,11 +335,9 @@ def _suite_hh0_trace(rng: random.Random, env: _Env) -> SuiteResult:
             hh0_project(com, i) == zero for i in range(len(group.classes))
         )
         check.record(ok, lambda: "a commutator projected to something nonzero")
-    return check
 
 
-def _suite_hh0_idempotence(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("hh0-idempotence")
+def _suite_hh0_idempotence(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     for _ in range(200):
         a = _skew(rng, group)
@@ -365,11 +345,9 @@ def _suite_hh0_idempotence(rng: random.Random, env: _Env) -> SuiteResult:
         once = hh0_project(a, i)
         twice = project_term(group, once, i)
         check.record(twice == once, lambda: f"projection onto class {i} not idempotent")
-    return check
 
 
-def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("hh0-conjugation")
+def _suite_hh0_conjugation(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     mul = group.mul
     for _ in range(200):
@@ -384,22 +362,18 @@ def _suite_hh0_conjugation(rng: random.Random, env: _Env) -> SuiteResult:
         rhs = project_term(group, act_on_poly(group.elements[k], psi), cls.index)
         check.record(lhs == rhs,
                      lambda: f"conjugation invariance failed on class {cls.index}")
-    return check
 
 
-def _suite_hh0_invariant_summand(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("hh0-invariant-summand")
+def _suite_hh0_invariant_summand(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     for _ in range(200):
         psi = reynolds(group, _poly(rng, group.dim, 4))
         projected = project_term(group, psi, 0)
         check.record(projected == psi,
                      lambda: "identity-class projection moved an invariant")
-    return check
 
 
-def _suite_inner_derivation(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("inner-derivation-vanishing")
+def _suite_inner_derivation(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     zero = Polynomial.zero(group.dim)
     for _ in range(200):
@@ -416,11 +390,9 @@ def _suite_inner_derivation(rng: random.Random, env: _Env) -> SuiteResult:
                 inner_derivation_g_part(a, fixed, idx) == zero,
                 lambda: f"inner derivation left a part at {g.word!r}",
             )
-    return check
 
 
-def _suite_reynolds(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("reynolds-operator")
+def _suite_reynolds(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     for _ in range(200):
         p = _poly(rng, group.dim, 5)
@@ -432,11 +404,9 @@ def _suite_reynolds(rng: random.Random, env: _Env) -> SuiteResult:
             and is_invariant(group, p) == all(act_on_poly(g, p) == p for g in group.elements)
         )
         check.record(ok, lambda: f"Reynolds misbehaved on {format_poly(p)}")
-    return check
 
 
-def _suite_molien(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("molien-brute-force")
+def _suite_molien(rng: random.Random, env: _Env, check: SuiteResult):
     groups = [env.group] + [_small_signed_perm_group(rng) for _ in range(3)]
     for group in groups:
         molien = molien_coefficients(group, 8)
@@ -454,11 +424,9 @@ def _suite_molien(rng: random.Random, env: _Env) -> SuiteResult:
                     lambda: f"brute-force basis element is not invariant "
                             f"(degree {d}, order {group.order})",
                 )
-    return check
 
 
-def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
-    check = SuiteResult("obstruction-consistency")
+def _suite_obstruction(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     form = env.form
     phi = env.by_name["f1"]
@@ -520,7 +488,6 @@ def _suite_obstruction(rng: random.Random, env: _Env) -> SuiteResult:
     witness = divisor_certificate(generators, top.target)
     check.record(witness is not None,
                  lambda: "the bundled instance lost its divisor witness")
-    return check
 
 
 _SUITES = (
@@ -565,8 +532,10 @@ def run_selftest(
         if wanted is not None and name not in wanted:
             continue
         rng = random.Random(f"{seed}:{name}")
+        check = SuiteResult(name)
         try:
-            results.append(runner(rng, env))
+            runner(rng, env, check)
         except Exception as exc:  # a crash is a failure, attributed to its suite
-            results.append(SuiteResult(name, 0, 1, f"crashed: {exc}"))
+            check = SuiteResult(name, 0, 1, f"crashed: {exc}")
+        results.append(check)
     return results

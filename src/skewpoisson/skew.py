@@ -159,9 +159,6 @@ class SkewElement:
             return NotImplemented
         return self.group is other.group and self._parts == other._parts
 
-    def __hash__(self):
-        return hash((id(self.group), frozenset(self._parts.items())))
-
     def __repr__(self):
         if self.is_zero:
             return "SkewElement(0)"

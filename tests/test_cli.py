@@ -323,8 +323,12 @@ class TestObstructionCommand:
          "named_polynomials.f1"),
         (lambda d: d["named_polynomials"].update(r1="f1 +"), "relations", 2,
          "named_polynomials.r1"),
+        # no word can name a generator called 'b*b', so the group is refused
+        (lambda d: (d["group_generators"][0].update(name="b*b"),
+                    d["obstruction"].update(class_rep="b*b")), "group", 2,
+         "generator name 'b*b' cannot be read back from a word"),
     ], ids=["no-instance", "identity-class", "singular-generator",
-            "unparseable-generator", "unparseable-relation"])
+            "unparseable-generator", "unparseable-relation", "unreadable-generator-name"])
     def test_stage_outcomes(self, capsys, tmp_path, change, stage, code, message):
         data = json.loads(resources.files("skewpoisson")
                           .joinpath("data/counterexample.json").read_text(encoding="utf-8"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,23 @@ class TestStructuralValidation:
         data["group_generators"][0]["matrix"][2] = ["1", "0"]
         with pytest.raises(ConfigError, match=r"group_generators\[0\].matrix\[2\]"):
             ScenarioConfig.from_mapping(data)
+
+    @pytest.mark.parametrize("key, path", [
+        ("symplectic_form", "symplectic_form"),
+        ("group_generators", "group_generators[0].matrix"),
+    ])
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda m: m.pop(), "", "must be a list of 4 rows"),
+        (lambda m: m.__setitem__(1, ["0", "1"]), "[1]", "must be a list of 4 entries"),
+        (lambda m: m[1].__setitem__(2, 0), "[1][2]", "entries must be rational strings"),
+    ], ids=["row-count", "row-length", "entry-type"])
+    def test_rational_matrix_errors(self, key, path, edit, where, message):
+        data = bundled_dict()
+        matrix = data[key] if key == "symplectic_form" else data[key][0]["matrix"]
+        edit(matrix)
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_mapping(data)
+        assert str(info.value) == f"{path}{where}: {message}"
 
     def test_ladder_must_increase(self):
         data = bundled_dict()
@@ -130,6 +148,13 @@ class TestSemanticRealization:
     def test_relations_parse_in_generator_names(self, config):
         rels = config.build_relation_set()
         assert rels.polys[0].nvars == 8
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == __version__
 
 
 class TestReportRendering:

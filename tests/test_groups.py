@@ -89,6 +89,8 @@ class TestClosure:
         ([], {"dim": 0}, "at least one variable"),
         ([[]], {}, "at least one variable"),
         ([[["0", "1"]]], {}, "is not 1x1"),
+        *(([[["-1"]]], {"names": [name]}, "cannot be read back from a word")
+          for name in ("", "1", "b*b", " b")),
     ])
     def test_guards(self, generators, options, match):
         with pytest.raises(ValueError, match=match):

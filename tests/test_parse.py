@@ -144,6 +144,10 @@ class TestErrors:
         ("1/x1", {"nvars": 2}, "integer denominator"),
         ("a", {"nvars": 2, "names": ["a"]}, "disagrees with the number of names"),
         ("a", {"names": ["a", "a"]}, "unique"),
+        # a name the tokenizer would read as a number, an operator or a space
+        ("2", {"names": ["f1", "2"]}, "cannot be read"),
+        ("+a", {"names": ["f1", "+a"]}, "cannot be read"),
+        (" a", {"names": ["f1", " a"]}, "cannot be read"),
     ])
     def test_guards(self, text, alphabet, match):
         with pytest.raises(ValueError, match=match):

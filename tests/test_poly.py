@@ -19,6 +19,7 @@ from skewpoisson import (
     substitute_linear,
 )
 from skewpoisson.linalg import identity_matrix, mat_mul, matrix_from_rows
+from skewpoisson.poly import variable_name
 
 
 def P(text: str, nvars: int = 4) -> Polynomial:
@@ -129,6 +130,19 @@ class TestRingValue:
         assert next(p.items()) in terms.items()
         assert dict(p.items()) == terms
         assert p.coefficient((0, 1, 0, 0)) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_vector_inverts_to_vector(self, seed):
+        rng = random.Random(f"vector:{seed}")
+        p = random_poly(rng, 3, terms=5, degree=4)
+        for q in (p, Polynomial.zero(3)):
+            assert Polynomial.from_vector(3, q.to_vector()) == q
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_variables_print_as_their_names(self, n):
+        for i in range(n):
+            assert format_poly(Polynomial.variable(n, i)) == variable_name(i)
+            assert parse_poly(variable_name(i), nvars=n) == Polynomial.variable(n, i)
 
     def test_printing_ignores_the_insertion_order(self):
         terms = [((0, 2, 0, 0), Fraction(1)), ((1, 0, 0, 0), Fraction(-2)),

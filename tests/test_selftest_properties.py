@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skewpoisson import selftest
 from skewpoisson.selftest import run_selftest, suite_names
 
 
@@ -39,6 +40,18 @@ def test_corruption_hook_is_caught():
     results = run_selftest(corrupt="mul-table", only=["group-structure"])
     assert results[0].failures > 0
     assert "associativity" in results[0].detail or "inverse" in results[0].detail
+
+
+def test_a_crashing_suite_is_one_failure_with_no_cases(monkeypatch):
+    def crashes(rng, env, check):
+        check.record(True, lambda: "")
+        check.record(False, lambda: "recorded before the crash")
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(selftest, "_SUITES", (("crashes", crashes),))
+    (result,) = run_selftest()
+    assert (result.name, result.cases, result.failures) == ("crashes", 0, 1)
+    assert result.detail == "crashed: boom"
 
 
 def test_unknown_corruption_rejected():
