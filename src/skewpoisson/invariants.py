@@ -160,9 +160,9 @@ def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
             for out, coeff in image.items():
                 if out != exps:
                     rows.setdefault(out, {})[col] = coeff
-            stays = image.coefficient(exps) - 1
-            if stays:
-                rows.setdefault(exps, {})[col] = stays
+            kept = image.coefficient(exps)
+            if kept != 1:
+                rows.setdefault(exps, {})[col] = kept - 1 if kept else -1
         for row in rows.values():
             constraints.add(row)
     return constraints

@@ -2,20 +2,24 @@
 
 Matrices are immutable tuples of tuples of ``Fraction``; the one product
 routine, :func:`mat_mul_rows`, also multiplies the integer matrices of the
-group search.  Vectors used by the row-reduction machinery are sparse dicts
-mapping a column index to a nonzero ``Fraction``.  Everything here is
-exact: no rounding, no tolerances.  Every elimination, inversion included,
-is :class:`RowSpace`'s, and :meth:`RowSpace.annihilator` is the one
-null-space routine.
+group search.  Vectors given to the row-reduction machinery are sparse
+dicts mapping a column index to an ``int`` or ``Fraction`` value, and the
+vectors it hands back map to nonzero ``Fraction`` values.  Everything here
+is exact: no rounding, no tolerances.  Every elimination, inversion
+included, is :class:`RowSpace`'s, and :meth:`RowSpace.annihilator` is the
+one null-space routine.  :class:`RowSpace` stores and reduces integer
+rows, fraction-free, and normalises to ``Fraction`` rows with lead 1 only
+where a row is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
-SparseVec = dict  # dict[int, Fraction], zero entries never stored
+SparseVec = dict  # dict[int, Fraction]; RowSpace also takes int values and zeros
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -107,19 +111,60 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in rows)
 
 
+def _integral(vec: SparseVec) -> tuple:
+    """``(d * vec, d)`` for ``d`` the lcm of the denominators of ``vec``'s
+    values (``int`` or ``Fraction``): an integer vector with the zero
+    entries dropped, in ``vec``'s order."""
+    ints, d = {}, 1
+    for c, v in vec.items():
+        p, q = v.as_integer_ratio()
+        if p:
+            ints[c] = p
+            if q != 1:
+                d = lcm(d, q)
+    if d != 1:
+        ints = {c: v.numerator * (d // v.denominator) for c, v in vec.items() if v}
+    return ints, d
+
+
+def _axpy(a: int, acc: dict, b: int, row: dict) -> dict:
+    """``a * acc - b * row`` with its zero entries dropped; ``acc`` itself
+    is updated when ``a`` is 1."""
+    if a != 1:
+        acc = {c: v * a for c, v in acc.items()}
+    for c, v in row.items():
+        new = acc.get(c, 0) - b * v
+        if new:
+            acc[c] = new
+        else:
+            del acc[c]
+    return acc
+
+
 class RowSpace:
-    """Incremental sparse row reduction over the rationals.
+    """Incremental sparse row reduction over the rationals, fraction-free.
 
     Maintains a row-echelon basis keyed by pivot column (lowest column index
     with a nonzero entry).  Pivot choice is purely positional, so results are
-    deterministic for a fixed insertion order.  With ``track=True`` every
-    stored row carries the combination of original inputs that produced it,
-    which lets :meth:`solve` express a target vector in terms of the inputs.
+    deterministic for a fixed insertion order.  An input vector is scaled to
+    integers by the lcm of its denominators, and each stored row is a
+    primitive integer vector with a positive pivot entry.  Reduction
+    cross-multiplies (Bareiss, Math. Comp. 1968) and divides out the content
+    gcd, so every stored row and every remainder is a nonzero multiple of the
+    one that elimination with lead-1 ``Fraction`` rows would give.  Rows are
+    normalised to lead 1, and values converted back to ``Fraction``, only
+    where they are read: :meth:`solve`, :meth:`reduced_rows` and
+    :meth:`annihilator`.
+
+    With ``track=True`` every stored row carries the integer weights over the
+    inputs that produce it, under the row's own scale: the row equals
+    ``sum(weights[t] * input_t)``.  That lets :meth:`solve` express a target
+    vector in terms of the inputs.
     """
 
     def __init__(self, track: bool = False):
-        self._rows: dict[int, SparseVec] = {}  # pivot column -> normalized row
-        self._combos: dict[int, SparseVec] = {}
+        self._rows: dict[int, dict] = {}  # pivot column -> primitive integer row
+        self._combos: dict[int, dict] = {}  # pivot column -> input tag -> integer weight
         self._track = track
         self._added = 0
 
@@ -127,53 +172,66 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce_vec(self, vec: SparseVec, combo: Optional[SparseVec]):
-        rem = dict(vec)
+    def _reduce_vec(self, rem: dict, weights: Optional[dict]) -> tuple:
+        """Reduce the integer vector ``rem`` while its lowest column is a
+        pivot.  Each step replaces ``rem`` by ``a * rem - b * row`` for the
+        row at its lowest column, with ``a`` and ``b`` the pivot and the
+        entry there divided by their gcd, and divides out the content when
+        ``a`` is not 1.  Returns ``(rem', weights', s)``.  In a tracked
+        space ``weights`` starts empty, takes the same steps on the rows'
+        weights and ends with ``rem' == s * rem + sum(weights'[t] *
+        input_t)`` for a positive integer ``s``; the content then covers
+        ``s`` and ``weights'`` too.  Untracked, ``weights`` is ``None`` and
+        ``s`` is meaningless."""
+        rows, combos = self._rows, self._combos
+        scale = 1
         while rem:
             lead = min(rem)
-            row = self._rows.get(lead)
+            row = rows.get(lead)
             if row is None:
                 break
-            f = rem[lead]  # rows are normalized to leading coefficient 1
-            for col, val in row.items():
-                new = rem.get(col, Fraction(0)) - f * val
-                if new:
-                    rem[col] = new
+            g = gcd(row[lead], rem[lead])
+            a, b = row[lead] // g, rem[lead] // g
+            rem = _axpy(a, rem, b, row)
+            if weights is not None:
+                weights = _axpy(a, weights, b, combos[lead])
+                scale *= a
+            if a != 1:
+                if weights is None:
+                    content = gcd(*rem.values())
                 else:
-                    rem.pop(col, None)
-            if combo is not None:
-                for tag, val in self._combos[lead].items():
-                    new = combo.get(tag, Fraction(0)) + f * val
-                    if new:
-                        combo[tag] = new
-                    else:
-                        combo.pop(tag, None)
-        return rem
+                    content = gcd(scale, *rem.values(), *weights.values())
+                if content > 1:
+                    rem = {c: v // content for c, v in rem.items()}
+                    if weights is not None:
+                        weights = {t: v // content for t, v in weights.items()}
+                        scale //= content
+        return rem, weights, scale
 
     def add(self, vec: SparseVec) -> bool:
         """Insert a vector; returns True if it enlarged the row space."""
         tag = self._added
         self._added += 1
-        combo: Optional[SparseVec] = {tag: Fraction(1)} if self._track else None
-        rem = self._reduce_vec(vec, combo)
+        rem, d = _integral(vec)
+        rem, weights, scale = self._reduce_vec(rem, {} if self._track else None)
         if not rem:
             return False
         lead = min(rem)
-        inv_lead = Fraction(1) / rem[lead]
-        row = {c: v * inv_lead for c, v in rem.items()}
-        self._rows[lead] = row
-        if self._track:
-            # combo currently expresses vec - rem; rearrange to rem = vec - combo
-            assert combo is not None
-            stored = {tag: Fraction(1)}
-            for t, v in combo.items():
-                if t != tag:
-                    stored[t] = -v
-            self._combos[lead] = {t: v * inv_lead for t, v in stored.items()}
+        if weights is None:
+            content = gcd(*rem.values())
+        else:
+            # rem == scale * d * vec + sum(weights[t] * input_t)
+            weights[tag] = scale * d
+            content = gcd(*rem.values(), *weights.values())
+        if rem[lead] < 0:
+            content = -content
+        self._rows[lead] = {c: v // content for c, v in rem.items()}
+        if weights is not None:
+            self._combos[lead] = {t: v // content for t, v in weights.items()}
         return True
 
     def contains(self, vec: SparseVec) -> bool:
-        return not self._reduce_vec(vec, None)
+        return not self._reduce_vec(_integral(vec)[0], None)[0]
 
     def solve(self, target: SparseVec):
         """Express ``target`` through the inputs of a tracked space.
@@ -190,14 +248,16 @@ class RowSpace:
         """
         if not self._track:
             raise ValueError("solve needs a RowSpace built with track=True")
-        combo: SparseVec = {}
-        rem = self._reduce_vec(target, combo)
+        rem, d = _integral(target)
+        rem, weights, scale = self._reduce_vec(rem, {})
+        # rem == scale * d * target + sum(weights[t] * input_t)
+        denom = scale * d
         if rem:
-            return None, rem
+            return None, {c: Fraction(v, denom) for c, v in rem.items()}
         coeffs = [Fraction(0)] * self._added
-        for tag, val in combo.items():
-            coeffs[tag] = val
-        return coeffs, rem
+        for tag, val in weights.items():
+            coeffs[tag] = Fraction(-val, denom)
+        return coeffs, {}
 
     def annihilator(self, columns) -> list[SparseVec]:
         """The functionals that vanish on the span, one for each
@@ -206,8 +266,12 @@ class RowSpace:
         Over the reduced rows ``R_i`` with pivots ``p_i``, column ``c`` gives
         ``y_c = e_c - sum_i R_i[c] e_(p_i)``.  Every vector of the span is
         ``sum_i v[p_i] R_i``, so ``y_c`` vanishes on it.  Given every column,
-        these are the null space of the rows added so far.
+        these are the null space of the rows added so far.  A column given
+        twice raises ``ValueError``.
         """
+        columns = list(columns)
+        if len(set(columns)) != len(columns):
+            raise ValueError("annihilator columns must be distinct")
         free = {c: {c: Fraction(1)} for c in columns if c not in self._rows}
         for pivot, row in zip(sorted(self._rows), self.reduced_rows()):
             for c, coeff in row.items():
@@ -216,22 +280,24 @@ class RowSpace:
         return list(free.values())
 
     def reduced_rows(self) -> list[SparseVec]:
-        """Fully back-substituted (reduced row echelon) basis, by pivot column."""
+        """Fully back-substituted (reduced row echelon) basis, by pivot
+        column, each row with lead 1 and ``Fraction`` values.
+
+        The back-substitution runs on the integer rows: a reduced row has no
+        entry at any other pivot, so each row clears its later pivots one by
+        one, lowest first, and is normalised at the end."""
         pivots = sorted(self._rows)
-        reduced: dict[int, SparseVec] = {}
+        reduced: dict[int, dict] = {}
         for p in reversed(pivots):
             row = dict(self._rows[p])
-            for q in pivots:
-                if q > p and q in row:
-                    f = row.pop(q)
-                    for col, val in reduced[q].items():
-                        if col == q:
-                            continue
-                        new = row.get(col, Fraction(0)) - f * val
-                        if new:
-                            row[col] = new
-                        else:
-                            row.pop(col, None)
+            for q in sorted(c for c in row if c in reduced):
+                red = reduced[q]
+                g = gcd(red[q], row[q])
+                a = red[q] // g
+                row = _axpy(a, row, row[q] // g, red)
+                if a != 1:
+                    content = gcd(*row.values())
+                    if content > 1:
+                        row = {c: v // content for c, v in row.items()}
             reduced[p] = row
-        return [reduced[p] for p in pivots]
-
+        return [{c: Fraction(v, reduced[p][p]) for c, v in reduced[p].items()} for p in pivots]

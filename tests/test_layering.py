@@ -325,3 +325,31 @@ def test_only_poly_reads_the_polynomial_internals():
         if path.name.endswith(".py") and path.name != "poly.py"
     }
     assert polynomial_internals_readers(sources) == []
+
+
+# RowSpace's integer rows and their weights over the inputs; every other
+# module goes through add, contains, solve, reduced_rows and annihilator,
+# which hand back Fraction values
+ROW_SPACE_STORAGE = {"_rows", "_combos"}
+
+
+def row_space_storage_readers(sources: dict) -> list:
+    return attribute_readers(sources, ROW_SPACE_STORAGE)
+
+
+def test_row_space_storage_scan_sees_readers():
+    sources = {
+        "a": ("def f(space):\n    return space._rows[0]\n\n"
+              "def ok(space):\n    return space.reduced_rows(), space.rank\n"),
+        "b": "W = span._combos\n\nclass C:\n    def m(self, s):\n        return s._rows\n",
+    }
+    assert row_space_storage_readers(sources) == ["a.f", "b.<module>", "b.C"]
+
+
+def test_only_linalg_reads_the_row_space_storage():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "linalg.py"
+    }
+    assert row_space_storage_readers(sources) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -252,3 +253,156 @@ class TestRowSpace:
         assert not space.add({})
         assert space.rank == 0
         assert space.contains({})
+
+    def test_explicit_zero_entries_are_dropped(self):
+        space = RowSpace()
+        assert space.add({0: Fraction(0), 1: Fraction(1)})
+        assert space.rank == 1
+        assert space.reduced_rows() == [{1: Fraction(1)}]
+        space = RowSpace()
+        space.add({1: 1})
+        assert space.contains({0: Fraction(0), 1: Fraction(2)})
+        assert not space.contains({0: Fraction(1), 1: Fraction(0)})
+
+    def test_annihilator_rejects_a_repeated_column(self):
+        space = RowSpace()
+        space.add({0: Fraction(1), 1: Fraction(1)})
+        with pytest.raises(ValueError, match="distinct"):
+            space.annihilator([1, 1, 2])
+
+
+class FractionRowSpace:
+    """The reference: positional elimination on ``Fraction`` rows normalised
+    to lead 1, each with its combination of the inputs, and Gauss-Jordan
+    back-substitution for the reduced rows."""
+
+    def __init__(self):
+        self.rows, self.combos, self.added = {}, {}, 0
+
+    def reduce(self, vec):
+        """``(rem, combo)`` with ``vec == rem + sum(combo[t] * input_t)``,
+        reduced while the lowest column of ``rem`` is a pivot."""
+        rem, combo = {c: Fraction(v) for c, v in vec.items() if v}, {}
+        while rem and min(rem) in self.rows:
+            lead = min(rem)
+            f = rem[lead]
+            for source, acc, sign in ((self.rows[lead], rem, -1), (self.combos[lead], combo, 1)):
+                for c, v in source.items():
+                    acc[c] = acc.get(c, 0) + sign * f * v
+                    if not acc[c]:
+                        del acc[c]
+        return rem, combo
+
+    def add(self, vec):
+        tag = self.added
+        self.added += 1
+        rem, combo = self.reduce(vec)
+        if rem:
+            inv = 1 / rem[min(rem)]
+            self.rows[min(rem)] = {c: v * inv for c, v in rem.items()}
+            self.combos[min(rem)] = {t: -v * inv for t, v in combo.items()} | {tag: inv}
+
+    def solve(self, target):
+        rem, combo = self.reduce(target)
+        if rem:
+            return None, rem
+        return [combo.get(t, Fraction(0)) for t in range(self.added)], {}
+
+    def reduced_rows(self):
+        reduced = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for q in sorted(c for c in row if c in reduced):
+                f = row.pop(q)
+                for c, v in reduced[q].items():
+                    if c != q:
+                        row[c] = row.get(c, 0) - f * v
+                        if not row[c]:
+                            del row[c]
+            reduced[p] = row
+        return [reduced[p] for p in sorted(reduced)]
+
+    def annihilator(self, columns):
+        free = {c: {c: Fraction(1)} for c in columns if c not in self.rows}
+        for p, row in zip(sorted(self.rows), self.reduced_rows()):
+            for c, v in row.items():
+                if c in free:
+                    free[c][p] = -v
+        return list(free.values())
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestAgainstFractionElimination:
+    """``RowSpace`` reduces on integers; every value it returns must equal,
+    and be a ``Fraction`` like, the plain ``Fraction`` elimination's."""
+
+    @staticmethod
+    def random_vector(rng, n):
+        vec = {}
+        for c in range(n):
+            if rng.random() < 0.4:
+                num = rng.randint(-10**6, 10**6) or 1
+                den = rng.choice((1, 2, 3, 4, 6))
+                vec[c] = num if den == 1 and rng.random() < 0.5 else Fraction(num, den)
+        return vec
+
+    @staticmethod
+    def combination(rng, vectors):
+        """A random rational combination of some of ``vectors``."""
+        out = {}
+        for vec in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+            f = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 6)))
+            for c, v in vec.items():
+                out[c] = out.get(c, 0) + f * v
+        return {c: v for c, v in out.items() if v}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_reference(self, seed):
+        rng = random.Random(f"rowspace:{seed}")
+        n = rng.randint(1, 9)
+        track = seed % 2 == 0
+        space, reference, inputs = RowSpace(track=track), FractionRowSpace(), []
+        for _ in range(rng.randint(0, n + 3)):
+            vec = (self.combination(rng, inputs) if inputs and rng.random() < 0.3
+                   else self.random_vector(rng, n))
+            inputs.append(vec)
+            grew = space.add(vec)
+            rank = len(reference.rows)
+            reference.add(vec)
+            assert grew == (len(reference.rows) > rank)
+        assert space.rank == len(reference.rows)
+        rows = space.reduced_rows()
+        assert rows == reference.reduced_rows()
+        assert all(all_fractions(row.values()) for row in rows)
+        for columns in (range(n), range(n - 1, -1, -1)):
+            ys = space.annihilator(columns)
+            assert ys == reference.annihilator(columns)
+            assert all(all_fractions(y.values()) for y in ys)
+        targets = [self.random_vector(rng, n) for _ in range(3)]
+        if inputs:
+            targets += [self.combination(rng, inputs) for _ in range(3)]
+        for target in targets:
+            inside = not reference.reduce(target)[0]
+            assert space.contains(target) == inside
+            if track:
+                coeffs, residual = space.solve(target)
+                assert (coeffs, residual) == reference.solve(target)
+                assert all_fractions(residual.values())
+                assert coeffs is None or all_fractions(coeffs)
+
+    def test_inverse_of_the_hilbert_matrix(self):
+        # H[i][j] = 1/(i+j+1) has an integer inverse with entries in the
+        # millions at n = 7, so the elimination's coefficients grow
+        n = 7
+        hilbert = tuple(tuple(Fraction(1, i + j + 1) for j in range(n)) for i in range(n))
+        known = tuple(
+            tuple((-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1)
+                  * comb(n + j, n - i - 1) * comb(i + j, i) ** 2 for j in range(n))
+            for i in range(n))
+        inv = inverse(hilbert)
+        assert inv == known
+        assert all_fractions(x for row in inv for x in row)
+        assert mat_mul(hilbert, inv) == identity_matrix(n)
