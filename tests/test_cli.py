@@ -390,6 +390,9 @@ GOLDEN_EXIT_CODES = {
     "obstruction_psi_sweep_degree3.machine.json": 0,
     "obstruction_psi_parse_error.machine.json": 2,
     "selftest_corrupt_mul_table.machine.json": 3,
+    "invariants_partial_generators.machine.json": 0,
+    "invariants_partial_generators.text": 0,
+    "obstruction_partial_generators.machine.json": 0,
 }
 
 # the suites whose reports a corrupted Cayley edge changes, about 0.6 s in all
@@ -431,6 +434,14 @@ PROJECT_PARTS = ["--part", "b:x1^2*x2 + x3*x4 - 2*x1",
       "--format", "machine"], "obstruction_psi_parse_error.machine.json"),
     (["selftest", "--corrupt", "mul-table", *CORRUPTED_SUITES, "--format", "machine"],
      "selftest_corrupt_mul_table.machine.json"),
+    # generator_set without h4 (spans deficient at degrees 4, 6, 8) and
+    # relation_set [r2, s1], where s1 = h1^2 - f1f2 leaves a nonzero residual
+    (["invariants", *_golden_config("partial_generators.config.json"),
+      "--format", "machine"], "invariants_partial_generators.machine.json"),
+    (["invariants", *_golden_config("partial_generators.config.json"),
+      "--format", "text"], "invariants_partial_generators.text"),
+    (["obstruction", *_golden_config("partial_generators.config.json"),
+      "--format", "machine"], "obstruction_partial_generators.machine.json"),
 ])
 def test_machine_reports_match_golden_files(capsys, argv, golden):
     """Reports stay byte for byte what the files under tests/data record,
