@@ -17,8 +17,6 @@ from .groups import (
     is_symplectic,
 )
 from .invariants import (
-    GeneratorSet,
-    RelationSet,
     invariant_basis,
     is_invariant,
     molien_coefficients,
@@ -73,8 +71,6 @@ __all__ = [
     "act_on_poly",
     "generate_group",
     "is_symplectic",
-    "GeneratorSet",
-    "RelationSet",
     "invariant_basis",
     "is_invariant",
     "molien_coefficients",

@@ -128,7 +128,7 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
     rows = [
         {"name": n, "degree": p.total_degree(),
          "invariant": is_invariant(group, p)}
-        for n, p in zip(gens.names, gens.polys)
+        for n, p in gens.items()
     ]
     all_inv = all(r["invariant"] for r in rows)
     report.add("invariance", STATUS_OK if all_inv else STATUS_FINDING, {
@@ -145,35 +145,30 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
                 "generator_span": r.span_dim,
                 "deficient": r.deficient,
             }
-            for r in span.rows
+            for r in span
         ]
-        status = STATUS_OK if span.complete else STATUS_FINDING
-        report.add("molien", status, {
+        deficient = [r.degree for r in span if r.deficient]
+        report.add("molien", STATUS_FINDING if deficient else STATUS_OK, {
             "degrees": degree_rows,
-            "deficient_degrees": list(span.deficient_degrees),
+            "deficient_degrees": deficient,
         })
-        span_note = (
-            "generator spans fill every degree"
-            if span.complete
-            else f"deficient at degrees {list(span.deficient_degrees)}"
-        )
+        span_note = (f"deficient at degrees {deficient}" if deficient
+                     else "generator spans fill every degree")
     else:
         report.add("molien", STATUS_FINDING,
                    {"skipped": "generator set is not invariant"})
         span_note = "span comparison skipped"
     if config.relation_set:
-        rels = config.build_relation_set()
-        rel_report = verify_relations(gens, rels)
+        residuals = verify_relations(gens, config.build_relation_set())
         rel_rows = [
             {"name": n, "zero": r.is_zero, "residual": format_poly(r)}
-            for n, r in zip(rel_report.names, rel_report.residuals)
+            for n, r in residuals.items()
         ]
-        status = STATUS_OK if rel_report.all_zero else STATUS_FINDING
-        nonzero = len(rel_report.nonzero)
-        report.add("relations", status, {"relations": rel_rows,
-                                         "nonzero_residuals": nonzero})
-        rel_note = ("all relation residuals vanish" if rel_report.all_zero
-                    else f"{nonzero} relation(s) with NONZERO residual")
+        nonzero = sum(not r.is_zero for r in residuals.values())
+        report.add("relations", STATUS_FINDING if nonzero else STATUS_OK,
+                   {"relations": rel_rows, "nonzero_residuals": nonzero})
+        rel_note = (f"{nonzero} relation(s) with NONZERO residual" if nonzero
+                    else "all relation residuals vanish")
     else:
         report.add("relations", STATUS_OK, {"relations": [],
                                             "nonzero_residuals": 0})
@@ -302,7 +297,7 @@ def run_counterexample(
         gens = config.build_generator_set()
         invariance = [
             {"name": n, "invariant": is_invariant(group, p)}
-            for n, p in zip(gens.names, gens.polys)
+            for n, p in gens.items()
         ]
     except ValueError as exc:
         return fail("generators", exc)
@@ -316,12 +311,13 @@ def run_counterexample(
     status = STATUS_OK
     try:
         if config.relation_set:
-            rel_report = verify_relations(gens, config.build_relation_set())
+            residuals = verify_relations(gens, config.build_relation_set())
             rel_rows = [
                 {"name": n, "residual": format_poly(r), "zero": r.is_zero}
-                for n, r in zip(rel_report.names, rel_report.residuals)
+                for n, r in residuals.items()
             ]
-            status = STATUS_OK if rel_report.all_zero else STATUS_FINDING
+            if not all(r.is_zero for r in residuals.values()):
+                status = STATUS_FINDING
     except ValueError as exc:
         return fail("relations", exc)
     report.add("relations", status, {"relations": rel_rows})

@@ -18,7 +18,6 @@ from importlib import resources
 from typing import Optional
 
 from .groups import FiniteMatrixGroup, generate_group
-from .invariants import GeneratorSet, RelationSet
 from .parse import parse_poly
 from .poly import Polynomial, SymplecticForm
 
@@ -233,23 +232,25 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(source, f"cannot resolve polynomial {text!r}: {exc}") from exc
 
-    def build_generator_set(self) -> GeneratorSet:
-        return GeneratorSet(
-            self.generator_set,
-            tuple(self.polynomial(n) for n in self.generator_set),
-        )
+    def build_generator_set(self) -> dict:
+        """The generator table, name -> polynomial in the ``x`` variables,
+        in ``generator_set`` order."""
+        return {n: self.polynomial(n) for n in self.generator_set}
 
-    def build_relation_set(self) -> RelationSet:
-        """Relations are parsed in the abstract generator-name variables."""
+    def build_relation_set(self) -> dict:
+        """The relation table, name -> polynomial, in ``relation_set`` order.
+
+        Relations are parsed in the abstract generator-name variables:
+        variable ``i`` is the ``i``-th name of ``generator_set``.
+        """
         if not self.generator_set:
             raise ConfigError("relation_set",
                               "relations need a non-empty generator_set")
-        polys = []
+        rels = {}
         for name in self.relation_set:
             try:
-                polys.append(
-                    parse_poly(self.named_polynomials[name], names=self.generator_set)
-                )
+                rels[name] = parse_poly(self.named_polynomials[name],
+                                        names=self.generator_set)
             except ValueError as exc:
                 raise ConfigError(f"named_polynomials.{name}", str(exc)) from exc
-        return RelationSet(tuple(self.relation_set), tuple(polys))
+        return rels

@@ -6,19 +6,22 @@ kept side by side on purpose: the Molien series (each class's
 ``g`` by Newton's identities, averaged over conjugacy classes weighted by
 class size) and the common kernel of the generators' actions
 (the polynomials of a degree that every generator fixes, the null space of
-one row reduction of its monomials' images over the rationals).  Generator
-verification compares the span of generator products against those slices
-degree by degree, counting each slice by rank-nullity, and relation
+one row reduction of its monomials' images over the rationals).
+
+A generator or relation table is a plain map from name to polynomial, in
+table order.  Generator verification compares the span of generator
+products against those slices degree by degree, counting each slice by
+rank-nullity, and returns one :class:`DegreeRow` per degree.  Relation
 verification substitutes the generators into candidate relations and
-reports the residual verbatim; a nonzero residual is a finding, never an
-exception.
+returns each residual verbatim under its relation's name; a nonzero
+residual is a finding, never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
@@ -29,11 +32,7 @@ __all__ = [
     "is_invariant",
     "molien_coefficients",
     "invariant_basis",
-    "GeneratorSet",
-    "RelationSet",
     "DegreeRow",
-    "GeneratorSpanReport",
-    "RelationReport",
     "verify_generators",
     "verify_relations",
 ]
@@ -191,32 +190,6 @@ def invariant_basis(group: FiniteMatrixGroup, degree: int) -> list:
 
 
 @dataclass(frozen=True)
-class GeneratorSet:
-    """Named polynomials proposed as algebra generators of the invariants."""
-
-    names: tuple
-    polys: tuple
-
-    def __post_init__(self):
-        if len(self.names) != len(self.polys):
-            raise ValueError("generator names and polynomials differ in number")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("generator names must be unique")
-
-
-@dataclass(frozen=True)
-class RelationSet:
-    """Candidate relations, as polynomials in the abstract generator names."""
-
-    names: tuple
-    polys: tuple  # Polynomial instances with nvars == len(GeneratorSet.names)
-
-    def __post_init__(self):
-        if len(self.names) != len(self.polys):
-            raise ValueError("relation names and polynomials differ in number")
-
-
-@dataclass(frozen=True)
 class DegreeRow:
     degree: int
     molien: int
@@ -230,35 +203,6 @@ class DegreeRow:
     @property
     def oracles_agree(self) -> bool:
         return self.molien == self.slice_dim
-
-
-@dataclass(frozen=True)
-class GeneratorSpanReport:
-    rows: tuple  # tuple[DegreeRow, ...]
-
-    @property
-    def deficient_degrees(self) -> tuple:
-        return tuple(r.degree for r in self.rows if r.deficient)
-
-    @property
-    def complete(self) -> bool:
-        return not self.deficient_degrees
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    names: tuple
-    residuals: tuple  # tuple[Polynomial, ...]
-
-    @property
-    def nonzero(self) -> tuple:
-        return tuple(
-            (n, r) for n, r in zip(self.names, self.residuals) if not r.is_zero
-        )
-
-    @property
-    def all_zero(self) -> bool:
-        return not self.nonzero
 
 
 def _weighted_exponents(weights: Sequence[int], degree: int):
@@ -276,17 +220,18 @@ def _weighted_exponents(weights: Sequence[int], degree: int):
         e += 1
 
 
-def _power_products(gens: GeneratorSet):
+def _power_products(polys: Sequence[Polynomial]):
     """``times_powers(start, exps)``: ``start`` times the product of the
-    generator powers ``gens.polys[i] ** exps[i]``, each power computed once."""
-    cache = [dict() for _ in gens.polys]
+    generator powers ``polys[i] ** exps[i]``, each power computed once.
+    ``polys`` are the generator polynomials in table order."""
+    cache = [dict() for _ in polys]
 
     def times_powers(start: Polynomial, exps) -> Polynomial:
         for i, e in enumerate(exps):
             if e:
                 power = cache[i].get(e)
                 if power is None:
-                    power = cache[i][e] = gens.polys[i] ** e
+                    power = cache[i][e] = polys[i] ** e
                 start = start * power
         return start
 
@@ -295,18 +240,20 @@ def _power_products(gens: GeneratorSet):
 
 def verify_generators(
     group: FiniteMatrixGroup,
-    gens: GeneratorSet,
+    gens: Mapping[str, Polynomial],
     up_to_degree: int,
-) -> GeneratorSpanReport:
+) -> tuple:
     """Compare generator-product spans with the invariant slices per degree.
 
-    A slice's dimension is its number of monomials minus the rank of its
+    ``gens`` maps each generator name to its polynomial.  Returns one
+    :class:`DegreeRow` per degree ``0 .. up_to_degree``.  A slice's
+    dimension is its number of monomials minus the rank of its
     constraints, still independent of Molien.  Requires homogeneous
     generators of positive degree, so the grading is respected and a
     degree-slice comparison is exact.  A deficient degree is reported, not
     raised.
     """
-    for name, p in zip(gens.names, gens.polys):
+    for name, p in gens.items():
         if p.nvars != group.dim:
             raise ValueError(f"generator {name!r} has the wrong variable count")
         if not is_invariant(group, p):
@@ -315,10 +262,11 @@ def verify_generators(
             raise ValueError(
                 f"generator {name!r} must be homogeneous of positive degree"
             )
-    weights = [p.total_degree() for p in gens.polys]
+    polys = list(gens.values())
+    weights = [p.total_degree() for p in polys]
     molien = molien_coefficients(group, up_to_degree)
 
-    times_powers = _power_products(gens)
+    times_powers = _power_products(polys)
     rows = []
     for d in range(up_to_degree + 1):
         axis = _slice_axis(group.dim, d)
@@ -329,16 +277,24 @@ def verify_generators(
             if not prod.is_zero:
                 space.add(prod.to_vector())
         rows.append(DegreeRow(d, molien[d], slice_dim, space.rank))
-    return GeneratorSpanReport(tuple(rows))
+    return tuple(rows)
 
 
-def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
-    """Substitute the generators into each relation and report residuals."""
-    k = len(gens.names)
-    residuals = []
-    times_powers = _power_products(gens)
-    nvars = gens.polys[0].nvars if gens.polys else 1
-    for name, rel in zip(rels.names, rels.polys):
+def verify_relations(gens: Mapping[str, Polynomial], rels: Mapping[str, Polynomial]) -> dict:
+    """Substitute the generators into each relation; return
+    ``{relation name: residual}`` in the order of ``rels``.
+
+    A relation is a polynomial in one abstract variable per generator, and
+    its variable ``i`` stands for the ``i``-th generator of ``gens``, so
+    ``gens`` must list the generators in the order the relations were parsed
+    in.  A nonzero residual is a finding, returned verbatim.
+    """
+    polys = list(gens.values())
+    k = len(polys)
+    residuals = {}
+    times_powers = _power_products(polys)
+    nvars = polys[0].nvars if polys else 1
+    for name, rel in rels.items():
         if rel.nvars != k:
             raise ValueError(
                 f"relation {name!r} uses {rel.nvars} abstract variables, expected {k}"
@@ -346,5 +302,5 @@ def verify_relations(gens: GeneratorSet, rels: RelationSet) -> RelationReport:
         total = Polynomial.zero(nvars)
         for exps, coeff in rel.items():
             total = total + times_powers(Polynomial.constant(nvars, coeff), exps)
-        residuals.append(total)
-    return RelationReport(tuple(rels.names), tuple(residuals))
+        residuals[name] = total
+    return residuals

@@ -364,11 +364,12 @@ class LinearSubstitution:
                         scale = scale * c**e
                 else:
                     key = tuple(out)
-                    acc = terms.get(key, 0) + scale
-                    if acc:
+                    if key not in terms:  # keys repeat only if the map is not invertible
+                        terms[key] = scale
+                    elif (acc := terms[key] + scale):
                         terms[key] = acc
                     else:
-                        terms.pop(key, None)
+                        del terms[key]
             return p._wrap(terms, width)
         for exps, coeff in p._terms.items():
             for key, c in self._image(exps).items():

@@ -97,7 +97,6 @@ class _Env:
         self.form = self.config.build_form()
         self.group = self.config.build_group()
         self.gens = self.config.build_generator_set()
-        self.by_name = dict(zip(self.gens.names, self.gens.polys))
         if corrupt == "mul-table":
             self.group = _corrupt_mul_table(self.group)
         elif corrupt is not None:
@@ -429,8 +428,8 @@ def _suite_molien(rng: random.Random, env: _Env, check: SuiteResult):
 def _suite_obstruction(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     form = env.form
-    phi = env.by_name["f1"]
-    psi = env.by_name["h1"]
+    phi = env.gens["f1"]
+    psi = env.gens["h1"]
     class_index = group.class_of(group.element_from_word("b"))
     rep = group.classes[class_index].representative
 

@@ -29,7 +29,6 @@ from skewpoisson import (
     verify_generators,
     verify_relations,
 )
-from skewpoisson.invariants import RelationSet
 from skewpoisson.linalg import RowSpace
 
 from conftest import fixed_by_every_element
@@ -97,32 +96,31 @@ def test_criterion_3_projection_reproduction(group):
 def test_criterion_4_invariant_generators(group, generators):
     with criterion(4, "all 8 generators invariant; spans match Molien for "
                       "every degree <= 8", budget=10.0):
-        assert all(fixed_by_every_element(group, p) for p in generators.polys)
-        report = verify_generators(group, generators, 8)
-        assert report.complete
-        for row in report.rows:
+        assert len(generators) == 8
+        assert all(fixed_by_every_element(group, p) for p in generators.values())
+        rows = verify_generators(group, generators, 8)
+        assert [row.degree for row in rows] == list(range(9))
+        for row in rows:
             assert row.molien == row.slice_dim == row.span_dim
             assert row.oracles_agree
+            assert not row.deficient
 
 
 def test_criterion_5_relations(config, generators):
     with criterion(5, "all 9 relation residuals vanish; nonzero residuals are "
                       "reported, not silenced", budget=5.0):
-        report = verify_relations(generators, config.build_relation_set())
-        assert len(report.residuals) == 9
-        assert report.all_zero
+        residuals = verify_relations(generators, config.build_relation_set())
+        assert len(residuals) == 9
+        assert all(r.is_zero for r in residuals.values())
 
         # relation 1 confirmed by direct expansion, independent of the parser
-        f1, f2 = generators.polys[0], generators.polys[1]
-        h1, h2, h3, h4 = generators.polys[4:8]
+        f1, f2, h1, h2, h3, h4 = (generators[n] for n in ("f1", "f2", "h1", "h2", "h3", "h4"))
         manual = -(f1 * f2 * h1) + f1 * h4 + f2 * h3 - h1**3 + 2 * h1 * h2
         assert manual.is_zero
 
         # a deliberately wrong relation is reported verbatim as a finding
-        broken = RelationSet(("broken",), (parse_poly("f1", names=list(generators.names)),))
-        finding = verify_relations(generators, broken)
-        assert not finding.all_zero
-        assert finding.nonzero[0][1] == generators.polys[0]
+        broken = {"broken": parse_poly("f1", names=list(generators))}
+        assert verify_relations(generators, broken) == {"broken": generators["f1"]}
 
 
 def test_criterion_6_counterexample_verdict(group, form, named):

@@ -46,6 +46,14 @@ class TestStructuralValidation:
         with pytest.raises(ConfigError, match="symplectic_form"):
             ScenarioConfig.from_mapping(data)
 
+    @pytest.mark.parametrize("key", ["generator_set", "relation_set"])
+    def test_repeated_table_name_rejected(self, key):
+        # the tables are name -> polynomial dicts, so a repeat must fail here
+        data = bundled_dict()
+        data[key].append(data[key][0])
+        with pytest.raises(ConfigError, match=f"{key}: names must be unique"):
+            ScenarioConfig.from_mapping(data)
+
     def test_wrong_matrix_shape_with_path(self):
         data = bundled_dict()
         data["group_generators"][0]["matrix"][2] = ["1", "0"]
@@ -145,9 +153,18 @@ class TestSemanticRealization:
             "x1*x1"
         )
 
+    def test_generator_table_in_config_order(self, config):
+        gens = config.build_generator_set()
+        assert list(gens) == list(config.generator_set)
+        assert all(p == config.polynomial(n) for n, p in gens.items())
+
     def test_relations_parse_in_generator_names(self, config):
         rels = config.build_relation_set()
-        assert rels.polys[0].nvars == 8
+        assert list(rels) == list(config.relation_set)
+        assert all(p.nvars == len(config.generator_set) == 8 for p in rels.values())
+        # variable i of a relation is the i-th name of generator_set
+        f1f2h1 = tuple(int(n in ("f1", "f2", "h1")) for n in config.generator_set)
+        assert rels["r1"].coefficient(f1f2h1) == -1
 
 
 def test_package_version_matches_pyproject():

@@ -10,9 +10,7 @@ from math import comb
 import pytest
 
 from skewpoisson import (
-    GeneratorSet,
     Polynomial,
-    RelationSet,
     generate_group,
     invariant_basis,
     is_invariant,
@@ -296,87 +294,98 @@ class TestCommonKernel:
 
 class TestVerifyGenerators:
     def test_bundled_generators_complete_to_degree_eight(self, group, generators):
-        report = verify_generators(group, generators, 8)
-        assert report.complete
-        assert report.deficient_degrees == ()
-        assert all(r.oracles_agree for r in report.rows)
+        rows = verify_generators(group, generators, 8)
+        assert [r.degree for r in rows] == list(range(9))
+        assert not any(r.deficient for r in rows)
+        assert all(r.oracles_agree for r in rows)
 
     def test_partial_set_deficient_at_degree_two(self, group, named):
-        partial = GeneratorSet(("f1", "f2"), (named["f1"], named["f2"]))
-        report = verify_generators(group, partial, 2)
-        assert report.deficient_degrees == (2,)
-        row = report.rows[2]
+        partial = {"f1": named["f1"], "f2": named["f2"]}
+        rows = verify_generators(group, partial, 2)
+        assert [r.degree for r in rows if r.deficient] == [2]
+        row = rows[2]
         assert row.span_dim == 2
         assert row.slice_dim == 3
 
     @pytest.mark.parametrize("name, top", [("group", 8), ("s3_group", 6), ("b3_group", 4)])
     def test_slice_dim_is_the_basis_length(self, request, generators, name, top):
         group = request.getfixturevalue(name)
-        gens = generators if name == "group" else GeneratorSet((), ())
-        report = verify_generators(group, gens, top)
-        assert [r.slice_dim for r in report.rows] == [
+        gens = generators if name == "group" else {}
+        rows = verify_generators(group, gens, top)
+        assert [r.slice_dim for r in rows] == [
             len(invariant_basis(group, d)) for d in range(top + 1)]
 
     def test_counts_slices_without_building_a_basis(self, monkeypatch, group, generators):
         built = counting(monkeypatch, "invariant_basis")
-        assert verify_generators(group, generators, 8).complete
+        assert not any(r.deficient for r in verify_generators(group, generators, 8))
         assert built == []
 
     def test_empty_generator_set_covers_degree_zero(self, group):
-        report = verify_generators(group, GeneratorSet((), ()), 0)
-        assert report.complete
-        assert report.rows[0].span_dim == 1
+        (row,) = verify_generators(group, {}, 0)
+        assert not row.deficient
+        assert row.span_dim == 1
 
     def test_non_invariant_generator_rejected(self, group):
-        bad = GeneratorSet(("bad",), (P("x1*x2"),))
-        with pytest.raises(ValueError, match="not invariant"):
-            verify_generators(group, bad, 2)
+        with pytest.raises(ValueError, match="generator 'bad' is not invariant"):
+            verify_generators(group, {"bad": P("x1*x2")}, 2)
 
     def test_inhomogeneous_generator_rejected(self, group, named):
-        bad = GeneratorSet(("bad",), (named["f1"] + Polynomial.one(4),))
-        with pytest.raises(ValueError, match="homogeneous"):
+        bad = {"bad": named["f1"] + Polynomial.one(4)}
+        with pytest.raises(ValueError, match="'bad' must be homogeneous"):
             verify_generators(group, bad, 2)
 
-
-class TestVerifyRelations:
-    def test_first_relation_vanishes(self, generators):
-        rel = parse_poly("-f1f2h1 + f1h4 + f2h3 - h1^3 + 2h1h2",
-                         names=list(generators.names))
-        report = verify_relations(
-            generators, RelationSet(("r1",), (rel,))
-        )
-        assert report.all_zero
-
-    def test_trivial_relation(self, generators):
-        rel = parse_poly("f1 - f1", names=list(generators.names))
-        report = verify_relations(generators, RelationSet(("t",), (rel,)))
-        assert report.all_zero
-
-    def test_non_relation_reported_verbatim(self, generators, named):
-        rel = parse_poly("f1", names=list(generators.names))
-        report = verify_relations(generators, RelationSet(("f1-alone",), (rel,)))
-        assert not report.all_zero
-        (name, residual), = report.nonzero
-        assert name == "f1-alone"
-        assert residual == named["f1"]
-
-    def test_all_nine_bundled_relations_vanish(self, config, generators):
-        report = verify_relations(generators, config.build_relation_set())
-        assert len(report.residuals) == 9
-        assert report.all_zero
-
-    def test_arity_mismatch_rejected(self, generators):
-        rel = parse_poly("x1", nvars=2)
-        with pytest.raises(ValueError, match="abstract variables"):
-            verify_relations(generators, RelationSet(("bad",), (rel,)))
-
-
-class TestGeneratorSetValidation:
-    def test_duplicate_names_rejected(self, named):
-        with pytest.raises(ValueError, match="unique"):
-            GeneratorSet(("f1", "f1"), (named["f1"], named["f1"]))
+    def test_wrong_variable_count_rejected(self, group):
+        with pytest.raises(ValueError, match="'bad' has the wrong variable count"):
+            verify_generators(group, {"bad": P("x1^2", nvars=2)}, 2)
 
     def test_products_of_generators_are_invariant(self, group, named):
         # soundness spot check: anything built from generators is invariant
         combo = named["f1"] * named["h4"] - named["h2"] ** 2 * Fraction(1, 3)
         assert fixed_by_every_element(group, combo)
+
+
+def relation(text, generators):
+    """A relation parsed in the generator names, in the order of ``generators``."""
+    return parse_poly(text, names=list(generators))
+
+
+class TestVerifyRelations:
+    def test_first_relation_vanishes(self, generators):
+        rel = relation("-f1f2h1 + f1h4 + f2h3 - h1^3 + 2h1h2", generators)
+        assert verify_relations(generators, {"r1": rel}) == {"r1": Polynomial.zero(4)}
+
+    def test_trivial_relation(self, generators):
+        residuals = verify_relations(generators, {"t": relation("f1 - f1", generators)})
+        assert residuals["t"].is_zero
+
+    def test_non_relation_reported_verbatim(self, generators, named):
+        residuals = verify_relations(generators, {"f1-alone": relation("f1", generators)})
+        assert residuals == {"f1-alone": named["f1"]}
+
+    def test_all_nine_bundled_relations_vanish(self, config, generators):
+        residuals = verify_relations(generators, config.build_relation_set())
+        assert list(residuals) == [f"r{i}" for i in range(1, 10)]
+        assert all(r.is_zero for r in residuals.values())
+
+    def test_residuals_keyed_by_relation_name_in_relation_order(self, generators, named):
+        rels = {name: relation(text, generators) for name, text in [
+            ("zeta", "h1^2 - f1f2"), ("alpha", "f1 - f1"), ("mid", "h2")]}
+        residuals = verify_relations(generators, rels)
+        assert list(residuals) == ["zeta", "alpha", "mid"]
+        assert residuals["zeta"] == P("-x1^2*x4^2 + 2*x1*x2*x3*x4 - x2^2*x3^2")
+        assert residuals["alpha"].is_zero
+        assert residuals["mid"] == named["h2"]
+
+    def test_variable_i_is_the_ith_generator(self, generators, named):
+        rel = relation("f1 - f2", generators)
+        assert verify_relations(generators, {"r": rel})["r"] == named["f1"] - named["f2"]
+        # the same polynomial against the generators in another order: its
+        # first variable now stands for f2 and its second for f1
+        swapped = {"f2": generators["f2"], "f1": generators["f1"],
+                   **{n: p for n, p in generators.items() if n not in ("f1", "f2")}}
+        assert verify_relations(swapped, {"r": rel})["r"] == named["f2"] - named["f1"]
+
+    def test_arity_mismatch_rejected(self, generators):
+        rel = parse_poly("x1", nvars=2)
+        with pytest.raises(ValueError, match="'bad' uses 2 abstract variables, expected 8"):
+            verify_relations(generators, {"bad": rel})

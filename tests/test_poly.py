@@ -305,6 +305,19 @@ class TestLinearSubstitution:
             ("2*x1*x3*x4^4 - 1/3*x2^7*x4^3", "2*x2*x3*x4^4 + 1/3*x1^7*x4^3"),
         ]:
             assert sub(P(text)) == P(image) == reference_substitution(P(text), matrix)
+            assert all(type(c) is Fraction for _, c in sub(P(text)).items())
+
+    def test_repeated_images_add_and_cancel(self):
+        # x1 -> x1, x2 -> x1: a monomial matrix that is not invertible, so
+        # distinct monomials meet at one image
+        matrix = [[1, 0], [1, 0]]
+        sub = LinearSubstitution(matrix)
+        assert sub._images is None
+        assert sub(P("x1 - x2", nvars=2)).is_zero
+        p = P("x1^2 + 1/2*x1*x2 - x2^2 + x2", nvars=2)
+        image = sub(p)
+        assert image == P("1/2*x1^2 + x1", nvars=2) == reference_substitution(p, matrix)
+        assert all(type(c) is Fraction for _, c in image.items())
 
 
 class TestSymplecticForm:
