@@ -34,7 +34,7 @@ from .config import ConfigError, ScenarioConfig
 from .groups import FiniteMatrixGroup, is_symplectic
 from .invariants import is_invariant, verify_generators, verify_relations
 from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
-from .poly import SymplecticForm, format_poly, poisson_bracket, variable_name
+from .poly import Polynomial, SymplecticForm, format_poly, poisson_bracket, variable_name
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest, suite_names
 from .skew import SkewElement, trace_vector
@@ -205,8 +205,9 @@ def cmd_project(config: ScenarioConfig, parts: list,
             raise ConfigError("--part", f"expected WORD:POLY, got {item!r}")
         idx = group.element_from_word(word)
         poly = config.polynomial_or_inline(text.strip(), "--part")
-        assembled[idx] = assembled.get(idx, poly * 0) + poly
-    element = SkewElement(group, assembled)
+        assembled.setdefault(idx, []).append(poly)
+    element = SkewElement(group, {idx: Polynomial.sum(config.nvars, polys)
+                                  for idx, polys in assembled.items()})
     vector = trace_vector(element)
     if class_index is not None:
         if not 0 <= class_index < len(group.classes):

@@ -31,9 +31,11 @@ matrix, and per conjugacy class its :class:`ClassCoordinates`
 fixed-space projection ``P``, the average of the matrices of the powers of
 ``g`` (:meth:`FiniteMatrixGroup.fixed_projection_matrix`), so every
 restricted polynomial is a polynomial in ``k = dim V^g`` coordinates ``u``
-rather than in all ``n`` variables ``x``.  A class's coordinates hold only
-maps: ``into`` ``u``, ``back`` to ``x`` and the ``k x k`` actions of the
-centralizer of ``g`` on ``u``, all compiled substitutions.
+rather than in all ``n`` variables ``x``.  A class's coordinates hold the
+rank ``k``, the basis ``U`` (the first ``k`` independent rows of ``P``), the
+weights ``A`` with ``P == A U``, and the compiled substitutions ``into``
+``u``, ``back`` to ``x`` and the ``k x k`` actions of the centralizer of
+``g`` on ``u``.
 """
 
 from __future__ import annotations

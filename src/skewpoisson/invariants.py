@@ -44,9 +44,7 @@ def reynolds(group: FiniteMatrixGroup, p: Polynomial) -> Polynomial:
         raise ValueError(
             f"polynomial has {p.nvars} variables, group acts on {group.dim}"
         )
-    total = Polynomial.zero(group.dim)
-    for g in group.elements:
-        total = total + act_on_poly(g, p)
+    total = Polynomial.sum(group.dim, (act_on_poly(g, p) for g in group.elements))
     return total * Fraction(1, group.order)
 
 
@@ -299,8 +297,7 @@ def verify_relations(gens: Mapping[str, Polynomial], rels: Mapping[str, Polynomi
             raise ValueError(
                 f"relation {name!r} uses {rel.nvars} abstract variables, expected {k}"
             )
-        total = Polynomial.zero(nvars)
-        for exps, coeff in rel.items():
-            total = total + times_powers(Polynomial.constant(nvars, coeff), exps)
-        residuals[name] = total
+        residuals[name] = Polynomial.sum(
+            nvars, (times_powers(Polynomial.constant(nvars, coeff), exps)
+                    for exps, coeff in rel.items()))
     return residuals

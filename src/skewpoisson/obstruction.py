@@ -342,14 +342,10 @@ def collapse_to_sigma(d_of_g: SkewElement, g: int) -> Polynomial:
     idx = group.element_index(g)
     if idx == 0:
         raise ValueError("the identity element is excluded here")
-    total = Polynomial.zero(group.dim)
-    for h in range(group.order):
-        conj = group.mul(group.mul(h, idx), group.inverse(h))  # h g h^-1
-        part = d_of_g.g_part(conj)
-        if part.is_zero:
-            continue
-        total = total + act_on_poly(group.elements[h], part)
-    return total
+    parts = ((h, d_of_g.g_part(group.mul(group.mul(h, idx), group.inverse(h))))
+             for h in range(group.order))  # the part at h g h^-1
+    return Polynomial.sum(group.dim, (act_on_poly(group.elements[h], part)
+                                      for h, part in parts if not part.is_zero))
 
 
 def replay_certificate(problem: ObstructionProblem, cert: Certificate) -> bool:

@@ -33,6 +33,7 @@ _NAME = "name"
 _OP = "op"
 _END = "end"
 _OPS = "+-*/^()"
+_DIGITS = "0123456789"  # INT is ASCII only; str.isdigit() also takes "²" and "٣"
 
 
 class PolyParseError(ValueError):
@@ -58,9 +59,9 @@ def _tokenize(text: str, names: Sequence[str]):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append((_NUMBER, int(text[i:j]), i + 1))
             i = j
@@ -103,21 +104,16 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Polynomial:
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == _OP and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        total = self.parse_term() * sign
+        terms = []
         while True:
             kind, value, _ = self.peek()
-            if kind == _OP and value in "+-":
+            sign = value if kind == _OP and value in "+-" else None
+            if sign is None and terms:
+                return Polynomial.sum(self.nvars, terms)
+            if sign is not None:
                 self.advance()
-                term = self.parse_term()
-                total = total + term if value == "+" else total - term
-            else:
-                break
-        return total
+            term = self.parse_term()
+            terms.append(-term if sign == "-" else term)
 
     def check_size(self, degree: int, work: int, pos: int):
         if degree > DEGREE_CAP:
@@ -201,8 +197,8 @@ def parse_poly(
     Exactly one of ``nvars`` (variables ``x1 .. x<nvars>``) or ``names``
     (explicit variable names, defining ``nvars`` by their count) selects the
     variable alphabet.  An explicit name must not be empty or start with what
-    the tokenizer reads as something else: a digit, whitespace, or one of
-    ``+-*/^()−``.  The fixed :data:`DEGREE_CAP` bounds the total degree
+    the tokenizer reads as something else: an ASCII digit, whitespace, or one
+    of ``+-*/^()−``.  The fixed :data:`DEGREE_CAP` bounds the total degree
     of every power and product, checked from the degrees of the operands
     before the power or product is expanded, so a nested power such as
     ``(x1^64)^64`` or a product such as ``x1^40*x1^40`` is rejected without
@@ -224,7 +220,7 @@ def parse_poly(
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         for name in names:
-            if not name or name[0].isdigit() or name[0].isspace() or name[0] in _OPS + "−":
+            if not name or name[0] in _DIGITS or name[0].isspace() or name[0] in _OPS + "−":
                 raise ValueError(f"variable name {name!r} cannot be read: it is empty "
                                  "or starts with a digit, whitespace or an operator")
     text = text.replace("−", "-")

@@ -380,9 +380,8 @@ def _suite_inner_derivation(rng: random.Random, env: _Env, check: SuiteResult):
         for idx in range(1, group.order):
             g = group.elements[idx]
             raw = _poly(rng, group.dim, 4)
-            fixed = Polynomial.zero(group.dim)
-            for power in group.powers(idx):
-                fixed = fixed + act_on_poly(group.elements[power], raw)
+            fixed = Polynomial.sum(group.dim, (act_on_poly(group.elements[power], raw)
+                                               for power in group.powers(idx)))
             if fixed.is_zero:
                 fixed = Polynomial.one(group.dim)
             check.record(

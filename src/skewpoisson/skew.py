@@ -112,17 +112,20 @@ class SkewElement:
             raise ValueError("skew elements belong to different groups")
         return True
 
+    def _sum_by_index(self, pairs) -> "SkewElement":
+        """The element ``sum psi . g`` of the ``(g, psi)`` pairs, the
+        polynomials at each index added by one :meth:`Polynomial.sum`."""
+        by_index: dict = {}
+        for idx, p in pairs:
+            by_index.setdefault(idx, []).append(p)
+        dim = self.group.dim
+        return SkewElement(self.group, {idx: Polynomial.sum(dim, polys)
+                                        for idx, polys in by_index.items()})
+
     def __add__(self, other):
         if not self._operand(other):
             return NotImplemented
-        parts = dict(self._parts)
-        for idx, p in other._parts.items():
-            acc = parts.get(idx, Polynomial.zero(self.group.dim)) + p
-            if acc.is_zero:
-                parts.pop(idx, None)
-            else:
-                parts[idx] = acc
-        return SkewElement(self.group, parts)
+        return self._sum_by_index([*self._parts.items(), *other._parts.items()])
 
     def __neg__(self):
         return SkewElement(self.group, {i: -p for i, p in self._parts.items()})
@@ -136,23 +139,9 @@ class SkewElement:
         if not self._operand(other):
             return NotImplemented
         group = self.group
-        elements = group.elements
-        parts: dict = {}
-        for ia, pa in self._parts.items():
-            ga = elements[ia]
-            for ib, pb in other._parts.items():
-                moved = act_on_poly(ga, pb)
-                prod = pa * moved
-                if prod.is_zero:
-                    continue
-                target = group.mul(ia, ib)
-                acc = parts.get(target)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero:
-                    parts.pop(target, None)
-                else:
-                    parts[target] = acc
-        return SkewElement(self.group, parts)
+        return self._sum_by_index(
+            (group.mul(ia, ib), pa * act_on_poly(group.elements[ia], pb))
+            for ia, pa in self._parts.items() for ib, pb in other._parts.items())
 
     def __eq__(self, other):
         if not isinstance(other, SkewElement):
@@ -200,10 +189,8 @@ def project_fixed(group: FiniteMatrixGroup, fixed: Polynomial,
     and the result is mapped back to ``x`` once.
     """
     coords = group.class_coordinates(class_index)
-    total = fixed
-    if not fixed.is_zero:
-        for action in coords.actions:
-            total = total + action(fixed)
+    images = [action(fixed) for action in coords.actions] if not fixed.is_zero else []
+    total = Polynomial.sum(fixed.nvars, [fixed, *images])
     return coords.back(total * Fraction(1, len(coords.actions) + 1))
 
 
@@ -226,11 +213,9 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     """
     group = a.group
     group.class_coordinates(class_index)  # raises for an index outside the classes
-    moved = Polynomial.zero(group.dim)
-    for h, k in group.classes[class_index].conjugators:
-        part = a._parts.get(h)
-        if part is not None:
-            moved = moved + group.elements[k].action(part)
+    moved = Polynomial.sum(group.dim, (group.elements[k].action(a._parts[h])
+                                       for h, k in group.classes[class_index].conjugators
+                                       if h in a._parts))
     return project_term(group, moved, class_index)
 
 

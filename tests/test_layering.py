@@ -353,3 +353,55 @@ def test_only_linalg_reads_the_row_space_storage():
         if path.name.endswith(".py") and path.name != "linalg.py"
     }
     assert row_space_storage_readers(sources) == []
+
+
+def _extends(node, name: str) -> bool:
+    """Whether ``node`` is ``name + ...`` or ``name - ...``, alone or as a
+    branch of a conditional expression."""
+    if isinstance(node, ast.IfExp):
+        return _extends(node.body, name) or _extends(node.orelse, name)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.left, ast.Name) and node.left.id == name)
+
+
+def running_sums(sources: dict) -> list:
+    """``module:line`` for each assignment ``name = name + ...`` or
+    ``name = name - ...`` (or a conditional expression with such a branch)
+    inside a ``for`` or ``while`` loop of ``sources`` (module name -> source
+    text).  A polynomial sum is one call of ``Polynomial.sum``; a running sum
+    copies the whole accumulator on every ``+``."""
+    found = set()
+    for module, source in sources.items():
+        for loop in ast.walk(ast.parse(source)):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and _extends(node.value, node.targets[0].id)):
+                    found.add((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_running_sum_scan_sees_loops():
+    source = (
+        "total = total + 1\n"
+        "for p in ps:\n"
+        "    total = total + p\n"
+        "    count += 1\n"
+        "    other = total + p\n"
+        "    while p:\n"
+        "        acc = acc - p if p else acc\n"
+        "        acc = p if acc is None else acc + p\n"
+        "        acc = p - acc\n"
+    )
+    assert running_sums({"a": source}) == ["a:3", "a:7", "a:8"]
+
+
+def test_no_running_sums():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py")
+    }
+    assert running_sums(sources) == []

@@ -129,6 +129,14 @@ class TestErrors:
     def test_zero_power_needs_no_work(self):
         assert parse_poly("(x1-x1)^64", nvars=4).is_zero
 
+    @pytest.mark.parametrize("text, position", [("x1^\u00b2", 4), ("\u0663*x1", 1)])
+    def test_non_ascii_digit_is_an_unknown_symbol(self, text, position):
+        # superscript two and Arabic-Indic three are digits to str.isdigit(),
+        # not INT tokens of the grammar
+        with pytest.raises(PolyParseError, match="unknown symbol") as err:
+            parse_poly(text, nvars=4)
+        assert err.value.position == position
+
     def test_number_after_name_rejected(self):
         with pytest.raises(PolyParseError):
             parse_poly("x1 2", nvars=4)

@@ -100,6 +100,60 @@ class TestRingOps:
         assert a != P("x1^2 + x2")
 
 
+def reference_sum(polys) -> dict:
+    """The term dicts of ``polys`` added here and zeros dropped; ``+`` goes
+    through Polynomial.sum, so it cannot be the reference."""
+    acc: dict = {}
+    for p in polys:
+        for exps, c in p.items():
+            acc[exps] = acc.get(exps, Fraction(0)) + c
+    return {exps: c for exps, c in acc.items() if c}
+
+
+class TestSum:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_empty_sum_is_the_zero_polynomial(self, n):
+        total = Polynomial.sum(n, [])
+        assert total.is_zero
+        assert total.nvars == n
+        assert total == Polynomial.zero(n)
+
+    def test_full_cancellation_stores_no_zero(self):
+        p = P("x1^2 - 1/2*x2*x3 + 7")
+        for polys in ([p, -p], [P("x1"), P("x2"), P("-x1 - x2")]):
+            total = Polynomial.sum(4, polys)
+            assert total.is_zero
+            assert len(total) == 0 and list(total.items()) == []
+
+    def test_partial_cancellation_keeps_the_rest(self):
+        # x2 cancels after two terms and comes back with the third
+        total = Polynomial.sum(4, [P("x1 + x2"), P("x3 - x2"), P("2*x2 - x1")])
+        assert dict(total.items()) == {(0, 1, 0, 0): 2, (0, 0, 1, 0): 1}
+        assert total == P("2*x2 + x3")
+
+    def test_mismatched_nvars_names_both_counts(self):
+        with pytest.raises(ValueError, match="variable-count mismatch: 4 vs 3"):
+            Polynomial.sum(4, [P("x1"), P("x1", nvars=3)])
+        with pytest.raises(ValueError, match="variable-count mismatch: 2 vs 4"):
+            Polynomial.sum(2, iter([P("x1")]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_reference(self, seed):
+        rng = random.Random(f"sum:{seed}")
+        n = rng.randint(1, 4)
+        polys = [random_poly(rng, n, terms=rng.randint(0, 5), degree=2)
+                 for _ in range(rng.randint(0, 6))]
+        # negated copies make whole and partial cancellations common
+        polys += [-p for p in rng.sample(polys, len(polys) // 2)]
+        rng.shuffle(polys)
+        total = Polynomial.sum(n, iter(polys))
+        expected = reference_sum(polys)
+        assert total.nvars == n
+        assert dict(total.items()) == expected
+        assert all(type(c) is Fraction and c for _, c in total.items())
+        assert total.is_zero == (not expected)
+
+
 class TestRingValue:
     """Polynomials add, subtract and compare with polynomials only; scalars
     multiply."""
