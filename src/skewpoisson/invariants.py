@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial, grlex_key, monomials_of_degree
 
 __all__ = [
     "reynolds",
@@ -151,15 +151,16 @@ def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
     constraints = linalg.RowSpace()
     for g in dict.fromkeys(group.generator_indices):
         element = group.elements[g]
-        rows = {}  # monomial m' -> {column of m: coefficient of m' in g.m - m}
+        rows = {}  # key of m' -> {column of m: coefficient of m' in g.m - m}
         for (exps, col), mono in zip(axis.items(), monomials):
-            image = act_on_poly(element, mono)
+            image = act_on_poly(element, mono).to_vector()
+            key = grlex_key(exps)
             for out, coeff in image.items():
-                if out != exps:
+                if out != key:
                     rows.setdefault(out, {})[col] = coeff
-            kept = image.coefficient(exps)
+            kept = image.get(key, 0)
             if kept != 1:
-                rows.setdefault(exps, {})[col] = kept - 1 if kept else -1
+                rows.setdefault(key, {})[col] = kept - 1 if kept else -1
         for row in rows.values():
             constraints.add(row)
     return constraints

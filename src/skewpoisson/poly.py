@@ -1,13 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in ``nvars`` variables is a finite map from exponent tuples to
-nonzero ``Fraction`` coefficients.  Instances are immutable values: all
-operations return new polynomials, equality is structural, and the term map
-is always canonical (no zero coefficients, every exponent tuple has length
-``nvars``).  Coefficients live in the rationals; nothing in this module ever
-rounds.  :meth:`Polynomial.sum` is the one summation: ``+`` and every sum
-of many polynomials (an average over a group, a bracket's terms, a parsed
-expression) add all their terms into one term map.
+nonzero ``int`` numerators over one positive ``int`` denominator.  Instances
+are immutable values: all operations return new polynomials, equality is
+structural, and the storage is always canonical (no zero numerator, every
+exponent tuple of length ``nvars``, no factor common to the denominator and
+all numerators, denominator 1 for zero).  Arithmetic runs on integers;
+:meth:`Polynomial.items` and :meth:`Polynomial.coefficient` give
+``Fraction`` values.  Nothing in this module ever rounds, and a ``float``
+coefficient is refused.  :meth:`Polynomial.sum` is the one summation: ``+``
+and every sum of many polynomials (an average over a group, a bracket's
+terms, a parsed expression) add all their terms into one term map.
 
 Terms are stored in no particular order.  Where one is needed, for printing
 and for pivoting in linear solves, it is graded-lexicographic (total degree
@@ -25,6 +28,8 @@ expands a monomial twice.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from . import linalg
@@ -32,6 +37,18 @@ from . import linalg
 Exponents = tuple  # tuple[int, ...], one entry per variable
 Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)  # the coefficient of every absent monomial
+
+
+def _ratio(value) -> tuple:
+    """``(numerator, denominator)`` of an exact scalar in lowest terms.  A
+    ``float`` has rounded already, so it is refused."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float, which has rounded already; give an "
+                         "int, a Fraction or a string such as '1/10'")
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def variable_name(index: int) -> str:
@@ -60,27 +77,17 @@ class Polynomial:
     it adds to and equals polynomials only, a scalar only multiplies it, and
     :attr:`is_zero` is the zero test."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_den", "_hash")
 
     def __init__(self, nvars: int, terms: Optional[Mapping[Exponents, Scalar]] = None):
         if nvars < 1:
             raise ValueError("nvars must be a positive integer")
-        clean: dict = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent tuple {exps} does not match nvars={nvars}"
-                    )
-                if any(not isinstance(e, int) or e < 0 for e in exps):
-                    raise ValueError(f"exponents must be non-negative integers: {exps}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        p = Polynomial.sum(nvars, [Polynomial.monomial(nvars, exps, coeff)
+                                   for exps, coeff in (terms or {}).items()])
+        _set_nvars(self, nvars)
+        _set_terms(self, p._terms)
+        _set_den(self, p._den)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial instances are immutable")
@@ -88,17 +95,42 @@ class Polynomial:
     # ------------------------------------------------------------------
     # constructors
 
+    @staticmethod
+    def _wrap(nvars: int, terms: dict, den: int = 1) -> "Polynomial":
+        """``terms / den``, from numerators that are nonzero and keyed by
+        ``nvars`` exponents; the factor they share with ``den`` is divided
+        out."""
+        if den != 1:
+            # a loop, not gcd(den, *values): it stops at the first 1 and
+            # builds no tuple of every numerator
+            g = den
+            for c in terms.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        p = _new(Polynomial)
+        _set_nvars(p, nvars)
+        _set_terms(p, terms)
+        _set_den(p, den)
+        _set_hash(p, None)
+        return p
+
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        if nvars < 1:
+            raise ValueError("nvars must be a positive integer")
+        return cls._wrap(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls.monomial(nvars, (0,) * nvars)
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -107,11 +139,20 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._wrap(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        if nvars < 1:
+            raise ValueError("nvars must be a positive integer")
+        exps = tuple(exps)
+        if len(exps) != nvars:
+            raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
+        for e in exps:
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponents must be non-negative integers: {exps}")
+        num, den = _ratio(coeff)
+        return cls._wrap(nvars, {exps: num} if num else {}, den)
 
     @classmethod
     def from_vector(cls, nvars: int, vec: Mapping) -> "Polynomial":
@@ -123,13 +164,18 @@ class Polynomial:
     # inspection
 
     def items(self) -> Iterator:
-        """Iterate the ``(exponents, coefficient)`` pairs in storage order,
-        which is no particular order; :func:`format_poly` sorts."""
-        return iter(self._terms.items())
+        """Iterate the ``(exponents, Fraction coefficient)`` pairs in
+        storage order, which is no particular order; :func:`format_poly`
+        sorts."""
+        den = self._den
+        if den == 1:
+            return ((e, Fraction(c)) for e, c in self._terms.items())
+        return ((e, Fraction(c, den)) for e, c in self._terms.items())
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         """The coefficient of the monomial ``exps``; 0 when it is absent."""
-        return self._terms.get(tuple(exps), _ZERO)
+        c = self._terms.get(tuple(exps))
+        return _ZERO if c is None else Fraction(c, self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -149,8 +195,12 @@ class Polynomial:
         return len(degrees) <= 1
 
     def to_vector(self) -> dict:
-        """Sparse coefficient vector keyed by grlex key, for linear algebra."""
-        return {grlex_key(e): c for e, c in self._terms.items()}
+        """Sparse coefficient vector keyed by grlex key, for linear algebra;
+        ``int`` values when the denominator is 1, else ``Fraction``."""
+        den = self._den
+        if den == 1:
+            return {grlex_key(e): c for e, c in self._terms.items()}
+        return {grlex_key(e): Fraction(c, den) for e, c in self._terms.items()}
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -166,31 +216,40 @@ class Polynomial:
         """The sum of ``polys``, each in ``nvars`` variables; the zero
         polynomial when there are none.
 
-        Every term is added into one term map: a new monomial stores its
-        coefficient as it is, a repeated one adds, and a sum that cancels
-        to zero is deleted.  Storing a new coefficient as it is, with no
-        addition to zero, is a measured choice: adding
+        Every numerator, brought to the lcm of the denominators so far, is
+        added into one term map: a new monomial stores its numerator as it
+        is, a repeated one adds, and a sum that cancels to zero is deleted.
+        Storing a new term as it is, with no addition to zero, was measured
+        on the ``Fraction`` kernel before this one: adding
         ``terms.get(k, 0) + c`` for every term and dropping the zeros in a
-        second pass was about 6% slower on the
-        ``counterexample-ladder`` benchmark with ``+`` and ``*`` folded into
-        that form and the identity added to the class actions (in-process
-        medians 14.84 vs 13.93 ms, 5 alternating runs), and 1-3% slower on
-        ``swap-class-solve`` in 3 of 4 alternating runs with ``+`` and ``*``
-        left as they were, with or without the identity in the class
-        actions (Python 3.11.7, shared 2-core machine).
+        second pass was about 6% slower on ``counterexample-ladder``
+        (in-process medians 14.84 vs 13.93 ms, 5 alternating runs) and 1-3%
+        slower on ``swap-class-solve`` in 3 of 4 alternating runs (Python
+        3.11.7, shared 2-core machine).
         """
         terms: dict = {}
+        den = 1
         for p in polys:
             if p.nvars != nvars:
                 raise ValueError(f"variable-count mismatch: {nvars} vs {p.nvars}")
-            for exps, coeff in p._terms.items():
+            items = p._terms.items()
+            if p._den != den:
+                if den % p._den:
+                    common = lcm(den, p._den)
+                    up = common // den
+                    terms = {e: c * up for e, c in terms.items()}
+                    den = common
+                if den != p._den:
+                    scale = den // p._den
+                    items = [(e, c * scale) for e, c in items]
+            for exps, num in items:
                 if exps not in terms:
-                    terms[exps] = coeff
-                elif (acc := terms[exps] + coeff):
+                    terms[exps] = num
+                elif (acc := terms[exps] + num):
                     terms[exps] = acc
                 else:
                     del terms[exps]
-        return Polynomial._wrap(nvars, terms)
+        return Polynomial._wrap(nvars, terms, den)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -198,7 +257,7 @@ class Polynomial:
         return Polynomial.sum(self.nvars, (self, other))
 
     def __neg__(self):
-        return Polynomial._wrap(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._wrap(self.nvars, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -207,23 +266,24 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            num, den = other.numerator, other.denominator
+            if not num:
                 return Polynomial.zero(self.nvars)
-            return Polynomial._wrap(self.nvars, {e: c * v for e, v in self._terms.items()})
+            return Polynomial._wrap(self.nvars, {e: v * num for e, v in self._terms.items()},
+                                      self._den * den)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         terms: dict = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exps, _ZERO) + ca * cb
+                exps = tuple(map(add, ea, eb))
+                acc = terms.get(exps, 0) + ca * cb
                 if acc:
                     terms[exps] = acc
                 else:
                     terms.pop(exps, None)
-        return Polynomial._wrap(self.nvars, terms)
+        return Polynomial._wrap(self.nvars, terms, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -238,32 +298,32 @@ class Polynomial:
             result = result * self
         return result
 
-    @staticmethod
-    def _wrap(nvars: int, terms: dict) -> "Polynomial":
-        # internal fast path: terms already canonical (no zeros, right arity)
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
-        return p
-
     # ------------------------------------------------------------------
     # comparison
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.nvars, self._den, frozenset(self._terms.items())))
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r}, nvars={self.nvars})"
+
+
+# the slots are written through their descriptors, past the immutability guard
+_new = object.__new__
+_set_nvars = Polynomial.nvars.__set__
+_set_terms = Polynomial._terms.__set__
+_set_den = Polynomial._den.__set__
+_set_hash = Polynomial._hash.__set__
 
 
 def format_poly(p: Polynomial) -> str:
@@ -303,7 +363,7 @@ def partial_derivative(p: Polynomial, index: int) -> Polynomial:
     # lowering one exponent is injective, so no two terms meet
     return Polynomial._wrap(p.nvars, {
         exps[:index] + (exps[index] - 1,) + exps[index + 1:]: coeff * exps[index]
-        for exps, coeff in p._terms.items() if exps[index]})
+        for exps, coeff in p._terms.items() if exps[index]}, p._den)
 
 
 class LinearSubstitution:
@@ -313,46 +373,45 @@ class LinearSubstitution:
     variable y_k of the output; it need not be square, so a map between
     polynomial rings of different sizes (into and out of a class's
     fixed-space coordinates) compiles the same way as a change of variables.
-    A monomial matrix (at most one nonzero per row, as for signed
-    permutations and diagonal actions) keeps one ``(target, coefficient)``
-    pair per variable.  Any other matrix keeps its linear forms and
-    memoizes the image of every monomial it has met: the image of ``m`` is
-    the image of ``m / x_j`` times form ``j``, with ``x_j`` the last
-    variable in ``m``.  The memo lives as long as the object, so a map kept
-    for repeated use trades memory for never expanding a monomial twice.
-    Calling the object composes a polynomial with the change of variables.
+    ``M`` is kept as an integer matrix ``A`` over one denominator ``D``, so a
+    monomial of degree ``d`` has an integer image over ``D**d``.  A monomial
+    matrix (at most one nonzero per row, as for signed permutations and
+    diagonal actions) keeps one ``(target, numerator)`` pair per variable.
+    Any other matrix keeps its integer forms and memoizes the image of every
+    monomial it has met: the image of ``m`` is the image of ``m / x_j``
+    times form ``j``, with ``x_j`` the last variable in ``m``.  The memo
+    lives as long as the object, so a map kept for repeated use trades
+    memory for never expanding a monomial twice.  Calling the object
+    composes a polynomial with the change of variables.
 
     The monomial path gives the same polynomials as the general one; it
     stays for speed.  With every substitution forced onto the general path,
     the order-48 group invariants benchmark (``b3-group-invariants``) took
-    11.5-20.1 ms per operation against 8.0-9.7 ms (six alternating pairs of
-    8-second runs, Python 3.11.7, shared 2-core machine).
+    5.8-7.5 ms per operation (median 6.2) against 4.7-5.3 ms (median 5.0),
+    slower in all of ten alternating pairs of 8-second runs (Python 3.11.7,
+    shared 2-core machine).
     """
 
-    __slots__ = ("nvars", "target_nvars", "_simple", "_forms", "_images")
+    __slots__ = ("nvars", "target_nvars", "_den", "_simple", "_forms", "_images")
 
     def __init__(self, matrix):
         n = len(matrix)
         width = len(matrix[0]) if n else 0
         if width == 0 or any(len(row) != width for row in matrix):
             raise ValueError(f"substitution matrix must be a nonempty {n}x{width} matrix")
-        rows = [[(k, Fraction(c)) for k, c in enumerate(row) if c] for row in matrix]
+        rows = [[(k, r) for k, r in enumerate(map(_ratio, row)) if r[0]] for row in matrix]
+        den = lcm(*{d for row in rows for _, (_, d) in row})
+        rows = [[(k, num * (den // d)) for k, (num, d) in row] for row in rows]
         self.nvars = n
         self.target_nvars = width
+        self._den = den
         if all(len(row) <= 1 for row in rows):
-            # a coefficient of 1 or -1 is kept as an int, so the call tells it
-            # apart cheaply and applies -1 by the parity of the exponent
-            self._simple = []
-            for row in rows:
-                if row:
-                    k, c = row[0]
-                    row = (k, int(c) if abs(c) == 1 else c)
-                self._simple.append(row or None)
+            self._simple = [row[0] if row else None for row in rows]
             self._forms = self._images = None
         else:
             self._simple = None
             self._forms = rows
-            self._images = {(0,) * n: {(0,) * width: Fraction(1)}}
+            self._images = {(0,) * n: {(0,) * width: 1}}
 
     def __call__(self, p: Polynomial) -> Polynomial:
         if p.nvars != self.nvars:
@@ -361,6 +420,10 @@ class LinearSubstitution:
                              f"has), not {self.nvars}")
         width = self.target_nvars
         terms: dict = {}
+        # a term of degree d maps to an image over D**d; with D != 1 every
+        # image is lifted to the common denominator D**top
+        den = self._den
+        top = max(p.total_degree(), 0) if den != 1 else 0
         if self._simple is not None:
             simple = self._simple
             for exps, coeff in p._terms.items():
@@ -378,8 +441,10 @@ class LinearSubstitution:
                         if e & 1:
                             scale = -scale
                     elif c != 1:
-                        scale = scale * c**e
+                        scale *= c**e
                 else:
+                    if den != 1:
+                        scale *= den ** (top - sum(exps))
                     key = tuple(out)
                     if key not in terms:  # keys repeat only if the map is not invertible
                         terms[key] = scale
@@ -387,18 +452,21 @@ class LinearSubstitution:
                         terms[key] = acc
                     else:
                         del terms[key]
-            return Polynomial._wrap(width, terms)
-        for exps, coeff in p._terms.items():
-            for key, c in self._image(exps).items():
-                acc = terms.get(key, 0) + coeff * c
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        return Polynomial._wrap(width, terms)
+        else:
+            for exps, coeff in p._terms.items():
+                if den != 1:
+                    coeff *= den ** (top - sum(exps))
+                for key, c in self._image(exps).items():
+                    acc = terms.get(key, 0) + coeff * c
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        terms.pop(key, None)
+        return Polynomial._wrap(width, terms, p._den * den**top)
 
     def _image(self, exps: Exponents) -> dict:
-        """Terms of the image of the monomial ``exps``, memoized."""
+        """Integer terms of the image of the monomial ``exps`` under the
+        forms ``A`` (``D**deg`` times its image under ``M``), memoized."""
         images = self._images
         image = images.get(exps)
         if image is not None:

@@ -300,9 +300,10 @@ def test_only_groups_reads_the_product_storage():
     assert product_storage_readers(sources) == ["selftest._corrupt_mul_table"]
 
 
-# Polynomial's term map and its unchecked constructor; every other module
-# goes through items(), coefficient() and the arithmetic
-POLYNOMIAL_INTERNALS = {"_terms", "_wrap"}
+# Polynomial's integer numerators, their common denominator and its
+# unchecked constructor; every other module goes through items(),
+# coefficient(), to_vector() and the arithmetic
+POLYNOMIAL_INTERNALS = {"_terms", "_den", "_wrap"}
 
 
 def polynomial_internals_readers(sources: dict) -> list:
@@ -314,8 +315,11 @@ def test_polynomial_internals_scan_sees_readers():
         "a": ("def f(p):\n    return p._terms.items()\n\n"
               "def ok(p):\n    return p.items(), p.coefficient((0,))\n"),
         "b": "Z = zero._wrap({})\n\nclass C:\n    def m(self, p):\n        return p._terms\n",
+        "c": ("def scaled(p):\n    return {e: n * 2 for e, n in p._terms.items()}\n\n"
+              "def common(p):\n    return p.nvars, p._den\n"),
     }
-    assert polynomial_internals_readers(sources) == ["a.f", "b.<module>", "b.C"]
+    assert polynomial_internals_readers(sources) == [
+        "a.f", "b.<module>", "b.C", "c.common", "c.scaled"]
 
 
 def test_only_poly_reads_the_polynomial_internals():

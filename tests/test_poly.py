@@ -19,7 +19,7 @@ from skewpoisson import (
     substitute_linear,
 )
 from skewpoisson.linalg import identity_matrix, mat_mul, matrix_from_rows
-from skewpoisson.poly import variable_name
+from skewpoisson.poly import grlex_key, variable_name
 
 
 def P(text: str, nvars: int = 4) -> Polynomial:
@@ -68,6 +68,21 @@ class TestRingOps:
     def test_exponents_must_be_non_negative_integers(self, bad):
         with pytest.raises(ValueError, match="non-negative integers"):
             Polynomial(2, {(1, bad): Fraction(1)})
+
+    def test_float_coefficients_are_refused(self):
+        # 0.1 is 3602879701896397/2**55 as a float; storing that would round
+        with pytest.raises(ValueError, match="0.1 is a float"):
+            Polynomial(2, {(1, 0): 0.1})
+        with pytest.raises(ValueError, match="0.5 is a float"):
+            Polynomial(2, {(1, 0): 0.5})
+
+    def test_float_constant_is_refused(self):
+        with pytest.raises(ValueError, match="0.1 is a float"):
+            Polynomial.constant(4, 0.1)
+
+    def test_float_monomial_coefficient_is_refused(self):
+        with pytest.raises(ValueError, match="0.1 is a float"):
+            Polynomial.monomial(2, (1, 1), 0.1)
 
     def test_canonical_form_drops_zeros(self):
         p = Polynomial(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
@@ -263,6 +278,11 @@ class TestSubstitution:
         with pytest.raises(ValueError, match="2x2"):
             LinearSubstitution([[1, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize("entry", [0.1, 0.0])
+    def test_float_matrix_entry_is_refused(self, entry):
+        with pytest.raises(ValueError, match=f"{entry} is a float"):
+            LinearSubstitution([[1, 0], [entry, 1]])
+
 
 def reference_substitution(p: Polynomial, matrix) -> Polynomial:
     """x_j -> sum_k M[j][k] x_k, term by term, as products of powers of the
@@ -372,6 +392,142 @@ class TestLinearSubstitution:
         image = sub(p)
         assert image == P("1/2*x1^2 + x1", nvars=2) == reference_substitution(p, matrix)
         assert all(type(c) is Fraction for _, c in image.items())
+
+
+def reference_product(a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            acc[key] = acc.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in acc.items() if c}
+
+
+def reference_linear(terms: dict, matrix, width: int) -> dict:
+    """x_j -> sum_k M[j][k] y_k on a {exponents: Fraction} map, expanded
+    one variable at a time."""
+    total: dict = {}
+    for exps, coeff in terms.items():
+        image = {(0,) * width: Fraction(coeff)}
+        for j, e in enumerate(exps):
+            form = {tuple(int(i == k) for i in range(width)): Fraction(c)
+                    for k, c in enumerate(matrix[j]) if c}
+            for _ in range(e):
+                image = reference_product(image, form)
+        for key, c in image.items():
+            total[key] = total.get(key, Fraction(0)) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def random_terms(rng: random.Random, n: int, terms: int, degree: int) -> dict:
+    """A {exponents: Fraction} map whose denominators share factors, so
+    numerators and denominators often have a common factor to divide out."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+    return {e: c for e, c in out.items() if c}
+
+
+def spelled(terms: dict, n: int) -> str:
+    """``terms`` as text for parse_poly, written here and not by format_poly."""
+    pieces = []
+    for exps, c in terms.items():
+        factors = [f"{abs(c)}"] + [f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    return " ".join(pieces) or "0"
+
+
+class TestIntegerKernel:
+    """Every route to a value gives one canonical polynomial, equal and with
+    the same hash, whose coefficients read back as the Fractions of a
+    reference computed on {exponents: Fraction} maps."""
+
+    @staticmethod
+    def assert_value(p: Polynomial, terms: dict):
+        expected = Polynomial(p.nvars, terms)
+        assert p == expected and hash(p) == hash(expected)
+        assert dict(p.items()) == terms
+        assert all(type(c) is Fraction for _, c in p.items())
+        assert all(type(p.coefficient(e)) is Fraction for e in terms)
+        assert p.to_vector() == {grlex_key(e): p.coefficient(e) for e in terms}
+        assert p.is_zero == (not terms)
+
+    def test_common_factors_are_divided_out(self):
+        half_x1 = Polynomial.monomial(2, (1, 0), Fraction(1, 2))
+        x1 = Polynomial.variable(2, 0)
+        self.assert_value(half_x1 * 2, {(1, 0): Fraction(1)})
+        assert half_x1 * 2 == 2 * half_x1 == x1 and hash(half_x1 * 2) == hash(x1)
+        third, two_thirds = (Polynomial.monomial(2, (1, 0), Fraction(k, 3)) for k in (1, 2))
+        assert third + two_thirds == x1 and hash(third + two_thirds) == hash(x1)
+        half_square = parse_poly("1/2*x1^2", nvars=2)
+        assert partial_derivative(half_square, 0) == x1
+        assert hash(partial_derivative(half_square, 0)) == hash(x1)
+        assert Polynomial.monomial(2, (1, 0), Fraction(2, 4)) * Polynomial.constant(2, 4) == 2 * x1
+
+    def test_mixed_denominators_cancel_to_zero(self):
+        parts = [Polynomial.monomial(3, (1, 0, 2), Fraction(1, 2)),
+                 Polynomial.monomial(3, (1, 0, 2), Fraction(1, 3)),
+                 Polynomial.monomial(3, (1, 0, 2), Fraction(-5, 6))]
+        total = Polynomial.sum(3, parts)
+        assert total == Polynomial.zero(3) and hash(total) == hash(Polynomial.zero(3))
+        self.assert_value(total, {})
+        # a cancelled sixth leaves halves behind
+        rest = Polynomial.sum(3, [*parts, Polynomial.constant(3, Fraction(1, 2))])
+        self.assert_value(rest, {(0, 0, 0): Fraction(1, 2)})
+
+    def test_integral_vectors_hold_ints(self):
+        vec = parse_poly("2*x1 - 3*x2", nvars=2).to_vector()
+        assert vec == {(1, (1, 0)): 2, (1, (0, 1)): -3}
+        assert all(type(v) is int for v in vec.values())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_route_matches_the_reference(self, seed):
+        rng = random.Random(f"kernel:{seed}")
+        n = rng.randint(1, 4)
+        a = random_terms(rng, n, terms=rng.randint(0, 5), degree=3)
+        b = random_terms(rng, n, terms=rng.randint(0, 4), degree=2)
+        p = Polynomial(n, a)
+        self.assert_value(p, a)
+        # the same value built four more ways
+        self.assert_value(parse_poly(spelled(a, n), nvars=n), a)
+        self.assert_value(Polynomial.sum(n, [Polynomial.monomial(n, e, c) for e, c in a.items()]), a)
+        self.assert_value(Polynomial.sum(n, [Polynomial.constant(n, c) * _power_product(n, e)
+                                             for e, c in a.items()]), a)
+        self.assert_value(Polynomial.from_vector(n, p.to_vector()), a)
+
+        q = Polynomial(n, b)
+        self.assert_value(p * q, reference_product(a, b))
+        sums = {}
+        for terms in (a, b):
+            for e, c in terms.items():
+                sums[e] = sums.get(e, Fraction(0)) + c
+        self.assert_value(p + q, {e: c for e, c in sums.items() if c})
+        self.assert_value(p - p, {})
+        scalar = Fraction(rng.choice((-6, -2, 3, 4)), rng.choice((1, 2, 3, 4)))
+        self.assert_value(p * scalar, {e: c * scalar for e, c in a.items()})
+        self.assert_value(scalar * p, {e: c * scalar for e, c in a.items()})
+        self.assert_value(-p, {e: -c for e, c in a.items()})
+        index = rng.randrange(n)
+        self.assert_value(partial_derivative(p, index), {
+            e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+            for e, c in a.items() if e[index]})
+        for kind in ("signed", "monomial", "halves", "general"):
+            matrix = random_matrix(rng, kind, n)
+            self.assert_value(LinearSubstitution(matrix)(p), reference_linear(a, matrix, n))
+        wide = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 4))) for _ in range(n + 1)]
+                for _ in range(n)]
+        self.assert_value(LinearSubstitution(wide)(p), reference_linear(a, wide, n + 1))
+
+
+def _power_product(n: int, exps) -> Polynomial:
+    """The monomial ``exps`` as a product of powers of variables."""
+    result = Polynomial.one(n)
+    for i, e in enumerate(exps):
+        result = result * Polynomial.variable(n, i) ** e
+    return result
 
 
 class TestSymplecticForm:
