@@ -370,6 +370,31 @@ class TestSelftestCommand:
         assert "seed 12345" in out
 
 
+# the command lines that argparse answers on its own, without a report
+ARGPARSE_SURFACE = [
+    ["--help"], ["--version"],
+    *([name, "--help"] for name in ("group", "invariants", "bracket", "project",
+                                    "obstruction", "selftest")),
+    ["obstruction", "--degree", "x"],
+]
+
+
+def test_help_version_and_usage_errors_match_golden_file(capsys, monkeypatch):
+    """Help, version and usage-error output at 80 columns stays byte for
+    byte what tests/data/argparse_surface.txt records, with argparse's exit
+    codes (argparse's layout can differ between Python versions; the file
+    was recorded under Python 3.11)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for argv in ARGPARSE_SURFACE:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        captured = capsys.readouterr()
+        blocks.append(f"$ skewpoisson {' '.join(argv)}\nexit {exited.value.code}\n"
+                      f"--- stdout\n{captured.out}--- stderr\n{captured.err}")
+    assert "\n".join(blocks) == (GOLDEN / "argparse_surface.txt").read_text(encoding="utf-8")
+
+
 def _golden_config(name):
     return ["--config", str(GOLDEN / name)]
 
