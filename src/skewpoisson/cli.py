@@ -25,6 +25,7 @@ bound, 2 for configuration problems, 3 for internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import comb
 from typing import Optional, Sequence
@@ -49,12 +50,6 @@ EXIT_INTERNAL = 3
 # multiplier monomial of degree 0..D: C(D + n, n) of them in n variables;
 # 5000 admits degree 16 in 4 variables
 MAX_DEGREE_MONOMIALS = 5000
-
-
-def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        return ScenarioConfig.from_file(args.config)
-    return ScenarioConfig.bundled()
 
 
 def _check_degree_budget(degree: int, nvars: int, source: str = "--degree") -> None:
@@ -408,7 +403,10 @@ def cmd_selftest(seed: int, corrupt: Optional[str] = None,
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process, at first use; each
+    subcommand's parser carries the function that builds its report as ``run``."""
     parser = argparse.ArgumentParser(
         prog="skewpoisson",
         description="Exact computations in skew group algebras of finite "
@@ -418,35 +416,55 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"skewpoisson {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def scenario_command(name, help, run):
+        """A subcommand whose report ``run(config, args)`` builds from a scenario."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", metavar="PATH",
                         help="scenario config JSON (default: bundled counterexample)")
         sp.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report rendering (default: text)")
+        sp.set_defaults(run=lambda args: run(
+            ScenarioConfig.from_file(args.config) if args.config
+            else ScenarioConfig.bundled(), args))
+        return sp
 
-    sp = sub.add_parser("group", help="group order, classes, centralizers, symplecticity")
-    common(sp)
+    scenario_command("group", "group order, classes, centralizers, symplecticity",
+                     lambda config, args: cmd_group(config))
 
-    sp = sub.add_parser("invariants",
-                        help="generator invariance, Molien comparison, relation residuals")
-    common(sp)
+    def invariants(config, args):
+        _check_degree_budget(args.degree, config.nvars)
+        return cmd_invariants(config, up_to_degree=args.degree)
+
+    sp = scenario_command("invariants",
+                          "generator invariance, Molien comparison, relation residuals",
+                          invariants)
     sp.add_argument("--degree", type=int, default=8, metavar="D",
                     help="verify generator spans up to this degree (default 8)")
 
-    sp = sub.add_parser("bracket", help="Poisson bracket of two polynomials")
-    common(sp)
+    sp = scenario_command("bracket", "Poisson bracket of two polynomials",
+                          lambda config, args: cmd_bracket(config, args.first, args.second))
     sp.add_argument("first", help="polynomial expression or configured name")
     sp.add_argument("second", help="polynomial expression or configured name")
 
-    sp = sub.add_parser("project", help="class projections of a skew element")
-    common(sp)
+    sp = scenario_command("project", "class projections of a skew element",
+                          lambda config, args: cmd_project(config, args.part,
+                                                           args.class_index))
     sp.add_argument("--part", action="append", required=True, metavar="WORD:POLY",
                     help="one group-algebra term, e.g. 'b:2*x1^2' (repeatable)")
     sp.add_argument("--class-index", type=int, default=None, metavar="I",
                     help="project onto one class only (default: all)")
 
-    sp = sub.add_parser("obstruction", help="run the counterexample pipeline")
-    common(sp)
+    def obstruction(config, args):
+        ladder = None
+        if args.degree is not None:
+            _check_degree_budget(args.degree, config.nvars)
+            ladder = range(args.degree + 1)
+        elif config.obstruction is not None:
+            _check_degree_budget(config.obstruction.degree_ladder[-1],
+                                 config.nvars, "obstruction.degree_ladder")
+        return run_counterexample(config, degree_ladder=ladder, psi_names=args.psi)
+
+    sp = scenario_command("obstruction", "run the counterexample pipeline", obstruction)
     sp.add_argument("--degree", type=int, default=None, metavar="D",
                     help="replace the configured ladder with degrees 0..D")
     sp.add_argument("--psi", action="append", default=None, metavar="NAME",
@@ -454,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(repeatable)")
 
     sp = sub.add_parser("selftest", help="run the deterministic property suites")
+    sp.set_defaults(run=lambda args: cmd_selftest(args.seed, corrupt=args.corrupt,
+                                                  only=args.suite))
     sp.add_argument("--format", choices=("text", "machine"), default="text")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help=f"base seed for all suites (default {DEFAULT_SEED})")
@@ -465,49 +485,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(report: Report, fmt: str) -> None:
-    sys.stdout.write(report.to_machine() if fmt == "machine" else report.to_text())
-
-
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
     try:
-        if command == "selftest":
-            report = cmd_selftest(args.seed, corrupt=args.corrupt, only=args.suite)
-        else:
-            config = _load_config(args)
-            if command == "group":
-                report = cmd_group(config)
-            elif command == "invariants":
-                _check_degree_budget(args.degree, config.nvars)
-                report = cmd_invariants(config, up_to_degree=args.degree)
-            elif command == "bracket":
-                report = cmd_bracket(config, args.first, args.second)
-            elif command == "project":
-                report = cmd_project(config, args.part, args.class_index)
-            elif command == "obstruction":
-                ladder = None
-                if args.degree is not None:
-                    _check_degree_budget(args.degree, config.nvars)
-                    ladder = range(args.degree + 1)
-                elif config.obstruction is not None:
-                    _check_degree_budget(config.obstruction.degree_ladder[-1],
-                                         config.nvars, "obstruction.degree_ladder")
-                report = run_counterexample(config, degree_ladder=ladder,
-                                            psi_names=args.psi)
-            else:  # pragma: no cover - argparse enforces the choices
-                raise RuntimeError(f"unhandled command {command!r}")
+        report = args.run(args)
     except (ValueError, RuntimeError) as exc:  # ConfigError and PolyParseError included
-        report = Report(command=command)
+        report = Report(command=args.command)
         report.add("config", STATUS_ERROR, _error_payload(exc))
         report.verdict = f"error: {exc}"
 
-    _write(report, args.format)
+    sys.stdout.write(report.to_machine() if args.format == "machine" else report.to_text())
 
     if report.has_errors():
         return EXIT_INTERNAL if report.error_kind() == "internal" else EXIT_CONFIG
-    if command == "selftest" and any(s.status != STATUS_OK for s in report.stages):
+    if args.command == "selftest" and any(s.status != STATUS_OK for s in report.stages):
         return EXIT_INTERNAL
     if any(s.name.endswith(":certificate")
            and s.payload["verdict"] == Verdict.INFEASIBLE_AT_DEGREE.value

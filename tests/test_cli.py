@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from importlib import resources
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from skewpoisson import ConfigError
-from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, main
+from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, build_parser, main
 from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
 GOLDEN = Path(__file__).parent / "data"
@@ -370,11 +371,12 @@ class TestSelftestCommand:
         assert "seed 12345" in out
 
 
+SUBCOMMANDS = ("group", "invariants", "bracket", "project", "obstruction", "selftest")
+
 # the command lines that argparse answers on its own, without a report
 ARGPARSE_SURFACE = [
     ["--help"], ["--version"],
-    *([name, "--help"] for name in ("group", "invariants", "bracket", "project",
-                                    "obstruction", "selftest")),
+    *([name, "--help"] for name in SUBCOMMANDS),
     ["obstruction", "--degree", "x"],
 ]
 
@@ -393,6 +395,26 @@ def test_help_version_and_usage_errors_match_golden_file(capsys, monkeypatch):
         blocks.append(f"$ skewpoisson {' '.join(argv)}\nexit {exited.value.code}\n"
                       f"--- stdout\n{captured.out}--- stderr\n{captured.err}")
     assert "\n".join(blocks) == (GOLDEN / "argparse_surface.txt").read_text(encoding="utf-8")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    """The first call builds the top parser and one per subcommand; later
+    calls reuse them."""
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert run(capsys, "bracket", "f1", "h1")[0] == 0
+        counts.append(len(built) - before)
+    assert counts == [1 + len(SUBCOMMANDS), 0]
 
 
 def _golden_config(name):
