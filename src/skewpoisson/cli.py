@@ -269,8 +269,17 @@ def run_counterexample(
     Stages: group construction, symplecticity, generator invariance,
     relation residuals, then per ``psi`` the target, the degree ladder of
     linear solves, and the divisor certificate.  Any failure is attributed
-    to its stage; nothing after a failed stage runs.
+    to its stage; nothing after a failed stage runs.  ``psi_names`` that
+    repeat a name, or that come without an obstruction section to supply
+    ``phi`` and ``class_rep``, raise :class:`ConfigError` before any stage.
     """
+    sweep = tuple(psi_names or ())
+    if sweep and config.obstruction is None:
+        raise ConfigError("--psi", "needs the phi and class_rep of the config's "
+                                   "obstruction section, and it has none")
+    for k, name in enumerate(sweep):
+        if name in sweep[:k]:
+            raise ConfigError("--psi", f"{name!r} is given more than once")
     report = Report(command="obstruction")
 
     def fail(stage: str, exc: Exception) -> Report:
@@ -323,7 +332,7 @@ def run_counterexample(
         return report
     spec = config.obstruction
     ladder = tuple(degree_ladder) if degree_ladder is not None else spec.degree_ladder
-    sweep = tuple(psi_names) if psi_names else (spec.psi,)
+    sweep = sweep or (spec.psi,)
 
     try:
         if not ladder:

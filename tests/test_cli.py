@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewpoisson import ConfigError
+from skewpoisson import ConfigError, run_counterexample
 from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, build_parser, main
 from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
@@ -311,6 +311,32 @@ class TestObstructionCommand:
         assert code == 2
         assert "non-identity" in out
 
+
+    def test_repeated_psi_is_a_config_error(self, capsys):
+        code, out = run(capsys, "obstruction", "--degree", "1", "--psi", "h1",
+                        "--psi", "h1", "--format", "machine")
+        assert code == 2
+        doc = json.loads(out)
+        assert [s["name"] for s in doc["stages"]] == ["config"]
+        assert doc["stages"][0]["payload"]["message"] == "--psi: 'h1' is given more than once"
+
+    def test_repeated_psi_is_refused_in_library_calls(self, config):
+        with pytest.raises(ConfigError, match="--psi: 'f1' is given more than once"):
+            run_counterexample(config, degree_ladder=[0], psi_names=["f1", "h1", "f1"])
+
+    def test_psi_without_an_obstruction_section_is_a_config_error(self, capsys, tmp_path):
+        data = json.loads(resources.files("skewpoisson")
+                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        del data["obstruction"]
+        path = tmp_path / "no_instance.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "obstruction", "--config", str(path), "--psi", "h1",
+                        "--degree", "3", "--format", "machine")
+        assert code == 2
+        doc = json.loads(out)
+        assert [s["name"] for s in doc["stages"]] == ["config"]
+        message = doc["stages"][0]["payload"]["message"]
+        assert message.startswith("--psi: ") and "phi" in message and "class_rep" in message
 
     # a change to the bundled config, the stage that fails (None: no stage
     # fails), the exit code and a piece of the verdict or the error message
