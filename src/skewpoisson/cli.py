@@ -11,10 +11,16 @@ Subcommands::
 
 Every report is built here, from the core modules, which know nothing of
 configs or reports; :func:`run_counterexample` builds the ``obstruction``
-report stage by stage.  Every command reads a scenario config
-(``--config PATH``; default is the bundled counterexample) and renders a
-report as plain text or as canonical JSON (``--format machine``), which is
-byte-identical across runs for a fixed config and version.
+report stage by stage.  Every command but ``selftest`` reads a scenario
+config (``--config PATH``; default is the bundled counterexample), and every
+command renders its report as plain text or as canonical JSON (``--format
+machine``), which is byte-identical across runs for a fixed config and
+version.
+
+Dispatch: :func:`build_parser` builds the argument parser once per process,
+at first use, and each subcommand's parser carries the function that turns
+its parsed arguments into a report; :func:`main` parses, runs that function,
+writes the report and maps it to an exit code.
 
 Exit codes: 0 when the command decided what it set out to decide (an
 obstruction verdict of feasible or infeasible-at-all-degrees counts as
