@@ -420,8 +420,9 @@ def cmd_selftest(seed: int, corrupt: Optional[str] = None,
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once per process, at first use; each
-    subcommand's parser carries the function that builds its report as ``run``."""
+    """The command line's parser, built once per process, at first use, and
+    shared by every caller, so nothing may change it; each subcommand's
+    parser carries the function that builds its report as ``run``."""
     parser = argparse.ArgumentParser(
         prog="skewpoisson",
         description="Exact computations in skew group algebras of finite "
