@@ -43,7 +43,7 @@ from .invariants import is_invariant, verify_generators, verify_relations
 from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
 from .poly import Polynomial, SymplecticForm, format_poly, poisson_bracket, variable_name
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
-from .selftest import DEFAULT_SEED, run_selftest, suite_names
+from .selftest import DEFAULT_SEED, run_selftest
 from .skew import SkewElement, trace_vector
 
 EXIT_OK = 0
@@ -276,13 +276,16 @@ def run_counterexample(
     relation residuals, then per ``psi`` the target, the degree ladder of
     linear solves, and the divisor certificate.  Any failure is attributed
     to its stage; nothing after a failed stage runs.  ``psi_names`` that
-    repeat a name, or that come without an obstruction section to supply
-    ``phi`` and ``class_rep``, raise :class:`ConfigError` before any stage.
+    repeat a name, and ``psi_names`` or a ``degree_ladder`` without an
+    obstruction section to apply to, raise :class:`ConfigError` first.
     """
     sweep = tuple(psi_names or ())
     if sweep and config.obstruction is None:
         raise ConfigError("--psi", "needs the phi and class_rep of the config's "
                                    "obstruction section, and it has none")
+    if degree_ladder is not None and config.obstruction is None:
+        raise ConfigError("--degree", "replaces the degree_ladder of the config's "
+                                      "obstruction section, and it has none")
     for k, name in enumerate(sweep):
         if name in sweep[:k]:
             raise ConfigError("--psi", f"{name!r} is given more than once")
@@ -395,11 +398,10 @@ def run_counterexample(
 def cmd_selftest(seed: int, corrupt: Optional[str] = None,
                  only: Optional[list] = None) -> Report:
     report = Report(command="selftest")
-    if only:
-        unknown = sorted(set(only) - set(suite_names()))
-        if unknown:
-            raise ConfigError("--suite", f"unknown suites: {unknown}")
-    results = run_selftest(seed=seed, corrupt=corrupt, only=only)
+    try:
+        results = run_selftest(seed=seed, corrupt=corrupt, only=only)
+    except ValueError as exc:
+        raise ConfigError("--suite", str(exc)) from None
     failures = 0
     for res in results:
         payload = {"cases": res.cases, "failures": res.failures}

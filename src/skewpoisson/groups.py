@@ -5,8 +5,8 @@ immutable afterwards: elements (with stable indices and generator words),
 the Cayley edges, inverses and conjugacy classes.  All structure is
 computed with exact arithmetic, so two runs always agree element for
 element.  An element is its index, ``0`` the identity: every method takes
-and returns indices, and ``elements[i]`` is the record of element ``i``'s
-matrix, word and action.
+and returns indices, and ``elements[i]`` is the read-only record of element
+``i``'s matrix and word.
 
 The search multiplies each element by each generator, |G| * #generators
 matrix products, and keeps the result as the right-multiplication edges of
@@ -23,9 +23,9 @@ over all ``k`` gives a class's members, centralizer and conjugators
 (:class:`ConjugacyClass`).
 
 Actions on polynomials are compiled lazily and kept as long as the group,
-with the monomial memos of their non-monomial maps: each element's
-``action``, the :class:`~skewpoisson.poly.LinearSubstitution` of its inverse
-matrix, and per conjugacy class its :class:`ClassCoordinates`
+with the monomial memos of their non-monomial maps: per element the
+:class:`~skewpoisson.poly.LinearSubstitution` of its inverse's matrix, which
+:func:`act_on_poly` applies, and per class its :class:`ClassCoordinates`
 (:meth:`FiniteMatrixGroup.class_coordinates`).  A class representative
 ``g`` restricts polynomials to its fixed space ``V^g`` by substituting its
 fixed-space projection ``P``, the average of the matrices of the powers of
@@ -66,28 +66,13 @@ class GroupClosureError(ValueError):
     """Raised when the closure of the generators exceeds the element cap."""
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class GroupElement:
-    """The record of one element of a finite group: its matrix and word.  The
-    element itself is named by its index ``i`` in ``group.elements``."""
+    """The read-only record of one element of a finite group: its matrix and
+    word.  The element itself is named by its index ``i`` in ``group.elements``."""
 
-    __slots__ = ("matrix", "word", "_action")
-
-    def __init__(self, matrix, word: str):
-        self.matrix = matrix
-        self.word = word
-        self._action = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def action(self) -> LinearSubstitution:
-        """The left action on polynomials, compiled on first use: composition
-        with the inverse matrix."""
-        if self._action is None:
-            self._action = LinearSubstitution(linalg.inverse(self.matrix))
-        return self._action
+    matrix: tuple
+    word: str
 
     def __repr__(self):
         return f"GroupElement({self.word!r})"
@@ -124,7 +109,7 @@ class FiniteMatrixGroup:
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.generator_names = tuple(generator_names)
-        self.dim = self.elements[0].dim
+        self.dim = len(self.elements[0].matrix)
         self.order = len(self.elements)
         self._right = right
         self._paths = paths
@@ -151,6 +136,7 @@ class FiniteMatrixGroup:
                                           tuple((h, first[h]) for h in members)))
         self.classes = tuple(classes)
         self._coordinates = {}
+        self._actions = {}  # element index -> its LinearSubstitution, see act_on_poly
 
     # ------------------------------------------------------------------
     # element access; an element is its index, 0 the identity
@@ -431,14 +417,19 @@ def is_symplectic(matrix, form: SymplecticForm) -> bool:
     return linalg.mat_mul(linalg.mat_mul(gt, form.matrix), matrix) == form.matrix
 
 
-def act_on_poly(g: GroupElement, p: Polynomial) -> Polynomial:
-    """Left action of a group element on a polynomial.
+def act_on_poly(group: FiniteMatrixGroup, p: Polynomial, g: int) -> Polynomial:
+    """Left action of the group element ``g`` on a polynomial.
 
     Defined as precomposition with the inverse matrix, which makes the map
     ``g -> (p -> g . p)`` a genuine left action: ``(gh) . p == g . (h . p)``.
+    The substitution is compiled on first use for ``g``, from the matrix of
+    the inverse the Cayley edges name, and kept with the group.
     """
-    if p.nvars != g.dim:
-        raise ValueError(
-            f"dimension mismatch: polynomial has {p.nvars} variables, element is {g.dim}x{g.dim}"
-        )
-    return g.action(p)
+    if p.nvars != group.dim:
+        raise ValueError(f"dimension mismatch: polynomial has {p.nvars} variables, "
+                         f"element is {group.dim}x{group.dim}")
+    action = group._actions.get(g)
+    if action is None:
+        inverse = group._inverses[group.element_index(g)]
+        action = group._actions[g] = LinearSubstitution(group.elements[inverse].matrix)
+    return action(p)

@@ -44,7 +44,7 @@ def reynolds(group: FiniteMatrixGroup, p: Polynomial) -> Polynomial:
         raise ValueError(
             f"polynomial has {p.nvars} variables, group acts on {group.dim}"
         )
-    total = Polynomial.sum(group.dim, (act_on_poly(g, p) for g in group.elements))
+    total = Polynomial.sum(group.dim, (act_on_poly(group, p, g) for g in range(group.order)))
     return total * Fraction(1, group.order)
 
 
@@ -59,7 +59,7 @@ def is_invariant(group: FiniteMatrixGroup, p: Polynomial) -> bool:
         raise ValueError(
             f"polynomial has {p.nvars} variables, group acts on {group.dim}"
         )
-    return all(act_on_poly(group.elements[i], p) == p for i in group.generator_indices)
+    return all(act_on_poly(group, p, i) == p for i in group.generator_indices)
 
 
 def molien_coefficients(group: FiniteMatrixGroup, up_to_degree: int) -> list:
@@ -150,10 +150,9 @@ def _slice_constraints(group: FiniteMatrixGroup, axis: dict) -> linalg.RowSpace:
     monomials = [Polynomial.monomial(group.dim, exps) for exps in axis]
     constraints = linalg.RowSpace()
     for g in dict.fromkeys(group.generator_indices):
-        element = group.elements[g]
         rows = {}  # key of m' -> {column of m: coefficient of m' in g.m - m}
         for (exps, col), mono in zip(axis.items(), monomials):
-            image = act_on_poly(element, mono).to_vector()
+            image = act_on_poly(group, mono, g).to_vector()
             key = grlex_key(exps)
             for out, coeff in image.items():
                 if out != key:

@@ -344,7 +344,7 @@ def collapse_to_sigma(d_of_g: SkewElement, g: int) -> Polynomial:
         raise ValueError("the identity element is excluded here")
     parts = ((h, d_of_g.g_part(group.mul(group.mul(h, idx), group.inverse(h))))
              for h in range(group.order))  # the part at h g h^-1
-    return Polynomial.sum(group.dim, (act_on_poly(group.elements[h], part)
+    return Polynomial.sum(group.dim, (act_on_poly(group, part, h)
                                       for h, part in parts if not part.is_zero))
 
 

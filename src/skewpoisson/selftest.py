@@ -285,14 +285,15 @@ def _suite_fixed_projections(rng: random.Random, env: _Env, check: SuiteResult):
 def _suite_action_homomorphism(rng: random.Random, env: _Env, check: SuiteResult):
     group = env.group
     polys = [_poly(rng, 4, 4) for _ in range(4)]
-    elements = group.elements
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            gh = elements[group.mul(i, j)]
+    words = [g.word for g in group.elements]
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul(g, h)
             for p in polys:
                 check.record(
-                    act_on_poly(gh, p) == act_on_poly(g, act_on_poly(h, p)),
-                    lambda: f"action failed for ({g.word!r},{h.word!r})",
+                    act_on_poly(group, p, gh)
+                    == act_on_poly(group, act_on_poly(group, p, h), g),
+                    lambda: f"action failed for ({words[g]!r},{words[h]!r})",
                 )
 
 
@@ -358,7 +359,7 @@ def _suite_hh0_conjugation(rng: random.Random, env: _Env, check: SuiteResult):
             if mul(mul(k, h), group.inverse(k)) == cls.representative
         )
         lhs = hh0_project(SkewElement.term(group, psi, h), cls.index)
-        rhs = project_term(group, act_on_poly(group.elements[k], psi), cls.index)
+        rhs = project_term(group, act_on_poly(group, psi, k), cls.index)
         check.record(lhs == rhs,
                      lambda: f"conjugation invariance failed on class {cls.index}")
 
@@ -378,15 +379,14 @@ def _suite_inner_derivation(rng: random.Random, env: _Env, check: SuiteResult):
     for _ in range(200):
         a = _skew(rng, group, max_parts=3)
         for idx in range(1, group.order):
-            g = group.elements[idx]
             raw = _poly(rng, group.dim, 4)
-            fixed = Polynomial.sum(group.dim, (act_on_poly(group.elements[power], raw)
+            fixed = Polynomial.sum(group.dim, (act_on_poly(group, raw, power)
                                                for power in group.powers(idx)))
             if fixed.is_zero:
                 fixed = Polynomial.one(group.dim)
             check.record(
                 inner_derivation_g_part(a, fixed, idx) == zero,
-                lambda: f"inner derivation left a part at {g.word!r}",
+                lambda: f"inner derivation left a part at {group.elements[idx].word!r}",
             )
 
 
@@ -397,9 +397,10 @@ def _suite_reynolds(rng: random.Random, env: _Env, check: SuiteResult):
         image = reynolds(group, p)
         ok = (
             reynolds(group, image) == image
-            and all(act_on_poly(g, image) == image for g in group.elements)
+            and all(act_on_poly(group, image, g) == image for g in range(group.order))
             and is_invariant(group, image)
-            and is_invariant(group, p) == all(act_on_poly(g, p) == p for g in group.elements)
+            and is_invariant(group, p) == all(act_on_poly(group, p, g) == p
+                                              for g in range(group.order))
         )
         check.record(ok, lambda: f"Reynolds misbehaved on {format_poly(p)}")
 
@@ -418,7 +419,7 @@ def _suite_molien(rng: random.Random, env: _Env, check: SuiteResult):
             )
             for p in basis:
                 check.record(
-                    all(act_on_poly(g, p) == p for g in group.elements),
+                    all(act_on_poly(group, p, g) == p for g in range(group.order)),
                     lambda: f"brute-force basis element is not invariant "
                             f"(degree {d}, order {group.order})",
                 )
@@ -519,10 +520,14 @@ def run_selftest(
     corrupt: Optional[str] = None,
     only: Optional[Sequence[str]] = None,
 ) -> list:
-    """Run the property suites; returns a list of :class:`SuiteResult`.
-
-    A corrupted run is expected to fail; that is the point of the hook.
+    """Run the property suites, all or ``only`` the named ones; returns a
+    list of :class:`SuiteResult`.  A name that is no suite raises
+    ``ValueError``.  A corrupted run is expected to fail; that is the point
+    of the hook.
     """
+    unknown = sorted(set(only or ()) - set(suite_names()))
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}")
     env = _Env(corrupt=corrupt)
     wanted = set(only) if only is not None else None
     results = []

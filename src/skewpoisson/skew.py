@@ -140,7 +140,7 @@ class SkewElement:
             return NotImplemented
         group = self.group
         return self._sum_by_index(
-            (group.mul(ia, ib), pa * act_on_poly(group.elements[ia], pb))
+            (group.mul(ia, ib), pa * act_on_poly(group, pb, ia))
             for ia, pa in self._parts.items() for ib, pb in other._parts.items())
 
     def __eq__(self, other):
@@ -213,7 +213,7 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     """
     group = a.group
     group.class_coordinates(class_index)  # raises for an index outside the classes
-    moved = Polynomial.sum(group.dim, (group.elements[k].action(a._parts[h])
+    moved = Polynomial.sum(group.dim, (act_on_poly(group, a._parts[h], k)
                                        for h, k in group.classes[class_index].conjugators
                                        if h in a._parts))
     return project_term(group, moved, class_index)
@@ -252,10 +252,9 @@ def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: int) -> Polynomial
     idx = group.element_index(g)
     if idx == 0:
         raise ValueError("the identity element is excluded here")
-    elem = group.elements[idx]
-    if act_on_poly(elem, x) != x:
+    if act_on_poly(group, x, idx) != x:
         raise NotFixedError(
-            f"polynomial is not fixed by {elem.word!r}"
+            f"polynomial is not fixed by {group.elements[idx].word!r}"
         )
     lifted = SkewElement.term(group, x, 0)
     return commutator(a, lifted).g_part(idx)

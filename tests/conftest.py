@@ -78,7 +78,7 @@ def random_poly(rng, nvars):
 
 def fixed_by_every_element(group, p):
     """Invariance by definition: every element of the group fixes ``p``."""
-    return all(act_on_poly(g, p) == p for g in group.elements)
+    return all(act_on_poly(group, p, g) == p for g in range(group.order))
 
 
 def class_restriction(group, class_index):

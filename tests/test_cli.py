@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewpoisson import ConfigError, run_counterexample
+from skewpoisson import ConfigError, ScenarioConfig, run_counterexample
 from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, build_parser, main
 from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
@@ -338,6 +338,23 @@ class TestObstructionCommand:
         message = doc["stages"][0]["payload"]["message"]
         assert message.startswith("--psi: ") and "phi" in message and "class_rep" in message
 
+    def test_degree_without_an_obstruction_section_is_a_config_error(self, capsys, tmp_path):
+        # without the section there is no ladder for --degree to replace
+        data = json.loads(resources.files("skewpoisson")
+                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        del data["obstruction"]
+        path = tmp_path / "no_instance.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run(capsys, "obstruction", "--config", str(path), "--degree", "3",
+                        "--format", "machine")
+        assert code == 2
+        doc = json.loads(out)
+        assert [s["name"] for s in doc["stages"]] == ["config"]
+        message = doc["stages"][0]["payload"]["message"]
+        assert message.startswith("--degree: ") and "degree_ladder" in message
+        with pytest.raises(ConfigError, match="^--degree: "):
+            run_counterexample(ScenarioConfig.from_mapping(data), degree_ladder=[0])
+
     # a change to the bundled config, the stage that fails (None: no stage
     # fails), the exit code and a piece of the verdict or the error message
     @pytest.mark.parametrize("change, stage, code, message", [
@@ -389,6 +406,7 @@ class TestSelftestCommand:
     def test_unknown_suite_rejected(self, capsys):
         code, out = run(capsys, "selftest", "--suite", "no-such-suite")
         assert code == 2
+        assert "--suite: unknown suites: ['no-such-suite']" in out
 
     def test_seed_override_passes(self, capsys):
         code, out = run(capsys, "selftest", "--suite", "parser-roundtrip",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from skewpoisson import (
     molien_coefficients,
     parse_poly,
     project_term,
+    reynolds,
     sigma_image_basis,
     substitute_linear,
 )
-from skewpoisson import linalg
+from skewpoisson import groups, linalg
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
 
@@ -279,8 +281,10 @@ class TestIndexRange:
         lambda group, g: SkewElement.term(group, P("x1"), g),
         lambda group, g: SkewElement.one(group).g_part(g),
         lambda group, g: collapse_to_sigma(SkewElement.one(group), g),
+        lambda group, g: act_on_poly(group, P("x1"), g),
     ], ids=["mul-left", "mul-right", "inverse", "powers", "class_of", "centralizer_of",
-            "fixed_projection_matrix", "SkewElement", "term", "g_part", "collapse_to_sigma"])
+            "fixed_projection_matrix", "SkewElement", "term", "g_part", "collapse_to_sigma",
+            "act_on_poly"])
     def test_out_of_range_raises(self, group, query):
         for g in (-1, group.order):
             with pytest.raises(ValueError, match="out of range"):
@@ -528,7 +532,7 @@ class TestClassCoordinates:
                     acted = coords.back(LinearSubstitution(b)(fixed))
                 else:
                     acted = restricted  # a constant
-                assert acted == element.action(restricted)
+                assert acted == act_on_poly(group, restricted, c)
             # the compiled actions are the distinct ones other than the identity
             matrices.discard(identity_matrix(coords.rank))
             assert len(coords.actions) == len(matrices)
@@ -577,27 +581,73 @@ class TestSymplectic:
 
 class TestAction:
     def test_swap_moves_x1_squared(self, group):
-        e = group.elements[group.element_from_word("e")]
-        assert act_on_poly(e, P("x1^2")) == P("x3^2")
+        e = group.element_from_word("e")
+        assert act_on_poly(group, P("x1^2"), e) == P("x3^2")
 
     def test_identity_acts_trivially(self, group):
         p = P("x1^3*x4 - x2")
-        assert act_on_poly(group.elements[0], p) == p
+        assert act_on_poly(group, p, 0) == p
 
     def test_b_fixes_h1(self, group):
-        b = group.elements[group.element_from_word("b")]
+        b = group.element_from_word("b")
         h1 = P("x1*x2 + x3*x4")
-        assert act_on_poly(b, h1) == h1
+        assert act_on_poly(group, h1, b) == h1
 
     def test_action_is_a_left_action(self, group):
         p = P("x1^2*x2 - x3*x4 + x4^3")
-        elements = group.elements
-        for i, g in enumerate(elements):
-            for j, h in enumerate(elements):
-                assert act_on_poly(elements[group.mul(i, j)], p) == act_on_poly(
-                    g, act_on_poly(h, p)
+        for g in range(group.order):
+            for h in range(group.order):
+                assert act_on_poly(group, p, group.mul(g, h)) == act_on_poly(
+                    group, act_on_poly(group, p, h), g
                 )
 
     def test_dimension_mismatch(self, group):
         with pytest.raises(ValueError, match="mismatch"):
-            act_on_poly(group.elements[0], parse_poly("x1", nvars=2))
+            act_on_poly(group, parse_poly("x1", nvars=2), 0)
+
+
+class TestActionCache:
+    """Each element's action is compiled once, on first use, from the matrix
+    of the inverse that the Cayley edges name, and kept with the group."""
+
+    def test_element_record_is_read_only(self, group):
+        e = group.element_from_word("e")
+        record = group.elements[e]
+        act_on_poly(group, P("x1"), e)  # the action is kept with the group
+        assert [f.name for f in dataclasses.fields(record)] == ["matrix", "word"]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.word = "b"
+
+    def test_reynolds_row_reduces_no_inverse(self, monkeypatch):
+        group = generate_group(coxeter_bn(3, seed=3))
+        inverted = []
+        original = linalg.inverse
+
+        def counting(matrix):
+            inverted.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, "inverse", counting)
+        reynolds(group, random_poly(random.Random("inverse-count"), group.dim))
+        assert inverted == []
+
+    def test_a_second_reynolds_compiles_nothing(self, monkeypatch):
+        compiled = []
+
+        class Counting(LinearSubstitution):
+            __slots__ = ()
+
+            def __init__(self, matrix):
+                compiled.append(matrix)
+                super().__init__(matrix)
+
+        monkeypatch.setattr(groups, "LinearSubstitution", Counting)
+        group = generate_group(coxeter_bn(3, seed=3))
+        p = random_poly(random.Random("compile-count"), group.dim)
+        first = reynolds(group, p)
+        assert compiled == [group.elements[group.inverse(g)].matrix
+                            for g in range(group.order)]
+        compiled.clear()
+        assert reynolds(group, p) == first
+        assert compiled == []

@@ -258,6 +258,60 @@ def test_group_elements_have_one_spelling():
     assert second_element_spellings(sources) == []
 
 
+def _alternatives(node) -> set:
+    """The names an annotation admits at its top level: the parts of
+    ``A | B``, ``Union[A, B]`` and ``Optional[A]``, reading into string
+    annotations, but not the items of a container such as ``Sequence[A]``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _alternatives(ast.parse(node.value, mode="eval").body)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _alternatives(node.left) | _alternatives(node.right)
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id in ("Union", "Optional")):
+        parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return set().union(*map(_alternatives, parts))
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def record_parameters(sources: dict) -> list:
+    """``module.function`` for each function of ``sources`` (module name ->
+    source text) with a parameter annotated as ``GroupElement``, alone or
+    in a union.  A function that takes the record instead of the index is
+    how a second spelling of an element starts; a sequence of records, as
+    the group is built from, is not one element."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    "GroupElement" in _alternatives(a.annotation)
+                    for a in ast.walk(node.args)
+                    if isinstance(a, ast.arg) and a.annotation is not None):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_record_parameter_scan_sees_records():
+    source = (
+        "def record(g: GroupElement, p: Polynomial): pass\n"
+        "def quoted(p, *, g: 'Optional[GroupElement]' = None): pass\n"
+        "def union(g: Union[int, GroupElement]): pass\n"
+        "def index(group, p, g: int) -> GroupElement: pass\n"
+        "def build(elements: Sequence[GroupElement]): pass\n"
+        "class C:\n    def m(self, *gs: 'int | GroupElement'): pass\n"
+    )
+    assert record_parameters({"groups": source}) == [
+        "groups.record", "groups.quoted", "groups.union", "groups.m"]
+
+
+def test_no_function_takes_an_element_record():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py")
+    }
+    assert record_parameters(sources) == []
+
+
 # FiniteMatrixGroup's product storage: the Cayley edges, the element paths
 # and the inverses, and the multiplication and inverse tables they replaced
 PRODUCT_STORAGE = {"_right", "_paths", "_inverses", "mul_table", "inverse_table"}
@@ -298,6 +352,33 @@ def test_only_groups_reads_the_product_storage():
         if path.name.endswith(".py") and path.name != "groups.py"
     }
     assert product_storage_readers(sources) == ["selftest._corrupt_mul_table"]
+
+
+# FiniteMatrixGroup's compiled element actions; every other module acts
+# through act_on_poly(group, p, g)
+ACTION_CACHE = {"_actions"}
+
+
+def action_cache_readers(sources: dict) -> list:
+    return attribute_readers(sources, ACTION_CACHE)
+
+
+def test_action_cache_scan_sees_readers():
+    sources = {
+        "a": ("def f(group, p):\n    return group._actions[0](p)\n\n"
+              "def ok(group, p):\n    return act_on_poly(group, p, 0)\n"),
+        "b": "A = group._actions\n\nclass C:\n    def m(self, g):\n        return g._actions\n",
+    }
+    assert action_cache_readers(sources) == ["a.f", "b.<module>", "b.C"]
+
+
+def test_only_groups_reads_the_action_cache():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "groups.py"
+    }
+    assert action_cache_readers(sources) == []
 
 
 # Polynomial's integer numerators, their common denominator and its

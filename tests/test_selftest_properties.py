@@ -54,6 +54,12 @@ def test_a_crashing_suite_is_one_failure_with_no_cases(monkeypatch):
     assert result.detail == "crashed: boom"
 
 
+def test_unknown_suite_rejected():
+    # an empty result would read as a pass to all(r.passed for r in results)
+    with pytest.raises(ValueError, match=r"unknown suites: \['no-such-suite'\]"):
+        run_selftest(only=["parser-roundtrip", "no-such-suite"])
+
+
 def test_unknown_corruption_rejected():
     with pytest.raises(ValueError, match="unknown corruption"):
         run_selftest(corrupt="nope")

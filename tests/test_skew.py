@@ -172,7 +172,7 @@ class TestProjection:
         lhs = hh0_project(SkewElement.term(group, psi, c), i)
         from skewpoisson import act_on_poly
 
-        rhs = hh0_project(SkewElement.term(group, act_on_poly(group.elements[e], psi), b), i)
+        rhs = hh0_project(SkewElement.term(group, act_on_poly(group, psi, e), b), i)
         assert lhs == rhs
 
     def test_trace_vector_components_validate(self, group):
@@ -292,7 +292,7 @@ class TestCompiledProjection:
                 assert trace_vector(a).validate()
 
         project_all()
-        acted = [g for g in group.elements if g._action is not None]
+        acted = group._actions
         assert acted
         coords = [group.class_coordinates(i) for i in range(len(group.classes))]
         assert len(compiled) == sum(2 + len(c.actions) for c in coords) + len(acted)
