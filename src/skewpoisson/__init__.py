@@ -17,6 +17,7 @@ from .groups import (
     is_symplectic,
 )
 from .invariants import (
+    generator_spans,
     invariant_basis,
     is_invariant,
     molien_coefficients,
@@ -71,6 +72,7 @@ __all__ = [
     "act_on_poly",
     "generate_group",
     "is_symplectic",
+    "generator_spans",
     "invariant_basis",
     "is_invariant",
     "molien_coefficients",

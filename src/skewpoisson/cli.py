@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .config import ConfigError, ScenarioConfig
 from .groups import FiniteMatrixGroup, is_symplectic
-from .invariants import is_invariant, verify_generators, verify_relations
+from .invariants import generator_spans, is_invariant, verify_relations
 from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
 from .poly import Polynomial, SymplecticForm, format_poly, poisson_bracket, variable_name
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
@@ -137,7 +137,7 @@ def cmd_invariants(config: ScenarioConfig, up_to_degree: int) -> Report:
         "generators": rows,
     })
     if all_inv:
-        span = verify_generators(group, gens, up_to_degree)
+        span = generator_spans(group, gens, up_to_degree)
         degree_rows = [
             {
                 "degree": r.degree,

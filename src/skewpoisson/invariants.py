@@ -33,6 +33,7 @@ __all__ = [
     "molien_coefficients",
     "invariant_basis",
     "DegreeRow",
+    "generator_spans",
     "verify_generators",
     "verify_relations",
 ]
@@ -241,21 +242,39 @@ def verify_generators(
     gens: Mapping[str, Polynomial],
     up_to_degree: int,
 ) -> tuple:
-    """Compare generator-product spans with the invariant slices per degree.
+    """Test each generator for invariance, then compare generator-product
+    spans with the invariant slices per degree (:func:`generator_spans`).
 
-    ``gens`` maps each generator name to its polynomial.  Returns one
-    :class:`DegreeRow` per degree ``0 .. up_to_degree``.  A slice's
-    dimension is its number of monomials minus the rank of its
-    constraints, still independent of Molien.  Requires homogeneous
-    generators of positive degree, so the grading is respected and a
-    degree-slice comparison is exact.  A deficient degree is reported, not
-    raised.
+    ``gens`` maps each generator name to its polynomial.  A generator that
+    is not invariant raises ``ValueError``, as do the inputs that
+    :func:`generator_spans` rejects.
     """
     for name, p in gens.items():
-        if p.nvars != group.dim:
-            raise ValueError(f"generator {name!r} has the wrong variable count")
+        _check_variable_count(group, name, p)
         if not is_invariant(group, p):
             raise ValueError(f"generator {name!r} is not invariant")
+    return generator_spans(group, gens, up_to_degree)
+
+
+def generator_spans(
+    group: FiniteMatrixGroup,
+    gens: Mapping[str, Polynomial],
+    up_to_degree: int,
+) -> tuple:
+    """Compare generator-product spans with the invariant slices per degree.
+
+    ``gens`` maps each generator name to its polynomial, and every
+    generator must already be known invariant: :func:`verify_generators`
+    tests that first, and the ``invariants`` command reports it in a stage
+    of its own.  Returns one :class:`DegreeRow` per degree
+    ``0 .. up_to_degree``.  A slice's dimension is its number of monomials
+    minus the rank of its constraints, still independent of Molien.
+    Requires homogeneous generators of positive degree, so the grading is
+    respected and a degree-slice comparison is exact.  A deficient degree
+    is reported, not raised.
+    """
+    for name, p in gens.items():
+        _check_variable_count(group, name, p)
         if not p.is_homogeneous() or p.total_degree() < 1:
             raise ValueError(
                 f"generator {name!r} must be homogeneous of positive degree"
@@ -276,6 +295,11 @@ def verify_generators(
                 space.add(prod.to_vector())
         rows.append(DegreeRow(d, molien[d], slice_dim, space.rank))
     return tuple(rows)
+
+
+def _check_variable_count(group: FiniteMatrixGroup, name: str, p: Polynomial) -> None:
+    if p.nvars != group.dim:
+        raise ValueError(f"generator {name!r} has the wrong variable count")
 
 
 def verify_relations(gens: Mapping[str, Polynomial], rels: Mapping[str, Polynomial]) -> dict:

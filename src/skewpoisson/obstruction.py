@@ -26,8 +26,11 @@ bound.  :func:`solve_sigma` is its one-rung case.  An image depends only
 on the restriction of its multiplier to the fixed space of the class
 representative, a polynomial in the class's ``k = dim V^g`` coordinates
 ``u`` (see :meth:`~skewpoisson.groups.FiniteMatrixGroup.class_coordinates`).
-So each distinct restricted monomial in ``u`` is projected once, in ``u``,
-and only its image is mapped back to the ``n`` variables ``x`` (see
+So the candidates are walked as exponent tuples, and the image memo is keyed
+by the image of each tuple under the class's ``into`` map
+(:meth:`~skewpoisson.poly.LinearSubstitution.image_key`): each distinct
+restricted monomial is built and projected once, in ``u``, and only its
+image is mapped back to the ``n`` variables ``x`` (see
 :func:`sigma_image_basis`).
 """
 
@@ -146,26 +149,30 @@ def sigma_image_basis(
     it depends only on ``R(m) == back(into(m))``, hence on ``into(m)``, the
     restriction of ``m`` in the class's fixed-space coordinates ``u``.  That
     is one monomial in ``u`` (times a scalar) whenever ``into`` is a
-    monomial map, as on the class of ``e``.  The memo is keyed by that
-    restricted monomial in ``u``: each distinct one is multiplied by
-    ``psi`` in ``u``, averaged over the centralizer there by
-    :func:`~skewpoisson.skew.project_fixed` and mapped back to ``x`` once
-    per call.  A monomial whose restriction is zero gets the zero image
-    without a projection.
+    monomial map, as on the class of ``e``.  The candidates are walked as
+    exponent tuples, and the memo is keyed by
+    :meth:`~skewpoisson.poly.LinearSubstitution.image_key`, the key of the
+    tuple's image under ``into``, which equal restrictions share and no
+    polynomial is built for.  Only a new key builds ``into(m)``, multiplies
+    it by ``psi`` in ``u``, averages the product over the centralizer there
+    by :func:`~skewpoisson.skew.project_fixed` and maps it back to ``x``:
+    once per distinct restricted monomial and call.  A monomial whose
+    restriction is zero (key ``None``) gets the zero image without a
+    projection.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     into = group.class_coordinates(class_index).into
     fixed_psi = into(psi)
-    zero = Polynomial.zero(group.dim)
-    images = {into(zero): zero}  # restricted monomial in u -> its image
+    images = {None: Polynomial.zero(group.dim)}  # image key of into(m) -> image
     out = []
     for degree in range(min_degree, degree_bound + 1):
         for exps in monomials_of_degree(group.dim, degree):
-            key = into(Polynomial.monomial(group.dim, exps))
+            key = into.image_key(exps)
             image = images.get(key)
             if image is None:
-                image = images[key] = project_fixed(group, fixed_psi * key, class_index)
+                fixed = into(Polynomial.monomial(group.dim, exps))
+                image = images[key] = project_fixed(group, fixed_psi * fixed, class_index)
             out.append((exps, image))
     return out
 

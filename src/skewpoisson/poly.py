@@ -22,12 +22,17 @@ monomial matrix becomes one target variable and coefficient per variable,
 and any other matrix keeps its linear forms and memoizes the image of each
 monomial it expands, so a map applied again and again (a group element's
 action, a class's maps into and out of its fixed-space coordinates) never
-expands a monomial twice.
+expands a monomial twice.  :meth:`LinearSubstitution.image_key` names the
+image of one monomial, given as an exponent tuple, without building a
+polynomial, so a walk over many monomials can build each distinct image
+once.  :func:`monomials_of_degree` enumerates the exponent tuples of one
+degree by stars and bars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -63,13 +68,28 @@ def grlex_key(exps: Exponents):
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """Yield all exponent tuples of the given total degree, lex ascending."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
+    """All exponent tuples in ``nvars`` variables of total degree
+    ``degree``, lex ascending; none when the degree is negative.
+
+    Stars and bars: ``nvars - 1`` bars among ``degree + nvars - 1`` slots,
+    and each exponent is the number of stars between two bars.  Bar
+    positions come in lex order, and so do the exponent tuples they give.
+    """
+    if nvars < 1:
+        raise ValueError("nvars must be a positive integer")
+    return _stars_and_bars(nvars, degree) if degree >= 0 else iter(())
+
+
+def _stars_and_bars(nvars: int, degree: int) -> Iterator[Exponents]:
+    slots = degree + nvars - 1
+    for bars in combinations(range(slots), nvars - 1):
+        prev = -1
+        exps = []
+        for bar in bars:
+            exps.append(bar - prev - 1)
+            prev = bar
+        exps.append(slots - prev - 1)
+        yield tuple(exps)
 
 
 class Polynomial:
@@ -425,33 +445,21 @@ class LinearSubstitution:
         den = self._den
         top = max(p.total_degree(), 0) if den != 1 else 0
         if self._simple is not None:
-            simple = self._simple
+            image_key = self.image_key
             for exps, coeff in p._terms.items():
-                out = [0] * width
-                scale = coeff
-                for j, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    target = simple[j]
-                    if target is None:
-                        break
-                    k, c = target
-                    out[k] += e
-                    if c == -1:
-                        if e & 1:
-                            scale = -scale
-                    elif c != 1:
-                        scale *= c**e
+                image = image_key(exps)
+                if image is None:
+                    continue
+                key, scale = image
+                scale *= coeff
+                if den != 1:
+                    scale *= den ** (top - sum(exps))
+                if key not in terms:  # keys repeat only if the map is not invertible
+                    terms[key] = scale
+                elif (acc := terms[key] + scale):
+                    terms[key] = acc
                 else:
-                    if den != 1:
-                        scale *= den ** (top - sum(exps))
-                    key = tuple(out)
-                    if key not in terms:  # keys repeat only if the map is not invertible
-                        terms[key] = scale
-                    elif (acc := terms[key] + scale):
-                        terms[key] = acc
-                    else:
-                        del terms[key]
+                    del terms[key]
         else:
             for exps, coeff in p._terms.items():
                 if den != 1:
@@ -463,6 +471,35 @@ class LinearSubstitution:
                     else:
                         terms.pop(key, None)
         return Polynomial._wrap(width, terms, p._den * den**top)
+
+    def image_key(self, exps: Exponents):
+        """A key of the image of the monomial ``exps``, found without
+        building a polynomial: ``None`` when the image is zero, and
+        otherwise a hashable value that two monomials share exactly when
+        their images are equal.  On the monomial path it is the pair of the
+        target exponents and the integer scale, from which calling the
+        object builds each term; on the general path it is the terms of the
+        memoized integer image that calling the object reads too."""
+        simple = self._simple
+        if simple is None:
+            image = self._image(exps)
+            return frozenset(image.items()) if image else None
+        out = [0] * self.target_nvars
+        scale = 1
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            target = simple[j]
+            if target is None:
+                return None
+            k, c = target
+            out[k] += e
+            if c == -1:
+                if e & 1:
+                    scale = -scale
+            elif c != 1:
+                scale *= c**e
+        return tuple(out), scale
 
     def _image(self, exps: Exponents) -> dict:
         """Integer terms of the image of the monomial ``exps`` under the

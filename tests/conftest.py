@@ -8,6 +8,7 @@ import pytest
 
 from skewpoisson import Polynomial, ScenarioConfig, act_on_poly, generate_group
 from skewpoisson.linalg import inverse, mat_mul, matrix_from_rows, transpose
+from skewpoisson.poly import monomials_of_degree
 from skewpoisson.selftest import DEFAULT_SEED, run_selftest
 
 
@@ -86,6 +87,22 @@ def class_restriction(group, class_index):
     fixed-space projection, as the class's coordinates factor it."""
     coords = group.class_coordinates(class_index)
     return lambda p: coords.back(coords.into(p))
+
+
+def assert_keys_match_images(sub, top):
+    """Check the image-key contract of a compiled substitution on every
+    monomial of degree at most ``top``: the key is ``None`` exactly when the
+    image is zero, and two monomials share a key exactly when their images
+    are equal."""
+    by_key, by_image = {}, {}
+    for degree in range(top + 1):
+        for exps in monomials_of_degree(sub.nvars, degree):
+            key = sub.image_key(exps)
+            image = sub(Polynomial.monomial(sub.nvars, exps))
+            assert (key is None) == image.is_zero, exps
+            if key is not None:
+                assert by_key.setdefault(key, image) == image, exps
+                assert by_image.setdefault(image, key) == key, exps
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skewpoisson import ConfigError, ScenarioConfig, run_counterexample
+from skewpoisson import ConfigError, ScenarioConfig, cli, invariants, run_counterexample
 from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, build_parser, main
 from skewpoisson.parse import TERM_PRODUCT_BUDGET
 
@@ -87,6 +87,22 @@ class TestInvariantsCommand:
         assert len(rel["payload"]["relations"]) == 9
         molien = next(s for s in doc["stages"] if s["name"] == "molien")
         assert molien["payload"]["deficient_degrees"] == []
+
+    def test_each_generator_tested_once(self, capsys, monkeypatch):
+        tested = []
+        original = invariants.is_invariant
+
+        def counting(group, p):
+            tested.append(p)
+            return original(group, p)
+
+        monkeypatch.setattr(cli, "is_invariant", counting)
+        monkeypatch.setattr(invariants, "is_invariant", counting)
+        code, _ = run(capsys, "invariants", "--degree", "8", "--format", "machine")
+        assert code == 0
+        gens = ScenarioConfig.bundled().build_generator_set()
+        assert tested == list(gens.values())
+        assert len(tested) == 8
 
     def test_corrupted_generator_named(self, capsys, tmp_path):
         data = json.loads(

@@ -12,6 +12,7 @@ import pytest
 from skewpoisson import (
     Polynomial,
     generate_group,
+    generator_spans,
     invariant_basis,
     is_invariant,
     molien_coefficients,
@@ -328,6 +329,20 @@ class TestVerifyGenerators:
     def test_non_invariant_generator_rejected(self, group):
         with pytest.raises(ValueError, match="generator 'bad' is not invariant"):
             verify_generators(group, {"bad": P("x1*x2")}, 2)
+
+    def test_invariance_tested_once_per_generator(self, monkeypatch, group, generators):
+        tested = counting(monkeypatch, "is_invariant")
+        rows = verify_generators(group, generators, 2)
+        assert [p for _, p in tested] == list(generators.values())
+        tested.clear()
+        assert generator_spans(group, generators, 2) == rows
+        assert tested == []
+
+    def test_spans_check_the_generator_shapes(self, group, named):
+        with pytest.raises(ValueError, match="'bad' must be homogeneous"):
+            generator_spans(group, {"bad": named["f1"] + Polynomial.one(4)}, 2)
+        with pytest.raises(ValueError, match="'bad' has the wrong variable count"):
+            generator_spans(group, {"bad": P("x1^2", nvars=2)}, 2)
 
     def test_inhomogeneous_generator_rejected(self, group, named):
         bad = {"bad": named["f1"] + Polynomial.one(4)}

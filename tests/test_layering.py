@@ -490,3 +490,31 @@ def test_no_running_sums():
         if path.name.endswith(".py")
     }
     assert running_sums(sources) == []
+
+
+# LinearSubstitution's compiled rows, forms and image memo; every other
+# module substitutes by calling the object and keys images by image_key
+LINEAR_SUBSTITUTION_INTERNALS = {"_simple", "_forms", "_images", "_image"}
+
+
+def linear_substitution_internals_readers(sources: dict) -> list:
+    return attribute_readers(sources, LINEAR_SUBSTITUTION_INTERNALS)
+
+
+def test_linear_substitution_internals_scan_sees_readers():
+    sources = {
+        "a": ("def f(into, exps):\n    return into._image(exps)\n\n"
+              "def ok(into, exps, p):\n    return into.image_key(exps), into(p)\n"),
+        "b": ("S = sub._simple\n\nclass C:\n    def m(self, sub):\n"
+              "        return sub._forms, sub._images\n"),
+    }
+    assert linear_substitution_internals_readers(sources) == ["a.f", "b.<module>", "b.C"]
+
+
+def test_only_poly_reads_the_linear_substitution_internals():
+    sources = {
+        path.name[:-3]: path.read_text(encoding="utf-8")
+        for path in resources.files("skewpoisson").iterdir()
+        if path.name.endswith(".py") and path.name != "poly.py"
+    }
+    assert linear_substitution_internals_readers(sources) == []

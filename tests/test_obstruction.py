@@ -21,6 +21,7 @@ from skewpoisson import (
     Verdict,
     collapse_to_sigma,
     divisor_certificate,
+    generate_group,
     hh0_project,
     multiplier_image_generators,
     parse_poly,
@@ -33,9 +34,10 @@ from skewpoisson import (
     substitute_linear,
 )
 from skewpoisson.linalg import inverse
-from skewpoisson.poly import monomials_of_degree
+from skewpoisson.poly import LinearSubstitution, monomials_of_degree
+from skewpoisson.skew import project_fixed
 
-from conftest import class_restriction, random_poly
+from conftest import assert_keys_match_images, class_restriction, random_poly
 
 
 def P(text):
@@ -102,6 +104,41 @@ def test_guards(group, form, named, class_of_b, name):
         call(group, form, named, class_of_b)
 
 
+def walk_by_restricted_polynomial(group, psi, class_index, degree_bound):
+    """The candidate images keyed by each candidate's restriction built as a
+    polynomial in the class's coordinates, one restriction per candidate."""
+    into = group.class_coordinates(class_index).into
+    fixed_psi = into(psi)
+    images = {}
+    out = []
+    for degree in range(degree_bound + 1):
+        for exps in monomials_of_degree(group.dim, degree):
+            fixed = into(Polynomial.monomial(group.dim, exps))
+            if fixed not in images:
+                images[fixed] = project_fixed(group, fixed_psi * fixed, class_index)
+            out.append((exps, images[fixed]))
+    return out
+
+
+def assert_same_walk(group, psi, class_index, top):
+    """Every ladder slice ``min_degree .. bound`` of the images, for bounds
+    up to ``top``, equals that slice of the walk by restricted polynomial."""
+    walked = walk_by_restricted_polynomial(group, psi, class_index, top)
+    for bound in range(top + 1):
+        for low in range(bound + 1):
+            assert sigma_image_basis(group, psi, class_index, bound, min_degree=low) == [
+                (e, image) for e, image in walked if low <= sum(e) <= bound]
+
+
+@pytest.fixture(scope="module")
+def plane_reflection():
+    """The reflection of Q^3 through the plane x1 + x2 + x3 = 0.  Its fixed
+    space projection I - J/3 has a row that is minus the sum of the other
+    two, so that class's ``into`` is not a monomial map."""
+    return generate_group([[[Fraction(int(i == j)) - Fraction(2, 3) for j in range(3)]
+                            for i in range(3)]])
+
+
 class TestImageBasis:
     def test_degree_zero_single_image(self, group, named, class_of_b):
         images = sigma_image_basis(group, named["h1"], class_of_b, 0)
@@ -145,6 +182,46 @@ class TestImageBasis:
                 assert sigma_image_basis(group, psi, i, bound) == expected
                 assert sigma_image_basis(group, psi, i, bound, min_degree=2) == [
                     (e, image) for e, image in expected if sum(e) >= 2]
+
+    def test_class_maps_keep_the_image_key_contract(self, group, s3_group, b3_group,
+                                                    plane_reflection):
+        monomial_path = set()
+        for g in (group, s3_group, b3_group, plane_reflection):
+            for i in range(len(g.classes)):
+                coords = g.class_coordinates(i)
+                for sub in (coords.into, coords.back, *coords.actions):
+                    monomial_path.add(sub._images is None)
+                    assert_keys_match_images(sub, 4)
+        assert monomial_path == {True, False}  # both substitution paths are met
+        assert plane_reflection.class_coordinates(1).into._images is not None
+
+    def test_one_restriction_per_distinct_restricted_monomial(self, monkeypatch, group,
+                                                              named, class_of_b):
+        into = group.class_coordinates(class_of_b).into
+        restricted = []
+        original = LinearSubstitution.__call__
+
+        def counting(sub, p):
+            if sub is into:
+                restricted.append(p)
+            return original(sub, p)
+
+        monkeypatch.setattr(LinearSubstitution, "__call__", counting)
+        images = sigma_image_basis(group, named["h1"], class_of_b, 8)
+        assert len(images) == 495
+        keys = {into.image_key(exps) for exps, _ in images} - {None}
+        # psi once, then each distinct nonzero restricted monomial once
+        assert len(restricted) == 1 + len(keys) == 46
+
+    def test_matches_the_walk_by_restricted_polynomial(self, group, named):
+        for i in range(1, len(group.classes)):
+            for name in ("f1", "f2", "f3", "f4", "h1", "h2", "h3", "h4"):
+                assert_same_walk(group, named[name], i, 6)
+
+    def test_matches_the_walk_on_a_general_restriction(self, plane_reflection):
+        rng = random.Random("plane")
+        for _ in range(4):
+            assert_same_walk(plane_reflection, random_poly(rng, 3), 1, 6)
 
     def test_images_are_linear_in_the_multiplier(self, group, named, class_of_b):
         b = group.element_from_word("b")

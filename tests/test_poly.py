@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -19,7 +19,9 @@ from skewpoisson import (
     substitute_linear,
 )
 from skewpoisson.linalg import identity_matrix, mat_mul, matrix_from_rows
-from skewpoisson.poly import grlex_key, variable_name
+from skewpoisson.poly import grlex_key, monomials_of_degree, variable_name
+
+from conftest import assert_keys_match_images
 
 
 def P(text: str, nvars: int = 4) -> Polynomial:
@@ -34,6 +36,27 @@ def oracle_product(a: Polynomial, b: Polynomial) -> Polynomial:
             key = tuple(x + y for x, y in zip(ea, eb))
             acc[key] = acc.get(key, Fraction(0)) + ca * cb
     return Polynomial(a.nvars, acc)
+
+
+class TestMonomialsOfDegree:
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_matches_sorted_brute_force(self, nvars):
+        for degree in range(9):
+            # every choice of the first nvars - 1 exponents, the last one fixed
+            brute = sorted(head + (degree - sum(head),)
+                           for head in product(range(degree + 1), repeat=nvars - 1)
+                           if sum(head) <= degree)
+            assert list(monomials_of_degree(nvars, degree)) == brute
+
+    @pytest.mark.parametrize("nvars", [1, 2, 4])
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_negative_degree_yields_nothing(self, nvars, degree):
+        assert list(monomials_of_degree(nvars, degree)) == []
+
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_no_variables_rejected(self, nvars):
+        with pytest.raises(ValueError, match="nvars must be a positive integer"):
+            monomials_of_degree(nvars, 2)
 
 
 class TestRingOps:
@@ -364,6 +387,21 @@ class TestLinearSubstitution:
         image = sub(monomial)
         assert image == reference_substitution(monomial, matrix)
         assert all(image._terms is not memo for memo in sub._images.values())
+
+    @pytest.mark.parametrize("kind,n", MATRIX_CASES)
+    def test_image_keys_match_images(self, kind, n):
+        rng = random.Random(f"keys:{kind}:{n}")
+        for _ in range(3):
+            assert_keys_match_images(LinearSubstitution(random_matrix(rng, kind, n)), 4)
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0], [1, 0]],  # monomial, x1 and x2 meet
+        [[0, 2], [0, 0], [-1, 0]],  # monomial, x2 -> 0, onto fewer variables
+        [[Fraction(1, 2)], [Fraction(1, 2)], [0], [Fraction(-1, 3)]],  # a column
+        [[1, 1], [2, 2], [0, 0]],  # general, x2 is twice x1, x3 -> 0
+    ])
+    def test_image_keys_of_maps_that_are_not_invertible(self, matrix):
+        assert_keys_match_images(LinearSubstitution(matrix), 5)
 
     def test_zero_polynomial(self):
         sub = LinearSubstitution(random_matrix(random.Random(3), "general", 4))
