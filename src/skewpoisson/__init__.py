@@ -51,7 +51,6 @@ from .poly import (
 from .skew import (
     NotFixedError,
     SkewElement,
-    TraceVector,
     commutator,
     hh0_project,
     inner_derivation_g_part,
@@ -102,7 +101,6 @@ __all__ = [
     "substitute_linear",
     "NotFixedError",
     "SkewElement",
-    "TraceVector",
     "commutator",
     "hh0_project",
     "inner_derivation_g_part",

@@ -44,7 +44,7 @@ from .obstruction import Certificate, ObstructionProblem, Verdict, solve_ladder
 from .poly import Polynomial, SymplecticForm, format_poly, poisson_bracket, variable_name
 from .report import Report, STATUS_ERROR, STATUS_FINDING, STATUS_OK
 from .selftest import DEFAULT_SEED, run_selftest
-from .skew import SkewElement, trace_vector
+from .skew import SkewElement, project_term, trace_vector
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -209,7 +209,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
         assembled.setdefault(idx, []).append(poly)
     element = SkewElement(group, {idx: Polynomial.sum(config.nvars, polys)
                                   for idx, polys in assembled.items()})
-    vector = trace_vector(element)
+    components = trace_vector(element)
     if class_index is not None:
         if not 0 <= class_index < len(group.classes):
             raise ConfigError("--class-index",
@@ -221,7 +221,7 @@ def cmd_project(config: ScenarioConfig, parts: list,
         {
             "class": i,
             "representative": group.elements[group.classes[i].representative].word,
-            "projection": format_poly(vector.components[i]),
+            "projection": format_poly(components[i]),
         }
         for i in wanted
     ]
@@ -231,7 +231,8 @@ def cmd_project(config: ScenarioConfig, parts: list,
             for i, p in element.parts()
         ],
         "components": rows,
-        "trace_vector_valid": vector.validate(),
+        "trace_vector_valid": all(project_term(group, c, i) == c
+                                  for i, c in enumerate(components)),
     })
     report.verdict = "; ".join(
         f"class {r['class']}: {r['projection']}" for r in rows

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
+from .parse import power_work, size_problem
 from .poly import Polynomial, grlex_key, monomials_of_degree
 
 __all__ = [
@@ -37,6 +38,12 @@ __all__ = [
     "verify_generators",
     "verify_relations",
 ]
+
+# generator_spans builds one generator product per weighted exponent vector
+# of degree 0..D, a count that grows with the number of generators, which
+# the CLI's monomial budget does not see; the bundled generators need 1530
+# at degree 16, 20 linear ones in two variables 53130 at degree 5
+GENERATOR_PRODUCT_BUDGET = 20_000
 
 
 def reynolds(group: FiniteMatrixGroup, p: Polynomial) -> Polynomial:
@@ -219,18 +226,50 @@ def _weighted_exponents(weights: Sequence[int], degree: int):
         e += 1
 
 
-def _power_products(polys: Sequence[Polynomial]):
-    """``times_powers(start, exps)``: ``start`` times the product of the
-    generator powers ``polys[i] ** exps[i]``, each power computed once.
-    ``polys`` are the generator polynomials in table order."""
-    cache = [dict() for _ in polys]
+def _product_counts(weights: Sequence[int], up_to_degree: int) -> list:
+    """How many exponent vectors :func:`_weighted_exponents` yields at each
+    degree ``0 .. up_to_degree``, counted without building them: an
+    unbounded knapsack over the weights."""
+    counts = [1] + [0] * up_to_degree
+    for w in weights:
+        for d in range(w, up_to_degree + 1):
+            counts[d] += counts[d - w]
+    return counts
+
+
+def _check_size(degree: int, work: int) -> None:
+    problem = size_problem(degree, work)
+    if problem is not None:
+        raise ValueError(problem)
+
+
+def _power_products(polys: Sequence[Polynomial], budgeted: bool = False):
+    """``times_powers(start, exps)``: the constant ``start`` times the
+    product of the generator powers ``polys[i] ** exps[i]``, each power
+    computed once; the first power is the generator itself.  ``polys`` are
+    the generator polynomials in table order.
+
+    When ``budgeted``, every power and every product is first held to the
+    parser's budgets, and one over them raises ``ValueError`` before it is
+    expanded: the degree is read off the generators' degrees, a power's
+    term products are estimated by :func:`~skewpoisson.parse.power_work`
+    and a product's are the product of its operands' term counts.
+    """
+    cache = [{1: p} for p in polys]
+    degrees = [max(p.total_degree(), 0) for p in polys]
 
     def times_powers(start: Polynomial, exps) -> Polynomial:
+        degree = 0
         for i, e in enumerate(exps):
             if e:
                 power = cache[i].get(e)
                 if power is None:
+                    if budgeted:
+                        _check_size(degrees[i] * e, power_work(polys[i], e))
                     power = cache[i][e] = polys[i] ** e
+                if budgeted:
+                    degree += degrees[i] * e
+                    _check_size(degree, len(start) * len(power))
                 start = start * power
         return start
 
@@ -271,7 +310,9 @@ def generator_spans(
     minus the rank of its constraints, still independent of Molien.
     Requires homogeneous generators of positive degree, so the grading is
     respected and a degree-slice comparison is exact.  A deficient degree
-    is reported, not raised.
+    is reported, not raised.  More than :data:`GENERATOR_PRODUCT_BUDGET`
+    generator products up to the degree raise ``ValueError`` before any is
+    built.
     """
     for name, p in gens.items():
         _check_variable_count(group, name, p)
@@ -281,6 +322,11 @@ def generator_spans(
             )
     polys = list(gens.values())
     weights = [p.total_degree() for p in polys]
+    products = sum(_product_counts(weights, up_to_degree))
+    if products > GENERATOR_PRODUCT_BUDGET:
+        raise ValueError(f"the generator products up to degree {up_to_degree} number "
+                         f"{products}, over the generator-product budget "
+                         f"{GENERATOR_PRODUCT_BUDGET}")
     molien = molien_coefficients(group, up_to_degree)
 
     times_powers = _power_products(polys)
@@ -310,18 +356,28 @@ def verify_relations(gens: Mapping[str, Polynomial], rels: Mapping[str, Polynomi
     its variable ``i`` stands for the ``i``-th generator of ``gens``, so
     ``gens`` must list the generators in the order the relations were parsed
     in.  A nonzero residual is a finding, returned verbatim.
+
+    Every generator power and product a relation term needs is held to the
+    parser's :data:`~skewpoisson.parse.DEGREE_CAP` and term-product budget
+    in the ``x`` variables before it is expanded: the parser sees a
+    generator as one abstract variable, so ``g^32`` parses even when ``g``
+    has 35 terms.  A relation over either raises ``ValueError`` naming the
+    relation and the budget.
     """
     polys = list(gens.values())
     k = len(polys)
     residuals = {}
-    times_powers = _power_products(polys)
+    times_powers = _power_products(polys, budgeted=True)
     nvars = polys[0].nvars if polys else 1
     for name, rel in rels.items():
         if rel.nvars != k:
             raise ValueError(
                 f"relation {name!r} uses {rel.nvars} abstract variables, expected {k}"
             )
-        residuals[name] = Polynomial.sum(
-            nvars, (times_powers(Polynomial.constant(nvars, coeff), exps)
-                    for exps, coeff in rel.items()))
+        try:
+            residuals[name] = Polynomial.sum(
+                nvars, (times_powers(Polynomial.constant(nvars, coeff), exps)
+                        for exps, coeff in rel.items()))
+        except ValueError as exc:
+            raise ValueError(f"relation {name!r}: {exc}") from None
     return residuals

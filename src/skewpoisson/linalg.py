@@ -14,6 +14,7 @@ where a row is read.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -22,21 +23,40 @@ Matrix = tuple  # tuple[tuple[Fraction, ...], ...]
 SparseVec = dict  # dict[int, Fraction]; RowSpace also takes int values and zeros
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse a rational literal such as ``-1``, ``3`` or ``1/2``."""
-    cleaned = str(text).replace("−", "-").strip()
-    try:
-        return Fraction(cleaned)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational literal {text!r}") from exc
+# the expression grammar's number: an optional sign, ASCII digits and an
+# optional denominator that is not all zeros; [0-9], not \d, which also
+# takes "٣"
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def parse_scalar(value) -> Fraction:
+    """The exact scalar ``value`` as a ``Fraction``: the one reader of
+    coefficients and matrix entries.
+
+    A ``Fraction`` or an ``int`` (not a ``bool``) is taken as it is.  A
+    string must be a rational literal such as ``-1``, ``3`` or ``1/2``
+    after stripping surrounding whitespace and reading ``−`` (U+2212) as
+    ``-``: ``0.5``, ``1e3``, ``1_000`` and non-ASCII digits are refused.  A
+    ``float`` has rounded already, so it is refused, as is any other type.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float, which has rounded already; give an "
+                         "int, a Fraction or a string such as '1/10'")
+    if isinstance(value, str):
+        literal = _LITERAL.fullmatch(value.replace("−", "-").strip())
+        if literal:
+            num, den = literal.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    raise ValueError(f"invalid rational literal {value!r}")
 
 
 def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    """Build a rectangular matrix, coercing entries through ``parse_scalar``."""
-    out = []
-    for row in rows:
-        out.append(tuple(x if isinstance(x, Fraction) else parse_scalar(x) for x in row))
-    mat = tuple(out)
+    """Build a rectangular matrix, reading entries through ``parse_scalar``."""
+    mat = tuple(tuple(map(parse_scalar, row)) for row in rows)
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("matrix rows have unequal lengths")
     return mat

@@ -116,11 +116,9 @@ class _Parser:
             terms.append(-term if sign == "-" else term)
 
     def check_size(self, degree: int, work: int, pos: int):
-        if degree > DEGREE_CAP:
-            raise PolyParseError(f"degree {degree} exceeds the degree cap {DEGREE_CAP}", pos)
-        if work > TERM_PRODUCT_BUDGET:
-            raise PolyParseError(f"expanding needs up to {work} term products, over "
-                                 f"the term-product budget {TERM_PRODUCT_BUDGET}", pos)
+        problem = size_problem(degree, work)
+        if problem is not None:
+            raise PolyParseError(problem, pos)
 
     def parse_term(self) -> Polynomial:
         product = self.parse_factor()
@@ -149,7 +147,7 @@ class _Parser:
                 raise PolyParseError(
                     f"exponent {value} exceeds the degree cap {DEGREE_CAP}", pos
                 )
-            self.check_size(base.total_degree() * value, _power_work(base, value), pos)
+            self.check_size(base.total_degree() * value, power_work(base, value), pos)
             return base ** value
         return base
 
@@ -176,7 +174,18 @@ class _Parser:
         raise PolyParseError("expected a number, a name or '('", pos)
 
 
-def _power_work(base: Polynomial, exponent: int) -> int:
+def size_problem(degree: int, work: int) -> Optional[str]:
+    """What the budgets refuse in a power or product of total degree
+    ``degree`` whose expansion takes ``work`` term products, or ``None``."""
+    if degree > DEGREE_CAP:
+        return f"degree {degree} exceeds the degree cap {DEGREE_CAP}"
+    if work > TERM_PRODUCT_BUDGET:
+        return (f"expanding needs up to {work} term products, over "
+                f"the term-product budget {TERM_PRODUCT_BUDGET}")
+    return None
+
+
+def power_work(base: Polynomial, exponent: int) -> int:
     """An upper bound on the term products of ``base ** exponent``, which
     multiplies ``base`` into the power ``exponent`` times, from 1: ``base^j``
     has no more terms than there are multisets of ``j`` terms of ``base``,

@@ -45,14 +45,11 @@ _ZERO = Fraction(0)  # the coefficient of every absent monomial
 
 
 def _ratio(value) -> tuple:
-    """``(numerator, denominator)`` of an exact scalar in lowest terms.  A
-    ``float`` has rounded already, so it is refused."""
+    """``(numerator, denominator)`` of an exact scalar in lowest terms, read
+    by :func:`~skewpoisson.linalg.parse_scalar`."""
     if type(value) is int:
         return value, 1
-    if isinstance(value, float):
-        raise ValueError(f"{value!r} is a float, which has rounded already; give an "
-                         "int, a Fraction or a string such as '1/10'")
-    value = Fraction(value)
+    value = linalg.parse_scalar(value)
     return value.numerator, value.denominator
 
 
@@ -239,13 +236,13 @@ class Polynomial:
         Every numerator, brought to the lcm of the denominators so far, is
         added into one term map: a new monomial stores its numerator as it
         is, a repeated one adds, and a sum that cancels to zero is deleted.
-        Storing a new term as it is, with no addition to zero, was measured
-        on the ``Fraction`` kernel before this one: adding
-        ``terms.get(k, 0) + c`` for every term and dropping the zeros in a
-        second pass was about 6% slower on ``counterexample-ladder``
-        (in-process medians 14.84 vs 13.93 ms, 5 alternating runs) and 1-3%
-        slower on ``swap-class-solve`` in 3 of 4 alternating runs (Python
-        3.11.7, shared 2-core machine).
+        Storing a new term as it is, with no addition to zero, once saved
+        about 6% on the ``Fraction`` kernel before this one.  On this
+        integer kernel, adding ``terms.get(k, 0) + c`` for every term and
+        dropping the zeros in a second pass ran within noise of it on
+        ``counterexample-ladder`` (in-process medians 8.64 vs 8.33 ms,
+        slower in 3 of 6 alternating runs of 150 operations; Python 3.11.7,
+        shared 2-core machine).
         """
         terms: dict = {}
         den = 1
@@ -309,7 +306,7 @@ class Polynomial:
 
     def __pow__(self, exponent: int):
         """``self`` multiplied into 1 ``exponent`` times, one factor at a
-        time: the sequential loop whose term products ``parse._power_work``
+        time: the sequential loop whose term products ``parse.power_work``
         bounds."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")

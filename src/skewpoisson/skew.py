@@ -22,7 +22,6 @@ suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,7 +35,6 @@ __all__ = [
     "project_term",
     "project_fixed",
     "hh0_project",
-    "TraceVector",
     "trace_vector",
     "inner_derivation_g_part",
 ]
@@ -219,25 +217,12 @@ def hh0_project(a: SkewElement, class_index: int) -> Polynomial:
     return project_term(group, moved, class_index)
 
 
-@dataclass(frozen=True)
-class TraceVector:
-    """Per-class projections of a skew element; one polynomial per class."""
-
-    group: FiniteMatrixGroup
-    components: tuple  # tuple[Polynomial, ...], one per conjugacy class
-
-    def validate(self) -> bool:
-        """Each component must live on the representative's fixed space and
-        be invariant under the representative's centralizer: exactly the
-        polynomials :func:`project_term` leaves unchanged."""
-        return all(project_term(self.group, comp, i) == comp
-                   for i, comp in enumerate(self.components))
-
-
-def trace_vector(a: SkewElement) -> TraceVector:
-    """Project a skew element onto every conjugacy class at once."""
-    comps = tuple(hh0_project(a, i) for i in range(len(a.group.classes)))
-    return TraceVector(a.group, comps)
+def trace_vector(a: SkewElement) -> tuple:
+    """Project a skew element onto every conjugacy class at once: one
+    polynomial per class, in class order.  Each lives on its
+    representative's fixed space and is invariant under its centralizer,
+    exactly the polynomials :func:`project_term` leaves unchanged."""
+    return tuple(hh0_project(a, i) for i in range(len(a.group.classes)))
 
 
 def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: int) -> Polynomial:

@@ -12,9 +12,21 @@ import pytest
 
 from skewpoisson import ConfigError, ScenarioConfig, cli, invariants, run_counterexample
 from skewpoisson.cli import MAX_DEGREE_MONOMIALS, _check_degree_budget, build_parser, main
-from skewpoisson.parse import TERM_PRODUCT_BUDGET
+from skewpoisson.parse import DEGREE_CAP, TERM_PRODUCT_BUDGET
 
 GOLDEN = Path(__file__).parent / "data"
+
+
+def bundled_data() -> dict:
+    """The bundled scenario as a JSON object, to be changed and written out."""
+    return json.loads(resources.files("skewpoisson")
+                      .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+
+
+def write_config(tmp_path, data) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -51,6 +63,16 @@ class TestGroupCommand:
         code, out = run(capsys, "group", "--config", str(path))
         assert code == 0
         assert "NON-SYMPLECTIC" in out
+
+    @pytest.mark.parametrize("entry", ["0.5", "-1.0e0", "-١"])
+    def test_inexact_matrix_entry_is_a_config_error(self, capsys, tmp_path, entry):
+        data = bundled_data()
+        data["group_generators"][0]["matrix"][0][0] = entry
+        start = time.perf_counter()
+        code, out = run(capsys, "group", "--config", write_config(tmp_path, data))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"group_generators: invalid rational literal {entry!r}" in out
 
     def test_missing_config_is_a_config_error(self, capsys):
         code, out = run(capsys, "group", "--config", "/no/such/file.json")
@@ -161,6 +183,41 @@ class TestInvariantsCommand:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "--degree" in out and f"limit of {MAX_DEGREE_MONOMIALS}" in out
+
+
+    # g has degree 4 and 35 terms in x, while the relation parser reads it as
+    # one variable of degree 1
+    @pytest.mark.parametrize("k, budget", [
+        (16, f"term-product budget {TERM_PRODUCT_BUDGET}"),
+        (32, f"degree cap {DEGREE_CAP}"),
+        (64, f"degree cap {DEGREE_CAP}")])
+    def test_relation_over_a_budget_fails_fast(self, capsys, tmp_path, k, budget):
+        data = bundled_data()
+        data["named_polynomials"].update(g="(x1+x2+x3+x4)^4", r=f"g^{k}")
+        data.update(generator_set=["g"], relation_set=["r"])
+        start = time.perf_counter()
+        code, out = run(capsys, "invariants", "--config", write_config(tmp_path, data),
+                        "--degree", "2")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "relation 'r': " in out and budget in out
+
+    @pytest.mark.parametrize("degree", [6, 16])
+    def test_generator_products_over_the_budget_fail_fast(self, capsys, tmp_path, degree):
+        names = [f"g{i}" for i in range(1, 21)]
+        data = {
+            "nvars": 2,
+            "symplectic_form": [["0", "1"], ["-1", "0"]],
+            "group_generators": [],
+            "named_polynomials": {name: f"{i}*x1 + x2" for i, name in enumerate(names, 1)},
+            "generator_set": names,
+        }
+        start = time.perf_counter()
+        code, out = run(capsys, "invariants", "--config", write_config(tmp_path, data),
+                        "--degree", str(degree))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"generator-product budget {invariants.GENERATOR_PRODUCT_BUDGET}" in out
 
 
 class TestBracketCommand:
@@ -341,8 +398,7 @@ class TestObstructionCommand:
             run_counterexample(config, degree_ladder=[0], psi_names=["f1", "h1", "f1"])
 
     def test_psi_without_an_obstruction_section_is_a_config_error(self, capsys, tmp_path):
-        data = json.loads(resources.files("skewpoisson")
-                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        data = bundled_data()
         del data["obstruction"]
         path = tmp_path / "no_instance.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -356,8 +412,7 @@ class TestObstructionCommand:
 
     def test_degree_without_an_obstruction_section_is_a_config_error(self, capsys, tmp_path):
         # without the section there is no ladder for --degree to replace
-        data = json.loads(resources.files("skewpoisson")
-                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        data = bundled_data()
         del data["obstruction"]
         path = tmp_path / "no_instance.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -383,15 +438,18 @@ class TestObstructionCommand:
          "named_polynomials.f1"),
         (lambda d: d["named_polynomials"].update(r1="f1 +"), "relations", 2,
          "named_polynomials.r1"),
+        # f3 has degree 4 in x, so f3^17 has degree 68
+        (lambda d: d["named_polynomials"].update(r1="f3^17"), "relations", 2,
+         f"relation 'r1': degree 68 exceeds the degree cap {DEGREE_CAP}"),
         # no word can name a generator called 'b*b', so the group is refused
         (lambda d: (d["group_generators"][0].update(name="b*b"),
                     d["obstruction"].update(class_rep="b*b")), "group", 2,
          "generator name 'b*b' cannot be read back from a word"),
     ], ids=["no-instance", "identity-class", "singular-generator",
-            "unparseable-generator", "unparseable-relation", "unreadable-generator-name"])
+            "unparseable-generator", "unparseable-relation", "relation-over-the-degree-cap",
+            "unreadable-generator-name"])
     def test_stage_outcomes(self, capsys, tmp_path, change, stage, code, message):
-        data = json.loads(resources.files("skewpoisson")
-                          .joinpath("data/counterexample.json").read_text(encoding="utf-8"))
+        data = bundled_data()
         change(data)
         path = tmp_path / "changed.json"
         path.write_text(json.dumps(data), encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,6 +25,7 @@ from skewpoisson import (
 from skewpoisson import GroupElement, invariants, linalg
 from skewpoisson.invariants import _power_trace_series
 from skewpoisson.linalg import RowSpace, matrix_from_rows
+from skewpoisson.parse import DEGREE_CAP, TERM_PRODUCT_BUDGET
 from skewpoisson.poly import grlex_key, monomials_of_degree
 
 from conftest import ROTATION, cofactor_det, conjugated_s3, fixed_by_every_element
@@ -353,6 +355,30 @@ class TestVerifyGenerators:
         with pytest.raises(ValueError, match="'bad' has the wrong variable count"):
             verify_generators(group, {"bad": P("x1^2", nvars=2)}, 2)
 
+    @pytest.mark.parametrize("weights", [[1] * 5, [2, 2, 4, 4, 2, 4, 4, 4], [3, 1, 2]])
+    def test_product_counts_match_the_enumeration(self, weights):
+        counts = invariants._product_counts(weights, 9)
+        assert counts == [sum(1 for _ in invariants._weighted_exponents(weights, d))
+                          for d in range(10)]
+
+    def test_bundled_generators_stay_within_the_product_budget(self, generators):
+        weights = [p.total_degree() for p in generators.values()]
+        assert [sum(invariants._product_counts(weights, d)) for d in (8, 12, 16)] == [
+            100, 444, 1530]
+        assert 1530 <= invariants.GENERATOR_PRODUCT_BUDGET
+
+    @pytest.mark.parametrize("degree, products", [(6, 230230), (16, 7307872110)])
+    def test_products_over_the_budget_are_refused_before_any_is_built(
+            self, monkeypatch, degree, products):
+        built = counting(monkeypatch, "_power_products")
+        group = generate_group([], dim=2)
+        gens = {f"g{i}": P(f"{i}*x1 + x2", nvars=2) for i in range(1, 21)}
+        with pytest.raises(ValueError, match=(
+                f"number {products}, over the generator-product budget "
+                f"{invariants.GENERATOR_PRODUCT_BUDGET}")):
+            generator_spans(group, gens, degree)
+        assert built == []
+
     def test_products_of_generators_are_invariant(self, group, named):
         # soundness spot check: anything built from generators is invariant
         combo = named["f1"] * named["h4"] - named["h2"] ** 2 * Fraction(1, 3)
@@ -399,6 +425,26 @@ class TestVerifyRelations:
         swapped = {"f2": generators["f2"], "f1": generators["f1"],
                    **{n: p for n, p in generators.items() if n not in ("f1", "f2")}}
         assert verify_relations(swapped, {"r": rel})["r"] == named["f2"] - named["f1"]
+
+    # g has degree 4 and 35 terms in x, so g^k has degree 4k: the parser,
+    # which reads g as one variable of degree 1, admits k up to 64
+    @pytest.mark.parametrize("k, budget", [
+        (16, f"expanding needs up to [0-9]+ term products, over the term-product "
+             f"budget {TERM_PRODUCT_BUDGET}"),
+        (32, f"degree 128 exceeds the degree cap {DEGREE_CAP}"),
+        (64, f"degree 256 exceeds the degree cap {DEGREE_CAP}")])
+    def test_dense_power_over_a_budget_is_refused(self, k, budget):
+        start = time.perf_counter()
+        gens = {"g": P("(x1+x2+x3+x4)^4")}
+        with pytest.raises(ValueError, match=f"^relation 'r': {budget}$"):
+            verify_relations(gens, {"r": relation(f"g^{k}", gens)})
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["f3^17", "f1^20*f3^7", "f3^8*h4^9"])
+    def test_degree_over_the_cap_is_refused(self, generators, text):
+        with pytest.raises(ValueError, match=(
+                f"^relation 'r': degree [0-9]+ exceeds the degree cap {DEGREE_CAP}$")):
+            verify_relations(generators, {"r": relation(text, generators)})
 
     def test_arity_mismatch_rejected(self, generators):
         rel = parse_poly("x1", nvars=2)

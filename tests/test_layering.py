@@ -1,4 +1,6 @@
-"""The core math modules stay free of the config, report and CLI layers."""
+"""Layering and ownership rules, checked on the package's sources: the core
+math modules stay free of the config, report and CLI layers, and each
+concept's storage is read by its owner module alone."""
 
 from __future__ import annotations
 
@@ -16,11 +18,18 @@ CORE = ("poly", "linalg", "parse", "groups", "skew", "invariants", "obstruction"
 OUTER = {"config", "report", "cli", "_version"}
 
 
+def package_sources(exclude=()) -> dict:
+    """Module name -> source text of every module of the package, but the
+    modules named in ``exclude``."""
+    return {path.name[:-3]: path.read_text(encoding="utf-8")
+            for path in resources.files("skewpoisson").iterdir()
+            if path.name.endswith(".py") and path.name[:-3] not in exclude}
+
+
 def package_imports(module: str) -> set:
     """Names of the ``skewpoisson`` modules that a module imports."""
-    source = resources.files("skewpoisson").joinpath(f"{module}.py").read_text(encoding="utf-8")
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(package_sources()[module])):
         if isinstance(node, ast.ImportFrom):
             if node.level and node.module:  # from .config import ...
                 found.add(node.module.split(".")[0])
@@ -45,10 +54,7 @@ def test_import_scan_sees_the_outer_layers():
 
 
 PACKAGE_MODULES = ("skewpoisson",) + tuple(
-    f"skewpoisson.{path.name[:-3]}"
-    for path in resources.files("skewpoisson").iterdir()
-    if path.name.endswith(".py") and path.name != "__init__.py"
-)
+    f"skewpoisson.{module}" for module in package_sources(exclude={"__init__"}))
 
 
 @pytest.mark.parametrize("name", sorted(PACKAGE_MODULES))
@@ -91,12 +97,7 @@ def test_unused_function_scan_sees_dead_code():
 
 
 def test_every_public_function_is_used():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py")
-    }
-    assert unused_public_functions(sources, set(skewpoisson.__all__)) == []
+    assert unused_public_functions(package_sources(), set(skewpoisson.__all__)) == []
 
 
 def _referenced_names(node) -> Counter:
@@ -140,13 +141,8 @@ def test_unused_method_scan_sees_dead_methods():
 
 def test_every_public_method_is_used():
     # the acceptance criteria are the product's spec, so they count as callers
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py")
-    }
     acceptance = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
-    assert unused_public_methods(sources, [acceptance]) == []
+    assert unused_public_methods(package_sources(), [acceptance]) == []
 
 
 def _annotation_names(node) -> set:
@@ -205,12 +201,7 @@ def test_unused_import_scan_sees_dead_imports():
 
 
 def test_no_unused_imports():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "__init__.py"
-    }
-    assert unused_imports(sources) == []
+    assert unused_imports(package_sources(exclude={"__init__"})) == []
 
 
 def second_element_spellings(sources: dict) -> list:
@@ -250,12 +241,7 @@ def test_second_element_spelling_scan_sees_both_forms():
 
 
 def test_group_elements_have_one_spelling():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py")
-    }
-    assert second_element_spellings(sources) == []
+    assert second_element_spellings(package_sources()) == []
 
 
 def _alternatives(node) -> set:
@@ -304,140 +290,7 @@ def test_record_parameter_scan_sees_records():
 
 
 def test_no_function_takes_an_element_record():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py")
-    }
-    assert record_parameters(sources) == []
-
-
-# FiniteMatrixGroup's product storage: the Cayley edges, the element paths
-# and the inverses, and the multiplication and inverse tables they replaced
-PRODUCT_STORAGE = {"_right", "_paths", "_inverses", "mul_table", "inverse_table"}
-
-
-def attribute_readers(sources: dict, attributes: set) -> list:
-    """``module.owner`` for each top-level function or class (``owner``, or
-    ``<module>`` for module-level code) of ``sources`` (module name ->
-    source text) that reads an attribute named in ``attributes``."""
-    readers = set()
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            owner = getattr(stmt, "name", "<module>")
-            if any(isinstance(node, ast.Attribute) and node.attr in attributes
-                   for node in ast.walk(stmt)):
-                readers.add(f"{module}.{owner}")
-    return sorted(readers)
-
-
-def product_storage_readers(sources: dict) -> list:
-    return attribute_readers(sources, PRODUCT_STORAGE)
-
-
-def test_product_storage_scan_sees_readers():
-    sources = {
-        "a": "def f(g):\n    return g.mul_table[0]\n\ndef ok(g):\n    return g.mul(0, 1)\n",
-        "b": ("X = group._inverses\n\nclass C:\n    def m(self, g):\n"
-              "        return g._paths, node.right\n"),
-    }
-    assert product_storage_readers(sources) == ["a.f", "b.<module>", "b.C"]
-
-
-def test_only_groups_reads_the_product_storage():
-    # the selftest corruption hook sabotages a copy's Cayley edges on purpose
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "groups.py"
-    }
-    assert product_storage_readers(sources) == ["selftest._corrupt_mul_table"]
-
-
-# FiniteMatrixGroup's compiled element actions; every other module acts
-# through act_on_poly(group, p, g)
-ACTION_CACHE = {"_actions"}
-
-
-def action_cache_readers(sources: dict) -> list:
-    return attribute_readers(sources, ACTION_CACHE)
-
-
-def test_action_cache_scan_sees_readers():
-    sources = {
-        "a": ("def f(group, p):\n    return group._actions[0](p)\n\n"
-              "def ok(group, p):\n    return act_on_poly(group, p, 0)\n"),
-        "b": "A = group._actions\n\nclass C:\n    def m(self, g):\n        return g._actions\n",
-    }
-    assert action_cache_readers(sources) == ["a.f", "b.<module>", "b.C"]
-
-
-def test_only_groups_reads_the_action_cache():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "groups.py"
-    }
-    assert action_cache_readers(sources) == []
-
-
-# Polynomial's integer numerators, their common denominator and its
-# unchecked constructor; every other module goes through items(),
-# coefficient(), to_vector() and the arithmetic
-POLYNOMIAL_INTERNALS = {"_terms", "_den", "_wrap"}
-
-
-def polynomial_internals_readers(sources: dict) -> list:
-    return attribute_readers(sources, POLYNOMIAL_INTERNALS)
-
-
-def test_polynomial_internals_scan_sees_readers():
-    sources = {
-        "a": ("def f(p):\n    return p._terms.items()\n\n"
-              "def ok(p):\n    return p.items(), p.coefficient((0,))\n"),
-        "b": "Z = zero._wrap({})\n\nclass C:\n    def m(self, p):\n        return p._terms\n",
-        "c": ("def scaled(p):\n    return {e: n * 2 for e, n in p._terms.items()}\n\n"
-              "def common(p):\n    return p.nvars, p._den\n"),
-    }
-    assert polynomial_internals_readers(sources) == [
-        "a.f", "b.<module>", "b.C", "c.common", "c.scaled"]
-
-
-def test_only_poly_reads_the_polynomial_internals():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "poly.py"
-    }
-    assert polynomial_internals_readers(sources) == []
-
-
-# RowSpace's integer rows and their weights over the inputs; every other
-# module goes through add, contains, solve, reduced_rows and annihilator,
-# which hand back Fraction values
-ROW_SPACE_STORAGE = {"_rows", "_combos"}
-
-
-def row_space_storage_readers(sources: dict) -> list:
-    return attribute_readers(sources, ROW_SPACE_STORAGE)
-
-
-def test_row_space_storage_scan_sees_readers():
-    sources = {
-        "a": ("def f(space):\n    return space._rows[0]\n\n"
-              "def ok(space):\n    return space.reduced_rows(), space.rank\n"),
-        "b": "W = span._combos\n\nclass C:\n    def m(self, s):\n        return s._rows\n",
-    }
-    assert row_space_storage_readers(sources) == ["a.f", "b.<module>", "b.C"]
-
-
-def test_only_linalg_reads_the_row_space_storage():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "linalg.py"
-    }
-    assert row_space_storage_readers(sources) == []
+    assert record_parameters(package_sources()) == []
 
 
 def _extends(node, name: str) -> bool:
@@ -484,37 +337,63 @@ def test_running_sum_scan_sees_loops():
 
 
 def test_no_running_sums():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py")
-    }
-    assert running_sums(sources) == []
+    assert running_sums(package_sources()) == []
 
 
-# LinearSubstitution's compiled rows, forms and image memo; every other
-# module substitutes by calling the object and keys images by image_key
-LINEAR_SUBSTITUTION_INTERNALS = {"_simple", "_forms", "_images", "_image"}
+def attribute_readers(sources: dict, attributes: set) -> list:
+    """``module.owner`` for each top-level function or class (``owner``, or
+    ``<module>`` for module-level code) of ``sources`` (module name ->
+    source text) that reads an attribute named in ``attributes``."""
+    readers = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", "<module>")
+            if any(isinstance(node, ast.Attribute) and node.attr in attributes
+                   for node in ast.walk(stmt)):
+                readers.add(f"{module}.{owner}")
+    return sorted(readers)
 
 
-def linear_substitution_internals_readers(sources: dict) -> list:
-    return attribute_readers(sources, LINEAR_SUBSTITUTION_INTERNALS)
+# (owner module, private names, readers outside the owner): one concept's
+# storage, which no other module reads but the allowed readers
+OWNERSHIP = {
+    # FiniteMatrixGroup's product storage: the Cayley edges, the element paths
+    # and the inverses, and the multiplication and inverse tables they
+    # replaced; the selftest corruption hook sabotages a copy's Cayley edges
+    # on purpose
+    "product-storage": ("groups", {"_right", "_paths", "_inverses", "mul_table",
+                                   "inverse_table"}, ["selftest._corrupt_mul_table"]),
+    # FiniteMatrixGroup's compiled element actions; every other module acts
+    # through act_on_poly(group, p, g)
+    "action-cache": ("groups", {"_actions"}, []),
+    # Polynomial's integer numerators, their common denominator and its
+    # unchecked constructor; every other module goes through items(),
+    # coefficient(), to_vector() and the arithmetic
+    "polynomial-internals": ("poly", {"_terms", "_den", "_wrap"}, []),
+    # RowSpace's integer rows and their weights over the inputs; every other
+    # module goes through add, contains, solve, reduced_rows and annihilator,
+    # which hand back Fraction values
+    "row-space-storage": ("linalg", {"_rows", "_combos"}, []),
+    # LinearSubstitution's compiled rows, forms and image memo; every other
+    # module substitutes by calling the object and keys images by image_key
+    "linear-substitution-internals": ("poly", {"_simple", "_forms", "_images", "_image"}, []),
+}
 
 
-def test_linear_substitution_internals_scan_sees_readers():
-    sources = {
-        "a": ("def f(into, exps):\n    return into._image(exps)\n\n"
-              "def ok(into, exps, p):\n    return into.image_key(exps), into(p)\n"),
-        "b": ("S = sub._simple\n\nclass C:\n    def m(self, sub):\n"
-              "        return sub._forms, sub._images\n"),
-    }
-    assert linear_substitution_internals_readers(sources) == ["a.f", "b.<module>", "b.C"]
+@pytest.mark.parametrize("rule", OWNERSHIP)
+def test_ownership_scan_sees_readers(rule):
+    _, names, _ = OWNERSHIP[rule]
+    for name in sorted(names):
+        sources = {
+            "a": (f"def f(x):\n    return x.{name}[0]\n\n"
+                  f"def ok(x):\n    return x.public(), {name}\n"),
+            "b": f"X = y.{name}\n\nclass C:\n    def m(self, z):\n        return z.{name}\n",
+            "c": f"def scaled(p):\n    return {{e: n for e, n in p.{name}.items()}}\n",
+        }
+        assert attribute_readers(sources, names) == ["a.f", "b.<module>", "b.C", "c.scaled"]
 
 
-def test_only_poly_reads_the_linear_substitution_internals():
-    sources = {
-        path.name[:-3]: path.read_text(encoding="utf-8")
-        for path in resources.files("skewpoisson").iterdir()
-        if path.name.endswith(".py") and path.name != "poly.py"
-    }
-    assert linear_substitution_internals_readers(sources) == []
+@pytest.mark.parametrize("rule", OWNERSHIP)
+def test_only_the_owner_reads(rule):
+    owner, names, readers = OWNERSHIP[rule]
+    assert attribute_readers(package_sources(exclude={owner}), names) == readers

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from skewpoisson import LinearSubstitution, Polynomial, SymplecticForm, generate_group
 from skewpoisson.linalg import (
     RowSpace,
     identity_matrix,
@@ -34,6 +35,11 @@ class TestScalarsAndMatrices:
             parse_scalar("a/b")
         with pytest.raises(ValueError):
             parse_scalar("1/0")
+
+    @pytest.mark.parametrize("value", [True, None, "", "-", "1/", "- 1", "1/00", "-1.0e0", "-١"])
+    def test_parse_scalar_refuses_what_is_no_literal(self, value):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            parse_scalar(value)
 
     def test_matrix_round_trip_and_ops(self):
         m = matrix_from_rows([["1", "2"], ["3", "4"]])
@@ -110,6 +116,35 @@ class TestScalarsAndMatrices:
         assert inverse(()) == ()
         with pytest.raises(ValueError, match="inverse requires a square matrix"):
             inverse(matrix_from_rows([["1", "2"]]))
+
+
+# each reader of exact scalars, as a function of a scalar ``value`` and its
+# exact value ``exact``, giving back the scalar it read: a matrix entry of a
+# generator ([[0, v], [1/v, 0]] has order 2), of a form and of a
+# substitution, and a coefficient
+SCALAR_READERS = {
+    "generate_group": lambda value, exact: generate_group(
+        [[[0, value], [1 / exact, 0]]]).elements[1].matrix[0][1],
+    "SymplecticForm": lambda value, exact: SymplecticForm(
+        [[0, value], [-exact, 0]]).matrix[0][1],
+    "LinearSubstitution": lambda value, exact: LinearSubstitution([[value]])(
+        Polynomial.variable(1, 0)).coefficient((1,)),
+    "Polynomial": lambda value, exact: Polynomial(1, {(1,): value}).coefficient((1,)),
+}
+
+
+@pytest.mark.parametrize("reader", SCALAR_READERS)
+class TestExactScalars:
+    @pytest.mark.parametrize("value", [0.5, "0.5", "1e3", "1_000", "٣"])
+    def test_refused(self, reader, value):
+        with pytest.raises(ValueError, match="is a float|invalid rational literal"):
+            SCALAR_READERS[reader](value, Fraction(1))
+
+    @pytest.mark.parametrize("value, exact", [
+        ("−3/4", Fraction(-3, 4)), (" -1/2 ", Fraction(-1, 2)), (3, Fraction(3)),
+        (Fraction(1, 2), Fraction(1, 2))])
+    def test_accepted(self, reader, value, exact):
+        assert SCALAR_READERS[reader](value, exact) == exact
 
 
 class TestRowSpace:
