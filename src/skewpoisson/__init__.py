@@ -46,14 +46,11 @@ from .poly import (
     format_poly,
     partial_derivative,
     poisson_bracket,
-    substitute_linear,
 )
 from .skew import (
-    NotFixedError,
     SkewElement,
     commutator,
     hh0_project,
-    inner_derivation_g_part,
     project_fixed,
     project_term,
     trace_vector,
@@ -98,12 +95,9 @@ __all__ = [
     "SymplecticForm",
     "partial_derivative",
     "poisson_bracket",
-    "substitute_linear",
-    "NotFixedError",
     "SkewElement",
     "commutator",
     "hh0_project",
-    "inner_derivation_g_part",
     "project_fixed",
     "project_term",
     "trace_vector",

@@ -99,15 +99,15 @@ class ConjugacyClass:
 class FiniteMatrixGroup:
     """An enumerated finite matrix group; construct via :func:`generate_group`."""
 
-    def __init__(self, elements: Sequence[GroupElement], generator_indices: Sequence[int],
-                 generator_names: Sequence[str], right: Sequence[Sequence[int]],
-                 paths: Sequence[tuple]):
+    def __init__(self, elements: Sequence[GroupElement], generator_names: Sequence[str],
+                 right: Sequence[Sequence[int]], paths: Sequence[tuple]):
         """``right[i][k]`` is the index of ``elements[i] * generator k``, the
-        group's only product structure, and ``paths[j]`` is the tuple of
+        group's only product structure, so the edges out of the identity
+        name the generators' own indices; ``paths[j]`` is the tuple of
         generator positions whose product is element ``j`` (``()`` for the
         identity)."""
         self.elements = tuple(elements)
-        self.generator_indices = tuple(generator_indices)
+        self.generator_indices = tuple(right[0])
         self.generator_names = tuple(generator_names)
         self.dim = len(self.elements[0].matrix)
         self.order = len(self.elements)
@@ -379,8 +379,7 @@ def generate_group(
 
     elements = [GroupElement(matrix, "*".join(names[k] for k in path) or "1")
                 for matrix, path in zip(_matrices(keys), paths)]
-    generator_indices = [index[_key(g)] for g in gens]
-    return FiniteMatrixGroup(elements, generator_indices, names, right, paths)
+    return FiniteMatrixGroup(elements, names, right, paths)
 
 
 def _key(matrix) -> tuple:

@@ -258,13 +258,13 @@ def solve_ladder(problem: ObstructionProblem,
     fresh solve exactly; the rank data still counts every candidate.  Those
     distinct nonzero images are all the ladder keeps: a zero image pairs to
     zero with the dual witness, and a repeated one like its first copy.  The
-    target is the problem's, and the divisor test runs once per ladder.
+    target is the problem's, and the divisor test runs once per ladder.  A
+    negative bound raises ``ValueError`` at its rung, from
+    :func:`sigma_image_basis`.
     """
     bounds = tuple(bounds)
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise ValueError(f"degree bounds must be strictly increasing, got {list(bounds)}")
-    if bounds and bounds[0] < 0:
-        raise ValueError("degree bound must be non-negative")
     group, psi, class_index = problem.group, problem.psi, problem.class_index
     target = problem.target
     goal = (-target).to_vector()

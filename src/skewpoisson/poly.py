@@ -399,7 +399,8 @@ class LinearSubstitution:
     times form ``j``, with ``x_j`` the last variable in ``m``.  The memo
     lives as long as the object, so a map kept for repeated use trades
     memory for never expanding a monomial twice.  Calling the object
-    composes a polynomial with the change of variables.
+    composes a polynomial with the change of variables, so substituting
+    by ``M`` and then by ``N`` equals substituting by ``mat_mul(M, N)``.
 
     The monomial path gives the same polynomials as the general one; it
     stays for speed.  With every substitution forced onto the general path,
@@ -525,16 +526,6 @@ class LinearSubstitution:
                         product.pop(up, None)
             images[exps] = image = product
         return image
-
-
-def substitute_linear(p: Polynomial, matrix) -> Polynomial:
-    """Compose with a linear change of variables: x_j -> sum_k M[j][k] x_k.
-
-    Satisfies the composition law ``substitute_linear(substitute_linear(p, M), N)
-    == substitute_linear(p, mat_mul(M, N))``.  Compiles the matrix for this
-    one call; keep a :class:`LinearSubstitution` to apply it repeatedly.
-    """
-    return LinearSubstitution(matrix)(p)
 
 
 class SymplecticForm:

@@ -29,19 +29,13 @@ from .groups import FiniteMatrixGroup, act_on_poly
 from .poly import Polynomial, format_poly
 
 __all__ = [
-    "NotFixedError",
     "SkewElement",
     "commutator",
     "project_term",
     "project_fixed",
     "hh0_project",
     "trace_vector",
-    "inner_derivation_g_part",
 ]
-
-
-class NotFixedError(ValueError):
-    """A polynomial violated a fixedness precondition (``g . x != x``)."""
 
 
 class SkewElement:
@@ -223,23 +217,3 @@ def trace_vector(a: SkewElement) -> tuple:
     representative's fixed space and is invariant under its centralizer,
     exactly the polynomials :func:`project_term` leaves unchanged."""
     return tuple(hh0_project(a, i) for i in range(len(a.group.classes)))
-
-
-def inner_derivation_g_part(a: SkewElement, x: Polynomial, g: int) -> Polynomial:
-    """Part at ``g`` of the inner derivation ``[a, x]`` for a ``g``-fixed ``x``.
-
-    Preconditions: ``g`` is not the identity and ``g . x == x`` (violations
-    raise :class:`NotFixedError`).  Under them the result is identically the
-    zero polynomial; the return value exists so the contract can be checked
-    rather than assumed.
-    """
-    group = a.group
-    idx = group.element_index(g)
-    if idx == 0:
-        raise ValueError("the identity element is excluded here")
-    if act_on_poly(group, x, idx) != x:
-        raise NotFixedError(
-            f"polynomial is not fixed by {group.elements[idx].word!r}"
-        )
-    lifted = SkewElement.term(group, x, 0)
-    return commutator(a, lifted).g_part(idx)

@@ -36,7 +36,7 @@ def test_perfbench_unit_tests_pass():
 # layer that costs nothing.  These two functions were deleted on purpose:
 # the Molien series comes from power traces, not determinants, and
 # ObstructionProblem computes its own target.
-GONE_TRACE_TARGETS = ["linalg.det_generic", "obstruction.target_poly"]
+GONE_TRACE_TARGETS = ["linalg.det_generic", "obstruction.target_poly", "poly.substitute_linear"]
 
 FIND_TRACE_TARGETS = """
 import json, sys

@@ -22,7 +22,6 @@ from skewpoisson import (
     project_term,
     reynolds,
     sigma_image_basis,
-    substitute_linear,
 )
 from skewpoisson import groups, linalg
 from skewpoisson.linalg import RowSpace, identity_matrix, inverse, mat_mul, matrix_from_rows
@@ -265,6 +264,36 @@ class TestEnumeration:
         assert products == []
 
 
+GENERATOR_LISTS = {
+    "S3": lambda: ENUMERATIONS["S3"][0],
+    "B3": lambda: coxeter_bn(3, seed=3),
+    "B4": lambda: coxeter_bn(4, seed=4),
+}
+
+
+class TestGeneratorIndices:
+    """``generator_indices`` are read off the Cayley edges out of the
+    identity; each must name the element whose matrix is that generator."""
+
+    @staticmethod
+    def index_of(group, matrix):
+        matrix = matrix_from_rows(matrix)
+        return next(i for i, g in enumerate(group.elements) if g.matrix == matrix)
+
+    @pytest.mark.parametrize("case", ["bundled", *GENERATOR_LISTS])
+    def test_each_is_its_generators_own_index(self, case, config):
+        generators = (config.generator_matrices if case == "bundled"
+                      else GENERATOR_LISTS[case]())
+        group = generate_group(generators)
+        assert group.generator_indices == tuple(self.index_of(group, g) for g in generators)
+
+    def test_repeated_generator_and_identity(self):
+        group = generate_group([B, B, identity_matrix(4)])
+        b = self.index_of(group, B)
+        assert b != 0
+        assert group.generator_indices == (b, b, 0)
+
+
 class TestIndexRange:
     """An element is its index, so the range check is the only guard: a
     negative index would otherwise wrap round silently."""
@@ -495,7 +524,7 @@ class TestClassCoordinates:
                 p = random_poly(rng, group.dim)
                 fixed = coords.into(p)
                 assert fixed.nvars == max(coords.rank, 1)
-                assert coords.back(fixed) == substitute_linear(p, proj)
+                assert coords.back(fixed) == LinearSubstitution(proj)(p)
 
     def test_rank_and_basis_of_the_projection(self, reference_group):
         group = reference_group

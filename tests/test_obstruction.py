@@ -31,7 +31,6 @@ from skewpoisson import (
     sigma_image_basis,
     solve_ladder,
     solve_sigma,
-    substitute_linear,
 )
 from skewpoisson.linalg import inverse
 from skewpoisson.poly import LinearSubstitution, monomials_of_degree
@@ -274,8 +273,8 @@ class TestDivisorCertificate:
             for psi in psis:
                 expected = []
                 for k in cls.centralizer:
-                    moved = substitute_linear(psi, inverse(group.elements[k].matrix))
-                    translate = substitute_linear(moved, proj)
+                    moved = LinearSubstitution(inverse(group.elements[k].matrix))(psi)
+                    translate = LinearSubstitution(proj)(moved)
                     if not translate.is_zero and translate not in expected:
                         expected.append(translate)
                 assert multiplier_image_generators(group, psi, cls.index) == tuple(expected)
@@ -644,6 +643,12 @@ class TestLadder:
         problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 3, form)
         with pytest.raises(ValueError, match="strictly increasing"):
             list(solve_ladder(problem, bounds))
+
+    def test_negative_bound_raises_on_the_first_rung(self, group, form, named, class_of_b):
+        problem = ObstructionProblem(group, named["f1"], named["h1"], class_of_b, 3, form)
+        ladder = solve_ladder(problem, [-1])
+        with pytest.raises(ValueError, match="^degree bound must be non-negative$"):
+            next(ladder)
 
 
 PINNED_CERTIFICATES = Path(__file__).parent / "data" / "certificates.repr"
