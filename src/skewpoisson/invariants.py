@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from . import linalg
 from .groups import FiniteMatrixGroup, act_on_poly
-from .parse import power_work, size_problem
+from .parse import ExpansionBudget, power_work
 from .poly import Polynomial, grlex_key, monomials_of_degree
 
 __all__ = [
@@ -237,39 +238,39 @@ def _product_counts(weights: Sequence[int], up_to_degree: int) -> list:
     return counts
 
 
-def _check_size(degree: int, work: int) -> None:
-    problem = size_problem(degree, work)
-    if problem is not None:
-        raise ValueError(problem)
+def _power_products(polys: Sequence[Polynomial]):
+    """``times_powers(start, exps, budget=None)``: the constant ``start``
+    times the product of the generator powers ``polys[i] ** exps[i]``, each
+    power computed once; the first power is the generator itself.  ``polys``
+    are the generator polynomials in table order.
 
-
-def _power_products(polys: Sequence[Polynomial], budgeted: bool = False):
-    """``times_powers(start, exps)``: the constant ``start`` times the
-    product of the generator powers ``polys[i] ** exps[i]``, each power
-    computed once; the first power is the generator itself.  ``polys`` are
-    the generator polynomials in table order.
-
-    When ``budgeted``, every power and every product is first held to the
-    parser's budgets, and one over them raises ``ValueError`` before it is
-    expanded: the degree is read off the generators' degrees, a power's
-    term products are estimated by :func:`~skewpoisson.parse.power_work`
+    Given a :class:`~skewpoisson.parse.ExpansionBudget`, every higher power
+    and every product is first charged to it, which raises ``ValueError``
+    for one it refuses before it is expanded: the degree is read off the
+    generators' degrees, a power's term products are estimated by
+    :func:`~skewpoisson.parse.power_work` (also when the power is cached,
+    so what one call is charged does not depend on the calls before it)
     and a product's are the product of its operands' term counts.
     """
-    cache = [{1: p} for p in polys]
+    powers = [{1: p} for p in polys]
     degrees = [max(p.total_degree(), 0) for p in polys]
 
-    def times_powers(start: Polynomial, exps) -> Polynomial:
+    @cache
+    def work(i: int, e: int) -> int:
+        return power_work(polys[i], e)
+
+    def times_powers(start: Polynomial, exps, budget=None) -> Polynomial:
         degree = 0
         for i, e in enumerate(exps):
             if e:
-                power = cache[i].get(e)
+                if budget is not None and e > 1:
+                    budget.charge(degrees[i] * e, work(i, e))
+                power = powers[i].get(e)
                 if power is None:
-                    if budgeted:
-                        _check_size(degrees[i] * e, power_work(polys[i], e))
-                    power = cache[i][e] = polys[i] ** e
-                if budgeted:
+                    power = powers[i][e] = polys[i] ** e
+                if budget is not None:
                     degree += degrees[i] * e
-                    _check_size(degree, len(start) * len(power))
+                    budget.charge(degree, len(start) * len(power))
                 start = start * power
         return start
 
@@ -357,26 +358,27 @@ def verify_relations(gens: Mapping[str, Polynomial], rels: Mapping[str, Polynomi
     ``gens`` must list the generators in the order the relations were parsed
     in.  A nonzero residual is a finding, returned verbatim.
 
-    Every generator power and product a relation term needs is held to the
-    parser's :data:`~skewpoisson.parse.DEGREE_CAP` and term-product budget
-    in the ``x`` variables before it is expanded: the parser sees a
-    generator as one abstract variable, so ``g^32`` parses even when ``g``
-    has 35 terms.  A relation over either raises ``ValueError`` naming the
-    relation and the budget.
+    Every generator power and product a relation needs is held to the
+    parser's budgets in the ``x`` variables before it is expanded, with one
+    :class:`~skewpoisson.parse.ExpansionBudget` per relation: the parser
+    sees a generator as one abstract variable, so ``g^32`` parses even when
+    ``g`` has 35 terms.  A relation over either budget raises ``ValueError``
+    naming the relation and the budget.
     """
     polys = list(gens.values())
     k = len(polys)
     residuals = {}
-    times_powers = _power_products(polys, budgeted=True)
+    times_powers = _power_products(polys)
     nvars = polys[0].nvars if polys else 1
     for name, rel in rels.items():
         if rel.nvars != k:
             raise ValueError(
                 f"relation {name!r} uses {rel.nvars} abstract variables, expected {k}"
             )
+        budget = ExpansionBudget()
         try:
             residuals[name] = Polynomial.sum(
-                nvars, (times_powers(Polynomial.constant(nvars, coeff), exps)
+                nvars, (times_powers(Polynomial.constant(nvars, coeff), exps, budget)
                         for exps, coeff in rel.items()))
         except ValueError as exc:
             raise ValueError(f"relation {name!r}: {exc}") from None

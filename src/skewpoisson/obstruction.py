@@ -17,6 +17,39 @@ but not the target) upgrades infeasibility to all degrees.  Every verdict
 ships as a certificate that :func:`replay_certificate` checks against the
 target its :class:`ObstructionProblem` computed on construction.
 
+What a verdict certifies rests on the following argument, which is under
+review and changes no verdict.  Following Crawley-Boevey, a
+noncommutative Poisson structure (an H_0-Poisson structure) on an algebra
+``A`` is a Lie bracket on ``HH_0(A) = A/[A, A]`` in which each
+``{a, -}`` is induced by a derivation of ``A`` (W. Crawley-Boevey,
+"Poisson structures on moduli spaces of representations", J. Algebra 325,
+2011).  For ``A = C[V]#G`` with ``G`` in ``Sp(V)``:
+
+1. ``HH^1(C[V]#G) = Der(C[V])^G``, so every derivation is an inner one
+   plus a ``G``-invariant vector field ``xi`` with ``xi(g) = 0`` (Ştefan,
+   J. Pure Appl. Algebra 1995; Farinati, J. Algebra 2005; Ginzburg and
+   Kaledin, Adv. Math. 2004; Shepler and Witherspoon, Trans. AMS 2008).
+2. Inner derivations induce 0 on ``HH_0``, and ``xi`` sends ``psi . g``
+   to ``xi(psi) . g``, so every induced map keeps each class summand
+   ``C[V^g]^Z(g)`` of ``HH_0``.
+3. ``{phi, -}`` restricts to the Poisson bracket on ``C[V]^G``, the
+   identity summand, so its field is the Hamiltonian field ``X_phi``: an
+   invariant field that kills ``C[V]^G`` is zero, since ``V -> V/G`` is
+   generically étale.
+4. So ``{phi, psi . g} = project({phi, psi} . g)`` lies in the summand of
+   the class of ``g``, while ``{psi . g, phi}`` lies in the identity
+   summand, and antisymmetry forces ``project({phi, psi} . g) == 0``.
+
+An extension therefore exists only if this sharp condition holds for
+every invariant ``phi``, every ``psi`` and every class other than the
+identity's.  The ``sigma`` condition decided here is the package's
+earlier model, and it relaxes the sharp condition: whenever the target
+vanishes, ``sigma = 0`` satisfies it.  So a ``sigma``-infeasible verdict, the
+bundled ``INFEASIBLE_ALL_DEGREES (witness x4)`` included, still certifies
+an obstruction, while a ``FEASIBLE`` verdict with a nonzero target
+certifies nothing, since the sharp condition asks the target itself to
+vanish.
+
 :func:`solve_ladder` decides a ladder of degree bounds in one pass: it
 computes each candidate multiplier image once and grows one row reduction
 across the rungs, adding each distinct nonzero image once, so the ladder

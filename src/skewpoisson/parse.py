@@ -88,6 +88,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
+        self.budget = ExpansionBudget()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -116,9 +117,10 @@ class _Parser:
             terms.append(-term if sign == "-" else term)
 
     def check_size(self, degree: int, work: int, pos: int):
-        problem = size_problem(degree, work)
-        if problem is not None:
-            raise PolyParseError(problem, pos)
+        try:
+            self.budget.charge(degree, work)
+        except ValueError as exc:
+            raise PolyParseError(str(exc), pos) from None
 
     def parse_term(self) -> Polynomial:
         product = self.parse_factor()
@@ -174,15 +176,27 @@ class _Parser:
         raise PolyParseError("expected a number, a name or '('", pos)
 
 
-def size_problem(degree: int, work: int) -> Optional[str]:
-    """What the budgets refuse in a power or product of total degree
-    ``degree`` whose expansion takes ``work`` term products, or ``None``."""
-    if degree > DEGREE_CAP:
-        return f"degree {degree} exceeds the degree cap {DEGREE_CAP}"
-    if work > TERM_PRODUCT_BUDGET:
-        return (f"expanding needs up to {work} term products, over "
-                f"the term-product budget {TERM_PRODUCT_BUDGET}")
-    return None
+class ExpansionBudget:
+    """The budgets of one expression: each power or product it expands is
+    held to :data:`DEGREE_CAP` on its own, and the term products of all of
+    them together to :data:`TERM_PRODUCT_BUDGET`, so a long sum of powers
+    that each fit is refused as a whole."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0  # term products charged so far
+
+    def charge(self, degree: int, work: int) -> None:
+        """Charge a power or product of total degree ``degree`` whose
+        expansion takes ``work`` term products; raises ``ValueError`` if the
+        budgets then refuse it."""
+        if degree > DEGREE_CAP:
+            raise ValueError(f"degree {degree} exceeds the degree cap {DEGREE_CAP}")
+        self.spent += work
+        if self.spent > TERM_PRODUCT_BUDGET:
+            raise ValueError(f"expanding needs up to {self.spent} term products, over "
+                             f"the term-product budget {TERM_PRODUCT_BUDGET}")
 
 
 def power_work(base: Polynomial, exponent: int) -> int:
@@ -211,10 +225,11 @@ def parse_poly(
     of every power and product, checked from the degrees of the operands
     before the power or product is expanded, so a nested power such as
     ``(x1^64)^64`` or a product such as ``x1^40*x1^40`` is rejected without
-    being built, as is one whose expansion would take over
-    :data:`TERM_PRODUCT_BUDGET` term-by-term products, such as
-    ``(x1+x2+x3+x4)^48``.  The degree of a sum is that of its highest term,
-    so sums need no check.
+    being built, as is an expression whose powers and products together
+    would take over :data:`TERM_PRODUCT_BUDGET` term-by-term products to
+    expand, such as ``(x1+x2+x3+x4)^48`` or a sum of four copies of
+    ``(x1+x2+x3+x4)^16`` (see :class:`ExpansionBudget`).  The degree of a
+    sum is that of its highest term, so sums need no degree check.
     """
     if names is None:
         if nvars is None:

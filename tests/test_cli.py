@@ -242,8 +242,10 @@ class TestBracketCommand:
         assert "degree cap 64" in out
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("text", ["(x1+x2+x3+x4)^48",
-                                      "(x1+x2+x3+x4)^30*(x1+x2+x3+x4)^30"])
+    @pytest.mark.parametrize("text", [
+        "(x1+x2+x3+x4)^48", "(x1+x2+x3+x4)^30*(x1+x2+x3+x4)^30",
+        # each power fits the budget; the budget holds the whole expression
+        pytest.param(" + ".join(["(x1+x2+x3+x4)^16"] * 200), id="sum-of-200-powers")])
     def test_dense_power_over_the_term_product_budget_exits_2(self, capsys, text):
         start = time.perf_counter()
         code, out = run(capsys, "bracket", text, "x1")

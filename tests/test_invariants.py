@@ -440,6 +440,23 @@ class TestVerifyRelations:
             verify_relations(gens, {"r": relation(f"g^{k}", gens)})
         assert time.perf_counter() - start < 1
 
+    # each cube of a 35-term quartic takes 18585 term products and its
+    # product with the coefficient 455 more: two terms fit the budget of a
+    # relation, three do not, also when a term's power is already cached
+    DENSE_QUARTICS = {name: P(f"({signs})^4") for name, signs in [
+        ("g1", "x1+x2+x3+x4"), ("g2", "x1-x2+x3+x4"), ("g3", "x1+x2-x3+x4")]}
+
+    def test_many_moderate_terms_over_the_budget_are_refused(self):
+        gens = self.DENSE_QUARTICS
+        rels = {"two": relation("g1^3 + g2^3", gens),
+                "three": relation("g1^3 + g2^3 + g3^3", gens)}
+        with pytest.raises(ValueError, match=(
+                "^relation 'three': expanding needs up to 56665 term products, over "
+                f"the term-product budget {TERM_PRODUCT_BUDGET}$")):
+            verify_relations(gens, rels)
+        residuals = verify_relations(gens, {"two": rels["two"]})
+        assert residuals["two"] == gens["g1"] ** 3 + gens["g2"] ** 3
+
     @pytest.mark.parametrize("text", ["f3^17", "f1^20*f3^7", "f3^8*h4^9"])
     def test_degree_over_the_cap_is_refused(self, generators, text):
         with pytest.raises(ValueError, match=(

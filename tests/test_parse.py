@@ -122,6 +122,15 @@ class TestErrors:
             parse_poly("(x1+x2+x3+x4)^12*(x1+x2+x3+x4)^12", nvars=4)
         assert time.perf_counter() - start < 0.5
 
+    def test_budget_holds_the_whole_expression(self):
+        # 15504 term products per power: three fit the budget, four do not
+        power = "(x1+x2+x3+x4)^16"
+        assert parse_poly(" + ".join([power] * 3), nvars=4) == 3 * parse_poly(power, nvars=4)
+        with pytest.raises(PolyParseError, match=(
+                f"^position 66: expanding needs up to 62016 term products, over "
+                f"the term-product budget {TERM_PRODUCT_BUDGET}$")):
+            parse_poly("+".join([power] * 4), nvars=4)
+
     def test_dense_power_within_the_budget_accepted(self):
         # every monomial of degree 16 in four variables
         assert len(parse_poly("(x1+x2+x3+x4)^16", nvars=4)) == 969
