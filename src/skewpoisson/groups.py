@@ -407,13 +407,16 @@ def _matrices(keys) -> list:
 
 
 def is_symplectic(matrix, form: SymplecticForm) -> bool:
-    """True if the matrix ``g`` preserves the form: g^T J g == J."""
+    """True if the matrix ``g`` preserves the form: g^T J g == J, checked on
+    the integer keys ``g = M/d`` and ``J = K/c`` as ``M^T K M == d^2 K``."""
     n = form.nvars
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"dimension mismatch: the form is {n}-dimensional, so the "
                          f"matrix must be {n}x{n}")
-    gt = linalg.transpose(matrix)
-    return linalg.mat_mul(linalg.mat_mul(gt, form.matrix), matrix) == form.matrix
+    (d, m), (_, k) = _key(matrix), _key(form.matrix)
+    gram = linalg.mat_mul_rows(linalg.transpose(m), linalg.sparse_rows(k), n)
+    return (linalg.mat_mul_rows(gram, linalg.sparse_rows(m), n)
+            == tuple(tuple(d * d * x for x in row) for row in k))
 
 
 def act_on_poly(group: FiniteMatrixGroup, p: Polynomial, g: int) -> Polynomial:

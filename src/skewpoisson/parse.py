@@ -13,6 +13,14 @@ instance generator names like ``f1``/``h4``); unknown identifiers are
 rejected.  A factor immediately followed by a name multiplies it, so the
 compact forms ``1/2f1``, ``2h1h2`` and ``1/2f1^2f2`` all parse the way they
 are meant; every other juxtaposition is a syntax error.
+
+A term is kept as one monomial (an integer numerator, a denominator and an
+exponent list) while its factors are numbers, names and their powers: a
+product adds exponents and a power scales them.  Its first parenthesized
+factor makes it a :class:`Polynomial`, which multiplies out from there on.
+Either way each power and product is charged to the expression's
+:class:`ExpansionBudget` as if it were expanded, so every refusal and its
+position is the same.
 """
 
 from __future__ import annotations
@@ -113,8 +121,7 @@ class _Parser:
                 return Polynomial.sum(self.nvars, terms)
             if sign is not None:
                 self.advance()
-            term = self.parse_term()
-            terms.append(-term if sign == "-" else term)
+            terms.append(self.parse_term(-1 if sign == "-" else 1))
 
     def check_size(self, degree: int, work: int, pos: int):
         try:
@@ -122,9 +129,32 @@ class _Parser:
         except ValueError as exc:
             raise PolyParseError(str(exc), pos) from None
 
-    def parse_term(self) -> Polynomial:
-        product = self.parse_factor()
+    def parse_term(self, sign: int) -> Polynomial:
+        # num/den * x^exps of total degree `degree` while every factor is a
+        # monomial; the first parenthesized factor makes it a Polynomial
+        num, den, exps, degree, product = 1, 1, [0] * self.nvars, 0, None
+        factor = self.parse_factor()
+        pos = None  # of the '*' or name before `factor`; None for the first
         while True:
+            if product is None and type(factor) is tuple:
+                fnum, fden, index, e = factor
+                if pos is not None:  # a zero monomial has degree -1 and no terms
+                    self.check_size((degree if num else -1) + (e if fnum else -1),
+                                    1 if num and fnum else 0, pos)
+                num, den, degree = num * fnum, den * fden, degree + e
+                exps[index] += e
+            elif pos is None:
+                product = factor
+            else:
+                if product is None:
+                    product = self.monomial(num, den, exps)
+                if type(factor) is tuple:
+                    fnum, fden, index, e = factor
+                    factor = self.monomial(fnum, fden, [(i == index) * e
+                                                        for i in range(self.nvars)])
+                self.check_size(product.total_degree() + factor.total_degree(),
+                                len(product) * len(factor), pos)
+                product = product * factor
             kind, value, pos = self.peek()
             if kind == _OP and value == "*":
                 self.advance()
@@ -132,12 +162,17 @@ class _Parser:
                 # a factor followed by a name multiplies it (compact juxtaposition)
                 break
             factor = self.parse_factor()
-            self.check_size(product.total_degree() + factor.total_degree(),
-                            len(product) * len(factor), pos)
-            product = product * factor
-        return product
+        if product is None:
+            return self.monomial(sign * num, den, exps)
+        return product if sign == 1 else -product
 
-    def parse_factor(self) -> Polynomial:
+    def monomial(self, num: int, den: int, exps: list) -> Polynomial:
+        return Polynomial.monomial(self.nvars, exps, num if den == 1 else Fraction(num, den))
+
+    def parse_factor(self):
+        """A parenthesized atom, with its power, as a Polynomial; any other
+        factor as the monomial ``(num, den, index, e)``, which is ``num/den``
+        times variable ``index`` to the power ``e`` (0 for a number)."""
         base = self.parse_atom()
         kind, value, _ = self.peek()
         if kind == _OP and value == "^":
@@ -149,14 +184,18 @@ class _Parser:
                 raise PolyParseError(
                     f"exponent {value} exceeds the degree cap {DEGREE_CAP}", pos
                 )
-            self.check_size(base.total_degree() * value, power_work(base, value), pos)
-            return base ** value
+            if type(base) is not tuple:
+                self.check_size(base.total_degree() * value, power_work(base, value), pos)
+                return base ** value
+            num, den, index, e = base
+            # power_work of one term is max(value, 1), of zero terms 0
+            self.check_size((e if num else -1) * value, (value or 1) if num else 0, pos)
+            return num ** value, den ** value, index, e * value
         return base
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self):
         kind, value, pos = self.advance()
         if kind == _NUMBER:
-            scalar = Fraction(value)
             kind2, value2, _ = self.peek()
             if kind2 == _OP and value2 == "/":
                 self.advance()
@@ -165,10 +204,10 @@ class _Parser:
                     raise PolyParseError("expected an integer denominator", pos3)
                 if value3 == 0:
                     raise PolyParseError("zero denominator", pos3)
-                scalar = Fraction(value, value3)
-            return Polynomial.constant(self.nvars, scalar)
+                return value, value3, 0, 0
+            return value, 1, 0, 0
         if kind == _NAME:
-            return Polynomial.variable(self.nvars, value)
+            return 1, 1, value, 1
         if kind == _OP and value == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -217,11 +256,11 @@ def parse_poly(
 ) -> Polynomial:
     """Parse an expression into a canonical :class:`Polynomial`.
 
-    Exactly one of ``nvars`` (variables ``x1 .. x<nvars>``) or ``names``
-    (explicit variable names, defining ``nvars`` by their count) selects the
-    variable alphabet.  An explicit name must not be empty or start with what
-    the tokenizer reads as something else: an ASCII digit, whitespace, or one
-    of ``+-*/^()−``.  The fixed :data:`DEGREE_CAP` bounds the total degree
+    ``nvars`` (variables ``x1 .. x<nvars>``) or ``names`` (explicit
+    variable names, defining ``nvars`` by their count) selects the variable
+    alphabet; given both, ``nvars`` must equal the number of names.  An
+    explicit name must not be empty or start with what the tokenizer reads
+    as something else: an ASCII digit, whitespace, or one of ``+-*/^()−``.  The fixed :data:`DEGREE_CAP` bounds the total degree
     of every power and product, checked from the degrees of the operands
     before the power or product is expanded, so a nested power such as
     ``(x1^64)^64`` or a product such as ``x1^40*x1^40`` is rejected without

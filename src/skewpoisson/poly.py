@@ -150,15 +150,6 @@ class Polynomial:
         return cls.monomial(nvars, (0,) * nvars, value)
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        """The variable with 0-based index ``index`` (printed as ``x<index+1>``)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._wrap(nvars, {tuple(exps): 1})
-
-    @classmethod
     def monomial(cls, nvars: int, exps: Iterable[int], coeff: Scalar = 1) -> "Polynomial":
         if nvars < 1:
             raise ValueError("nvars must be a positive integer")

@@ -33,9 +33,10 @@ def test_perfbench_unit_tests_pass():
 
 
 # A per-layer metric whose traced function no longer exists reads 0, like a
-# layer that costs nothing.  These two functions were deleted on purpose:
-# the Molien series comes from power traces, not determinants, and
-# ObstructionProblem computes its own target.
+# layer that costs nothing.  These three functions were deleted on purpose:
+# the Molien series comes from power traces, not determinants,
+# ObstructionProblem computes its own target, and callers substitute with a
+# compiled LinearSubstitution.
 GONE_TRACE_TARGETS = ["linalg.det_generic", "obstruction.target_poly", "poly.substitute_linear"]
 
 FIND_TRACE_TARGETS = """

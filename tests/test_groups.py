@@ -598,6 +598,31 @@ class TestSymplectic:
                                     ["0", "0", "0", "1"]])
         assert not is_symplectic(stretch, form)
 
+    @pytest.mark.parametrize("name", ["bundled", "s3", "conjugated_s3", "b3"])
+    @pytest.mark.parametrize("scale", ["1", "1/2", "-2/3"])
+    def test_agrees_with_the_fraction_definition(self, name, scale, group, form,
+                                                 s3_group, b3_group):
+        from skewpoisson import SymplecticForm
+
+        if name == "bundled":
+            matrices, gram = [g.matrix for g in group.elements], form.matrix
+        else:
+            reference = {"s3": s3_group, "b3": b3_group,
+                         "conjugated_s3": generate_group(conjugated_s3())}[name]
+            half = reference.dim // 2
+            gram = [[(i + half == j) - (j + half == i) for j in range(reference.dim)]
+                    for i in range(reference.dim)]
+            matrices = [g.matrix for g in reference.elements]
+        # a form with rational entries, preserved by the same matrices
+        scaled = SymplecticForm([[Fraction(scale) * x for x in row] for row in gram])
+        stretch = [[Fraction(2, 3) * x for x in matrices[0][0]]] + list(matrices[0][1:])
+        for m in matrices + [stretch]:
+            m = matrix_from_rows(m)
+            expected = mat_mul(mat_mul(linalg.transpose(m), scaled.matrix), m) == scaled.matrix
+            assert is_symplectic(m, scaled) == expected
+        assert all(is_symplectic(m, scaled) for m in matrices)
+        assert not is_symplectic(matrix_from_rows(stretch), scaled)
+
     def test_dimension_mismatch(self, group):
         from skewpoisson import SymplecticForm
 

@@ -128,7 +128,7 @@ SCALAR_READERS = {
     "SymplecticForm": lambda value, exact: SymplecticForm(
         [[0, value], [-exact, 0]]).matrix[0][1],
     "LinearSubstitution": lambda value, exact: LinearSubstitution([[value]])(
-        Polynomial.variable(1, 0)).coefficient((1,)),
+        Polynomial.monomial(1, (1,))).coefficient((1,)),
     "Polynomial": lambda value, exact: Polynomial(1, {(1,): value}).coefficient((1,)),
 }
 
